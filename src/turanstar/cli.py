@@ -21,8 +21,7 @@ from .constructions import (
     regular_triangle_free,
     turan_graph,
 )
-from .detectors import Clique, ForbiddenFamily, Matching, contains_clique
-from .detectors import _pattern_spec, contains_star_forest, max_matching_size
+from .detectors import ForbiddenFamily
 from .formulas import (
     ex_clique_matching,
     ex_clique_star_forest,
@@ -31,9 +30,7 @@ from .formulas import (
     extremal_family_edges,
 )
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
-from .graphs import Graph
-from .harness import ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, run_suite
-from .oracle import brute_force_ex
+from .harness import ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, fetch_record, run_suite
 
 
 def _usage(err: Exception) -> click.UsageError:
@@ -114,20 +111,6 @@ def _parse_family(spec: str) -> ForbiddenFamily:
         raise _usage(err)
 
 
-def _detect_one(g: Graph, family: ForbiddenFamily) -> list[str]:
-    found = []
-    for pat in family.patterns:
-        if isinstance(pat, Clique):
-            hit = contains_clique(g, pat.size)
-        elif isinstance(pat, Matching):
-            hit = max_matching_size(g) >= pat.edges
-        else:
-            hit = contains_star_forest(g, pat.copies, pat.leaves)
-        if hit:
-            found.append(_pattern_spec(pat))
-    return found
-
-
 @main.command()
 @click.option("--family", required=True, help="e.g. 'clique:3,starforest:2x2'")
 @click.option("--g6", multiple=True, help="graph6 string; repeatable")
@@ -150,7 +133,8 @@ def detect(family, g6, infile, fmt):
             g = graph6_decode(code)
         except ValueError as err:
             raise _usage(err)
-        results.append({"graph": code, "found": _detect_one(g, fam)})
+        found = [pat.spec() for pat in fam.patterns if pat.occurs_in(g)]
+        results.append({"graph": code, "found": found})
     if fmt == "json":
         click.echo(json.dumps(results, indent=2))
     else:
@@ -197,14 +181,10 @@ def oracle(n, family, jobs, cache):
     """Exhaustively compute the extremal number and graphs for a family."""
     fam = _parse_family(family)
     store = ResultCache(cache) if cache else None
-    record = store.lookup(n, fam) if store else None
-    if record is None:
-        try:
-            record = brute_force_ex(n, fam, jobs=jobs)
-        except ValueError as err:
-            raise _usage(err)
-        if store:
-            store.append(record)
+    try:
+        record = fetch_record(n, fam, store, jobs)
+    except ValueError as err:
+        raise _usage(err)
     click.echo(json.dumps(record.to_json_dict()))
 
 

@@ -8,8 +8,10 @@ contains none of them as a subgraph.  Three pattern kinds appear:
 * ``StarForest(copies, leaves)``: ``copies`` vertex-disjoint stars, each a
   center joined to ``leaves`` distinct leaves.
 
-All detectors are exact.  Their verdicts are cross-checked against plain
-exhaustive subset search in the test suite.
+Each pattern validates its own arguments, gives its text form through
+``spec()`` and answers ``occurs_in(g)`` with its detector.  All detectors
+are exact.  The test suite cross-checks their verdicts against plain
+exhaustive search, and the matching detector also against networkx.
 """
 
 from __future__ import annotations
@@ -21,41 +23,58 @@ from typing import Union
 from .graphs import Graph, bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Clique:
     size: int
 
+    def __post_init__(self) -> None:
+        if self.size < 2:
+            raise ValueError(f"clique pattern needs size >= 2, got {self.size}")
 
-@dataclass(frozen=True)
+    def spec(self) -> str:
+        return f"clique:{self.size}"
+
+    def occurs_in(self, g: Graph) -> bool:
+        return contains_clique(g, self.size)
+
+
+@dataclass(frozen=True, order=True)
 class Matching:
     edges: int
 
+    def __post_init__(self) -> None:
+        if self.edges < 1:
+            raise ValueError(f"matching pattern needs edges >= 1, got {self.edges}")
 
-@dataclass(frozen=True)
+    def spec(self) -> str:
+        return f"matching:{self.edges}"
+
+    def occurs_in(self, g: Graph) -> bool:
+        return max_matching_size(g) >= self.edges
+
+
+@dataclass(frozen=True, order=True)
 class StarForest:
     copies: int
     leaves: int
 
+    def __post_init__(self) -> None:
+        if self.copies < 1 or self.leaves < 1:
+            raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {self}")
+
+    def spec(self) -> str:
+        return f"starforest:{self.copies}x{self.leaves}"
+
+    def occurs_in(self, g: Graph) -> bool:
+        return contains_star_forest(g, self.copies, self.leaves)
+
 
 Pattern = Union[Clique, Matching, StarForest]
 
-_KIND_RANK = {Clique: 0, Matching: 1, StarForest: 2}
-
-
-def _pattern_key(pat: Pattern) -> tuple[int, ...]:
-    if isinstance(pat, Clique):
-        return (0, pat.size)
-    if isinstance(pat, Matching):
-        return (1, pat.edges)
-    return (2, pat.copies, pat.leaves)
-
-
-def _pattern_spec(pat: Pattern) -> str:
-    if isinstance(pat, Clique):
-        return f"clique:{pat.size}"
-    if isinstance(pat, Matching):
-        return f"matching:{pat.edges}"
-    return f"starforest:{pat.copies}x{pat.leaves}"
+# Spec kind -> pattern class.  Families list their patterns in this kind
+# order, and patterns of one kind by their arguments.
+_PATTERN_KINDS = {"clique": Clique, "matching": Matching, "starforest": StarForest}
+_KIND_ORDER = tuple(_PATTERN_KINDS.values())
 
 
 @dataclass(frozen=True)
@@ -68,23 +87,14 @@ class ForbiddenFamily:
         if not self.patterns:
             raise ValueError("forbidden family must list at least one pattern")
         for pat in self.patterns:
-            if isinstance(pat, Clique):
-                if pat.size < 2:
-                    raise ValueError(f"clique pattern needs size >= 2, got {pat.size}")
-            elif isinstance(pat, Matching):
-                if pat.edges < 1:
-                    raise ValueError(f"matching pattern needs edges >= 1, got {pat.edges}")
-            elif isinstance(pat, StarForest):
-                if pat.copies < 1 or pat.leaves < 1:
-                    raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {pat}")
-            else:
+            if type(pat) not in _KIND_ORDER:
                 raise ValueError(f"unknown pattern {pat!r}")
-        ordered = tuple(sorted(self.patterns, key=_pattern_key))
-        object.__setattr__(self, "patterns", ordered)
+        ordered = sorted(self.patterns, key=lambda p: (_KIND_ORDER.index(type(p)), p))
+        object.__setattr__(self, "patterns", tuple(ordered))
 
     def spec(self) -> str:
         """Canonical text form, e.g. ``clique:3,starforest:2x2``."""
-        return ",".join(_pattern_spec(p) for p in self.patterns)
+        return ",".join(p.spec() for p in self.patterns)
 
     @staticmethod
     def parse(text: str) -> "ForbiddenFamily":
@@ -97,22 +107,16 @@ class ForbiddenFamily:
             kind, sep, arg = chunk.partition(":")
             if not sep:
                 raise ValueError(f"bad pattern {chunk!r}, expected kind:args")
+            cls = _PATTERN_KINDS.get(kind)
+            if cls is None:
+                raise ValueError(f"unknown pattern kind {kind!r}")
             try:
-                if kind == "clique":
-                    pats.append(Clique(int(arg)))
-                elif kind == "matching":
-                    pats.append(Matching(int(arg)))
-                elif kind == "starforest":
-                    c, sep2, l = arg.partition("x")
-                    if not sep2:
-                        raise ValueError
-                    pats.append(StarForest(int(c), int(l)))
-                else:
-                    raise ValueError(f"unknown pattern kind {kind!r}")
-            except ValueError as exc:
-                if exc.args and "pattern" in str(exc.args[0]):
-                    raise
+                args = list(map(int, arg.split("x")))
+                if len(args) != len(cls.__match_args__):
+                    raise ValueError
+            except ValueError:
                 raise ValueError(f"bad pattern {chunk!r}") from None
+            pats.append(cls(*args))
         return ForbiddenFamily(tuple(pats))
 
 
@@ -188,50 +192,11 @@ def independence_number(g: Graph) -> int:
     return max_clique_size(g.complement())
 
 
-_MATCHING_DP_MAX_N = 13
-
-
 def max_matching_size(g: Graph) -> int:
     """Maximum matching size, exact for every input.
 
-    Small graphs go through a bitmask dynamic program, larger ones through
-    blossom contraction; the two are cross-checked in the tests.
+    Augmenting paths with blossom contraction (Edmonds, 1965).
     """
-    if g.n <= _MATCHING_DP_MAX_N:
-        return _matching_dp(g)
-    return _matching_blossom(g)
-
-
-def _matching_dp(g: Graph) -> int:
-    rows = g.rows
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            if rows[v] & mask:
-                break
-            mask ^= low
-        else:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        rest = mask ^ (1 << v)
-        best = rec(rest)
-        for u in bits(rows[v] & rest):
-            got = 1 + rec(rest ^ (1 << u))
-            if got > best:
-                best = got
-        memo[mask] = best
-        return best
-
-    return rec((1 << g.n) - 1)
-
-
-def _matching_blossom(g: Graph) -> int:
-    """Maximum matching by augmenting paths with blossom contraction."""
     n = g.n
     adj = [list(bits(r)) for r in g.rows]
     match = [-1] * n
@@ -417,13 +382,6 @@ def _pools_admit_disjoint_leaves(pools: list[int], leaves: int) -> bool:
 def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
     """True when g contains no pattern of the family."""
     for pat in family.patterns:
-        if isinstance(pat, Clique):
-            if contains_clique(g, pat.size):
-                return False
-        elif isinstance(pat, Matching):
-            if max_matching_size(g) >= pat.edges:
-                return False
-        else:
-            if contains_star_forest(g, pat.copies, pat.leaves):
-                return False
+        if pat.occurs_in(g):
+            return False
     return True

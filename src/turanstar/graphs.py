@@ -50,9 +50,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.rows[v]))
 
-    def neighbors_mask(self, v: int) -> VertexSet:
-        return self.rows[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 

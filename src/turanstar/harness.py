@@ -16,7 +16,6 @@ import datetime as _dt
 import io
 import json
 import logging
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,24 +104,17 @@ class SuiteReport:
         return sorted(self.rows, key=SuiteRow.sort_key)
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: tuple[int, str]
-    record: ExtremalRecord
-
-
 class ResultCache:
     """Append-only JSON-lines store of search results, keyed by (n, family).
 
     Corrupt lines are reported with their line number and skipped; the
     first entry for a key wins so a reread always returns what a previous
-    lookup saw.  Appends go through one lock.
+    lookup saw.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[tuple[int, str], CacheEntry] = {}
+        self._entries: dict[tuple[int, str], ExtremalRecord] = {}
         if self.path.exists():
             self._load()
 
@@ -137,19 +129,15 @@ class ResultCache:
                 except (ValueError, KeyError, TypeError) as err:
                     log.warning("skipping corrupt cache line %d: %s", lineno, err)
                     continue
-                key = (record.n, record.family.spec())
-                self._entries.setdefault(key, CacheEntry(key, record))
+                self._entries.setdefault((record.n, record.family.spec()), record)
 
     def lookup(self, n: int, family: ForbiddenFamily) -> ExtremalRecord | None:
-        entry = self._entries.get((n, family.spec()))
-        return entry.record if entry else None
+        return self._entries.get((n, family.spec()))
 
     def append(self, record: ExtremalRecord) -> None:
-        key = (record.n, record.family.spec())
-        with self._lock:
-            self._entries.setdefault(key, CacheEntry(key, record))
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record.to_json_dict()) + "\n")
+        self._entries.setdefault((record.n, record.family.spec()), record)
+        with self.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record.to_json_dict()) + "\n")
 
 
 @dataclass
@@ -157,19 +145,26 @@ class _OracleMeter:
     fresh_runs: int = 0
     graphs_visited: int = 0
 
-    def fetch(
-        self, n: int, family: ForbiddenFamily, cache: ResultCache | None, jobs: int
-    ) -> ExtremalRecord:
-        if cache is not None:
-            hit = cache.lookup(n, family)
-            if hit is not None:
-                return hit
-        record = brute_force_ex(n, family, jobs=jobs)
-        self.fresh_runs += 1
-        self.graphs_visited += record.graphs_visited
-        if cache is not None:
-            cache.append(record)
-        return record
+
+def fetch_record(
+    n: int,
+    family: ForbiddenFamily,
+    cache: ResultCache | None,
+    jobs: int,
+    meter: _OracleMeter | None = None,
+) -> ExtremalRecord:
+    """The cached record for (n, family), or a fresh search appended to the cache."""
+    if cache is not None:
+        hit = cache.lookup(n, family)
+        if hit is not None:
+            return hit
+    record = brute_force_ex(n, family, jobs=jobs)
+    if meter is not None:
+        meter.fresh_runs += 1
+        meter.graphs_visited += record.graphs_visited
+    if cache is not None:
+        cache.append(record)
+    return record
 
 
 def _finish(
@@ -239,7 +234,7 @@ def _suite_star_turan(grid: dict, meter: _OracleMeter, jobs: int, cache) -> Suit
     for degree in degrees:
         family = ForbiddenFamily((StarForest(1, degree + 1),))
         for n in range(degree * degree + 2, n_max + 1):
-            record = meter.fetch(n, family, cache, jobs)
+            record = fetch_record(n, family, cache, jobs, meter)
             g, _ = regular_triangle_free(n, degree)
             formula = ex_star(n, degree).value
             free = is_family_free(g, family)
@@ -272,7 +267,7 @@ def _suite_clique_matching(grid: dict, meter: _OracleMeter, jobs: int, cache) ->
     for k, s in pairs:
         family = ForbiddenFamily((Clique(k + 1), Matching(s + 1)))
         for n in range(2 * s + 1, n_max + 1):
-            record = meter.fetch(n, family, cache, jobs)
+            record = fetch_record(n, family, cache, jobs, meter)
             # both candidate extremal builds: compact core vs split join
             compact = disjoint_union(turan_graph(2 * s + 1, k), empty_graph(n - 2 * s - 1))
             split = clique_matching_extremal(n, k, s)
@@ -434,7 +429,7 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
     for s, l in oracle_combos:
         for n in range(s + 2, oracle_n_max + 1):
             family = _triangle_family(s, l)
-            record = meter.fetch(n, family, cache, jobs)
+            record = fetch_record(n, family, cache, jobs, meter)
             formula = ex_triangle_star_forest(n, s, l).value
             if record.ex_value == formula:
                 status = MATCH
@@ -476,7 +471,7 @@ def _suite_boundary_sweep(grid: dict, meter: _OracleMeter, jobs: int, cache) -> 
             formula = ex_clique_star_forest(n, k, s, l).value
         else:
             formula = ex_triangle_star_forest(n, s, l).value
-        record = meter.fetch(n, family, cache, jobs)
+        record = fetch_record(n, family, cache, jobs, meter)
         if k >= 3:
             builders = [lambda: clique_star_forest_extremal(n, k, s, l)]
         elif l >= s + 1:

@@ -120,12 +120,8 @@ def _levels(
                     merged |= part
                     visited += seen
             current = tuple(sorted(merged))
-            if current:
-                yield level, current, visited
-            else:
-                # report the attempts that proved the level empty
-                yield level, current, visited
-                return
+            # an empty level still reports the attempts that proved it empty
+            yield level, current, visited
     finally:
         if pool is not None:
             pool.shutdown()

@@ -21,22 +21,19 @@ def ref_has_clique(g: Graph, size: int) -> bool:
 
 
 def ref_max_matching(g: Graph) -> int:
-    edge_list = g.edges()
-    best = 0
-    for size in range(len(edge_list), 0, -1):
-        if size <= best:
-            break
-        for combo in itertools.combinations(edge_list, size):
-            seen = set()
-            for u, v in combo:
-                if u in seen or v in seen:
-                    break
-                seen.add(u)
-                seen.add(v)
-            else:
-                best = size
-                break
-    return best
+    # the lowest remaining vertex is either left unmatched or paired with
+    # one of its remaining neighbors
+    def best(remaining):
+        if not remaining:
+            return 0
+        v, rest = remaining[0], remaining[1:]
+        result = best(rest)
+        for u in rest:
+            if g.has_edge(v, u):
+                result = max(result, 1 + best([w for w in rest if w != u]))
+        return result
+
+    return best(list(range(g.n)))
 
 
 def _distinct_reps(pools, need):

@@ -119,6 +119,8 @@ def test_family_spec_round_trip():
     assert text == "clique:4,matching:2,starforest:2x3"
     assert ForbiddenFamily.parse(text) == fam
     assert ForbiddenFamily.parse("clique:3") == ForbiddenFamily((Clique(3),))
+    for pat in (Clique(4), Matching(2), StarForest(2, 3)):
+        assert ForbiddenFamily.parse(pat.spec()) == ForbiddenFamily((pat,))
     with pytest.raises(ValueError):
         ForbiddenFamily.parse("clique")
     with pytest.raises(ValueError):
@@ -157,11 +159,13 @@ def test_matching_detector_random_cross_check():
 
 
 def test_matching_above_dp_cutoff():
-    # sizes past the subset-DP window go through the blossom routine;
-    # check those against an unrelated implementation
+    # blossom contraction serves every size; check it past the n <= 8 reach
+    # of the literal reference against an unrelated implementation
     rng = random.Random(107)
-    for _ in range(30):
-        g = random_graph(rng, rng.randrange(14, 18), 0.3)
+    samples = [random_graph(rng, rng.randrange(14, 18), 0.3) for _ in range(30)]
+    rng_small = random.Random(108)
+    samples += [random_graph(rng_small, rng_small.randrange(9, 14), 0.3) for _ in range(30)]
+    for g in samples:
         ng = nx.Graph(g.edges())
         ng.add_nodes_from(range(g.n))
         want = len(nx.max_weight_matching(ng, maxcardinality=True))
@@ -192,6 +196,8 @@ def test_family_free_random_cross_check():
         g = random_graph(rng, rng.randrange(1, 9), 0.5)
         for fam in families:
             assert is_family_free(g, fam) == ref_is_free(g, fam)
+            for pat in fam.patterns:
+                assert pat.occurs_in(g) == (not ref_is_free(g, ForbiddenFamily((pat,))))
 
 
 def test_star_forest_large_sparse_absence():
