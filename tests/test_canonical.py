@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -13,10 +14,13 @@ from turanstar import (
     canonical_graph,
     canonical_permutation,
     empty_graph,
+    graph6_decode,
     turan_graph,
 )
 
 from _reference import random_graph
+
+GOLDEN = Path(__file__).parent / "data" / "canonical_forms.txt"
 
 
 def all_labeled_graphs(n):
@@ -107,3 +111,13 @@ def test_canonical_form_is_permutation_invariant(n, rnd):
     perm = list(range(n))
     rnd.shuffle(perm)
     assert canonical_form(g) == canonical_form(g.relabel(tuple(perm)))
+
+
+def test_canonical_forms_match_golden_fixture():
+    # cached records hold canonical graph6 strings, so the labelling must
+    # reproduce the pinned forms byte for byte (see data/make_canonical_forms.py)
+    lines = GOLDEN.read_text().splitlines()
+    assert len(lines) > 350
+    for line in lines:
+        given, form = line.split()
+        assert canonical_form(graph6_decode(given)) == form, given
