@@ -1,7 +1,9 @@
 """Canonical labelings via partition refinement and pruned backtracking.
 
-The canonical form of a graph is the graph6 string of a relabeled copy,
-chosen so that two graphs receive the same string exactly when they are
+The canonical code of a graph is an int, the least adjacency bit string
+over the labelings the search reaches; the canonical form is the graph6
+string of the relabeled copy that attains it.  Two graphs on the same
+number of vertices share a code, and a form, exactly when they are
 isomorphic.  The labeling is found the classical way:
 
 1. Refine the ordered partition of the vertices until it is equitable
@@ -9,9 +11,14 @@ isomorphic.  The labeling is found the classical way:
    cell).  Refinement is deterministic, so it is isomorphism-equivariant.
 2. While some cell has two or more vertices, individualize each candidate
    vertex of the first such cell in turn and recurse.  Every discrete
-   partition reached encodes one adjacency bit string; the minimum over
-   all of them is the canonical code.
-3. When two leaves produce equal codes, the position-wise map between
+   partition reached encodes one adjacency bit string: the upper triangle
+   row by row, first bit most significant.  The minimum over all of them
+   is the canonical code.
+3. Twins, two vertices whose neighborhoods agree apart from each other,
+   swap under an automorphism that fixes every other vertex, and so the
+   current prefix.  Only the first vertex of each twin class in a cell is
+   individualized; its twins would repeat its codes.
+4. When two leaves produce equal codes, the position-wise map between
    their labelings is an automorphism.  Recorded automorphisms that fix
    the current branch prefix pointwise let the search skip sibling
    branches that can only repeat known codes.
@@ -61,10 +68,28 @@ def _refine(rows: tuple[int, ...], cells: _Cells) -> _Cells:
             return cells
 
 
-def _search(g: Graph) -> tuple[int, ...]:
-    """Labeling (position -> original vertex) that minimizes the code."""
+def _twin_classes(rows: tuple[int, ...]) -> list[int]:
+    """First twin of each vertex, itself when no earlier vertex is its twin.
+
+    Open twins share ``rows``, closed twins share ``rows`` plus themselves.
+    No vertex has twins of both kinds, so together they form one partition.
+    """
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    out = []
+    for v, row in enumerate(rows):
+        w = first_open.setdefault(row, v)
+        if w == v:
+            w = first_closed.setdefault(row | 1 << v, v)
+        out.append(w)
+    return out
+
+
+def _search(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Least code and a labeling (position -> original vertex) attaining it."""
     n = g.n
     rows = g.rows
+    twin = _twin_classes(rows)
     best_code: int | None = None
     best_perm: tuple[int, ...] = tuple(range(n))
     autos: list[tuple[int, ...]] = []
@@ -107,7 +132,11 @@ def _search(g: Graph) -> tuple[int, ...]:
             return
         cell = cells[split_at]
         branched: list[int] = []
+        twins_seen: set[int] = set()
         for v in cell:
+            if twin[v] in twins_seen:
+                continue
+            twins_seen.add(twin[v])
             if skippable(v, branched, prefix):
                 continue
             branched.append(v)
@@ -117,20 +146,47 @@ def _search(g: Graph) -> tuple[int, ...]:
             walk(child, prefix)
             prefix.pop()
 
-    if n:
-        walk([tuple(range(n))], [])
-    return best_perm
+    if not n:
+        return 0, best_perm
+    walk([tuple(range(n))], [])
+    return best_code, best_perm
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Relabeling map (new position -> old vertex) to canonical form."""
+def _checked_search(g: Graph) -> tuple[int, tuple[int, ...]]:
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonicalization caps at {CANONICAL_MAX_N} vertices, got {g.n}")
     return _search(g)
 
 
+def canonical_code(g: Graph) -> int:
+    """Canonical code as an int; equal for two graphs of one order iff isomorphic."""
+    return _checked_search(g)[0]
+
+
+def graph_from_code(n: int, code: int) -> Graph:
+    """Graph on n vertices whose adjacency bit string, in code order, is ``code``.
+
+    Inverse of the code: on ``canonical_code(g)`` it gives the canonical graph.
+    """
+    rows = [0] * n
+    for i in range(n - 2, -1, -1):
+        for j in range(n - 1, i, -1):
+            if code & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            code >>= 1
+    if code:
+        raise ValueError(f"code has bits beyond the {n * (n - 1) // 2} pairs of {n} vertices")
+    return Graph(n, tuple(rows))
+
+
+def canonical_permutation(g: Graph) -> tuple[int, ...]:
+    """Relabeling map (new position -> old vertex) to canonical form."""
+    return _checked_search(g)[1]
+
+
 def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(canonical_permutation(g))
+    return graph_from_code(g.n, canonical_code(g))
 
 
 def canonical_form(g: Graph) -> str:
@@ -145,4 +201,4 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return canonical_form(g) == canonical_form(h)
+    return canonical_code(g) == canonical_code(h)

@@ -129,9 +129,15 @@ def contains_clique(g: Graph, size: int) -> bool:
     if size == 2:
         return any(g.rows)
     if size == 3:
-        for u, v in g.edges():
-            if g.rows[u] & g.rows[v]:
-                return True
+        # an edge uv lies on a triangle exactly when u and v share a neighbor
+        rows = g.rows
+        for u, row in enumerate(rows):
+            higher = row >> u + 1 << u + 1
+            while higher:
+                low = higher & -higher
+                if row & rows[low.bit_length() - 1]:
+                    return True
+                higher ^= low
         return False
     return max_clique_size(g, stop_at=size) >= size
 

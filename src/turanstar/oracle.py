@@ -8,6 +8,11 @@ visits every isomorphism class exactly once.  The visit counter counts
 augmentation attempts, which depends only on the class sets, never on
 worker scheduling, so records compare equal across any worker count.
 
+Inside the search a class is its integer canonical code: workers receive
+the parents' codes, rebuild each parent from its code and return the codes
+of its free children.  graph6 appears only at output, in the sorted
+canonical strings of ``ExtremalRecord.extremal_graphs``.
+
 Membership tests for the two join families and the complete split graph do
 a full structural search (all candidate core subsets, all consistent
 partitions) because the families contain many non-isomorphic graphs; a
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
-from .canonical import are_isomorphic, canonical_form
+from .canonical import are_isomorphic, canonical_code, graph_from_code
 from .detectors import ForbiddenFamily, is_family_free
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph, mask_of
@@ -69,7 +74,7 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration capped at n = {ORACLE_MAX_N}, got {n}")
 
 
-def _expand_codes(args: tuple[int, str, tuple[str, ...]]) -> tuple[set, int]:
+def _expand_codes(args: tuple[int, str, tuple[int, ...]]) -> tuple[set[int], int]:
     """Worker: augment each graph by one edge, keep free results.
 
     Module level so process pools can pickle it.  Returns canonical codes
@@ -77,10 +82,10 @@ def _expand_codes(args: tuple[int, str, tuple[str, ...]]) -> tuple[set, int]:
     """
     n, family_spec, codes = args
     family = ForbiddenFamily.parse(family_spec)
-    out: set[str] = set()
+    out: set[int] = set()
     visited = 0
     for code in codes:
-        g = graph6_decode(code)
+        g = graph_from_code(n, code)
         for u in range(n):
             row = g.rows[u]
             for v in range(u + 1, n):
@@ -89,18 +94,18 @@ def _expand_codes(args: tuple[int, str, tuple[str, ...]]) -> tuple[set, int]:
                 visited += 1
                 h = g.add_edge(u, v)
                 if is_family_free(h, family):
-                    out.add(canonical_form(h))
+                    out.add(canonical_code(h))
     return out, visited
 
 
 def _levels(
     n: int, family: ForbiddenFamily, jobs: int
-) -> Iterator[tuple[int, tuple[str, ...], int]]:
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Yield (edge count, sorted canonical codes, augmentations tried) per level."""
     seed = empty_graph(n)
     if not is_family_free(seed, family):
         return
-    current = (canonical_form(seed),)
+    current = (canonical_code(seed),)
     yield 0, current, 0
     spec = family.spec()
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -130,12 +135,15 @@ def _levels(
 def enumerate_free_graphs(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
     """One representative per isomorphism class of family-free graphs.
 
-    Deterministic order: by edge count, then by canonical code.
+    Each is the canonical graph of its class.  Deterministic order: by edge
+    count, then by increasing integer canonical code, the upper-triangle
+    adjacency bits read row by row from the most significant end.  That
+    is not the lexicographic order of the graph6 strings.
     """
     _check_cap(n)
     for _, codes, _ in _levels(n, family, jobs=1):
         for code in codes:
-            yield graph6_decode(code)
+            yield graph_from_code(n, code)
 
 
 def brute_force_ex(n: int, family: ForbiddenFamily, jobs: int = 1) -> ExtremalRecord:
@@ -145,7 +153,7 @@ def brute_force_ex(n: int, family: ForbiddenFamily, jobs: int = 1) -> ExtremalRe
         raise ValueError(f"need jobs >= 1, got {jobs}")
     start = time.perf_counter()
     best_level = 0
-    best_codes: tuple[str, ...] = ()
+    best_codes: tuple[int, ...] = ()
     total_visited = 0
     for level, codes, visited in _levels(n, family, jobs):
         total_visited += visited
@@ -157,7 +165,7 @@ def brute_force_ex(n: int, family: ForbiddenFamily, jobs: int = 1) -> ExtremalRe
         n=n,
         family=family,
         ex_value=best_level,
-        extremal_graphs=best_codes,
+        extremal_graphs=tuple(sorted(graph6_encode(graph_from_code(n, c)) for c in best_codes)),
         graphs_visited=total_visited,
         elapsed=time.perf_counter() - start,
     )

@@ -10,11 +10,14 @@ from turanstar import (
     CANONICAL_MAX_N,
     are_isomorphic,
     build_graph,
+    canonical_code,
     canonical_form,
     canonical_graph,
     canonical_permutation,
     empty_graph,
     graph6_decode,
+    graph6_encode,
+    graph_from_code,
     turan_graph,
 )
 
@@ -121,3 +124,40 @@ def test_canonical_forms_match_golden_fixture():
     for line in lines:
         given, form = line.split()
         assert canonical_form(graph6_decode(given)) == form, given
+
+
+def test_rook_and_shrikhande_get_different_forms():
+    # both are srg(16, 6, 2, 2): regular, so refinement cannot split the
+    # unit partition of either, and only the search can tell them apart
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    index = {c: k for k, c in enumerate(cells)}
+    rook = build_graph(
+        16, [(index[a], index[b]) for a, b in itertools.combinations(cells, 2) if a[0] == b[0] or a[1] == b[1]]
+    )
+    shrikhande = build_graph(
+        16,
+        {
+            tuple(sorted((index[(i, j)], index[((i + di) % 4, (j + dj) % 4)])))
+            for i, j in cells
+            for di, dj in ((1, 0), (0, 1), (1, 1))
+        },
+    )
+    assert rook.degree_sequence() == shrikhande.degree_sequence() == (6,) * 16
+    assert canonical_form(rook) != canonical_form(shrikhande)
+    assert not are_isomorphic(rook, shrikhande)
+
+
+def test_canonical_code_decodes_to_canonical_form():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randrange(0, CANONICAL_MAX_N + 1)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        assert graph6_encode(graph_from_code(n, canonical_code(g))) == canonical_form(g)
+
+
+def test_graph_from_code_rejects_stray_bits():
+    assert graph_from_code(3, 0b111) == build_graph(3, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        graph_from_code(3, 0b1000)
+    with pytest.raises(ValueError):
+        graph_from_code(3, -1)

@@ -16,11 +16,14 @@ from turanstar import (
     are_isomorphic,
     brute_force_ex,
     build_graph,
+    canonical_code,
+    canonical_form,
     complete_bipartite,
     enumerate_extremal,
     enumerate_free_graphs,
     family_membership,
     graph6_decode,
+    graph_from_code,
     joined_capped_extremal,
     joined_regular_extremal,
     turan_graph,
@@ -94,6 +97,44 @@ def test_free_graph_counts_match_atlas():
         )
         got = sum(1 for _ in enumerate_free_graphs(n, K3))
         assert got == want, n
+
+
+def test_triangle_free_counts_match_oeis():
+    # OEIS A006785: triangle-free graphs on n unlabeled vertices
+    want = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+    got = [sum(1 for _ in enumerate_free_graphs(n, K3)) for n in range(1, 10)]
+    assert got == want
+
+
+def test_all_graph_counts_match_oeis():
+    # OEIS A000088: graphs on n unlabeled vertices; K9 fits in none of them
+    want = [1, 2, 4, 11, 34, 156, 1044]
+    fam = ForbiddenFamily((Clique(9),))
+    got = [sum(1 for _ in enumerate_free_graphs(n, fam)) for n in range(1, 8)]
+    assert got == want
+
+
+def test_free_graphs_come_in_canonical_code_order():
+    fam = ForbiddenFamily((Clique(3), StarForest(2, 2)))
+    graphs = list(enumerate_free_graphs(7, fam))
+    keys = [(g.edge_count, canonical_code(g)) for g in graphs]
+    assert keys == sorted(keys)
+    assert all(graph_from_code(7, code) == g for g, (_, code) in zip(graphs, keys))
+
+
+def test_extremal_graphs_are_sorted_canonical_forms():
+    # two of these have several extremal classes: 5 and 2 (a triangle or a star)
+    for spec, n in (("clique:3", 8), ("clique:3,starforest:2x2", 8), ("clique:4,matching:3", 7), ("matching:2", 4)):
+        codes = brute_force_ex(n, ForbiddenFamily.parse(spec)).extremal_graphs
+        assert list(codes) == sorted(codes), spec
+        assert all(canonical_form(graph6_decode(c)) == c for c in codes), spec
+
+
+def test_records_agree_across_worker_counts_at_n8():
+    one = brute_force_ex(8, K3, jobs=1)
+    two = brute_force_ex(8, K3, jobs=2)
+    assert one == two
+    assert one.ex_value == 16 and one.extremal_graphs == (canonical_form(complete_bipartite(4, 4)),)
 
 
 def to_nx(g):
