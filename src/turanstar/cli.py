@@ -22,25 +22,23 @@ from .constructions import (
     turan_graph,
 )
 from .detectors import ForbiddenFamily
-from .formulas import (
-    ex_clique_matching,
-    ex_clique_star_forest,
-    ex_star,
-    ex_triangle_star_forest,
-    extremal_family_edges,
-)
+from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
-from .harness import ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, fetch_record, run_suite
+from .harness import (
+    PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, fetch_record, run_suite
+)
 
 
 def _usage(err: Exception) -> click.UsageError:
     return click.UsageError(str(err))
 
 
-def _need(name: str, value):
-    if value is None:
-        raise click.UsageError(f"missing required option --{name} for this builder")
-    return value
+def _need(names: tuple[str, ...], **values) -> list:
+    """The named option values in order; a usage error for the first one missing."""
+    for name in names:
+        if values[name] is None:
+            raise click.UsageError(f"missing required option --{name} for this builder")
+    return [values[name] for name in names]
 
 
 @click.group()
@@ -49,20 +47,24 @@ def main():
     """Extremal graphs avoiding a clique and a star forest: build, check, count."""
 
 
-_BUILDERS = (
-    "turan",
-    "complete-bipartite",
-    "regular",
-    "capped-bipartite",
-    "joined-regular",
-    "joined-capped",
-    "clique-matching",
-    "clique-star-forest",
-)
+# name -> (required options, builder taking n and those options in order)
+_BUILDERS = {
+    "turan": (("k",), lambda n, k: turan_graph(n, k)),
+    "complete-bipartite": (("s",), lambda n, s: complete_bipartite(s, n - s)),
+    "regular": (("l",), lambda n, l: regular_triangle_free(n, l)[0]),
+    "capped-bipartite": (("l",), lambda n, l: capped_bipartite(n, l)[0]),
+    "joined-regular": (("s", "l"), lambda n, s, l: joined_regular_extremal(n, s, l)),
+    "joined-capped": (("s", "l"), lambda n, s, l: joined_capped_extremal(n, s, l)),
+    "clique-matching": (("k", "s"), lambda n, k, s: clique_matching_extremal(n, k, s)),
+    "clique-star-forest": (
+        ("k", "s", "l"),
+        lambda n, k, s, l: clique_star_forest_extremal(n, k, s, l),
+    ),
+}
 
 
 @main.command()
-@click.option("--builder", type=click.Choice(_BUILDERS), required=True)
+@click.option("--builder", type=click.Choice(list(_BUILDERS)), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None)
 @click.option("--s", type=int, default=None)
@@ -71,26 +73,9 @@ _BUILDERS = (
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def construct(builder, n, k, s, l, fmt, out):
     """Build one named graph and print it."""
+    options, build = _BUILDERS[builder]
     try:
-        if builder == "turan":
-            g = turan_graph(n, _need("k", k))
-        elif builder == "complete-bipartite":
-            s = _need("s", s)
-            if not 0 <= s <= n:
-                raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
-            g = complete_bipartite(s, n - s)
-        elif builder == "regular":
-            g, _ = regular_triangle_free(n, _need("l", l))
-        elif builder == "capped-bipartite":
-            g, _, _ = capped_bipartite(n, _need("l", l))
-        elif builder == "joined-regular":
-            g = joined_regular_extremal(n, _need("s", s), _need("l", l))
-        elif builder == "joined-capped":
-            g = joined_capped_extremal(n, _need("s", s), _need("l", l))
-        elif builder == "clique-matching":
-            g = clique_matching_extremal(n, _need("k", k), _need("s", s))
-        else:
-            g = clique_star_forest_extremal(n, _need("k", k), _need("s", s), _need("l", l))
+        g = build(n, *_need(options, k=k, s=s, l=l))
     except ValueError as err:
         raise _usage(err)
     if fmt == "graph6":
@@ -143,11 +128,8 @@ def detect(family, g6, infile, fmt):
             click.echo(f"{item['graph']}\t{verdict}")
 
 
-_FORMULAS = ("star", "clique-matching", "clique-star-forest", "triangle-star-forest", "family-pair")
-
-
 @main.command()
-@click.option("--which", type=click.Choice(_FORMULAS), required=True)
+@click.option("--which", type=click.Choice((*PROBLEMS, "family-pair")), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None)
 @click.option("--s", type=int, default=None)
@@ -155,18 +137,12 @@ _FORMULAS = ("star", "clique-matching", "clique-star-forest", "triangle-star-for
 def formula(which, n, k, s, l):
     """Evaluate a closed form; prints JSON with value, validity, source."""
     try:
-        if which == "star":
-            result = ex_star(n, _need("l", l))
-        elif which == "clique-matching":
-            result = ex_clique_matching(n, _need("k", k), _need("s", s))
-        elif which == "clique-star-forest":
-            result = ex_clique_star_forest(n, _need("k", k), _need("s", s), _need("l", l))
-        elif which == "triangle-star-forest":
-            result = ex_triangle_star_forest(n, _need("s", s), _need("l", l))
-        else:
-            e1, e2 = extremal_family_edges(n, _need("s", s), _need("l", l))
+        if which == "family-pair":
+            e1, e2 = extremal_family_edges(n, *_need(("s", "l"), s=s, l=l))
             click.echo(json.dumps({"regular_join": e1, "capped_join": e2}))
             return
+        problem = PROBLEMS[which]
+        result = problem.formula(n, *_need(problem.params, k=k, s=s, l=l))
     except ValueError as err:
         raise _usage(err)
     click.echo(json.dumps(result.as_dict()))

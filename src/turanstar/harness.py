@@ -8,6 +8,10 @@ threshold leave their cell empty or downgrade the row to SKIPPED with the
 reason spelled out.  Divergence between search and formula below a proven
 threshold is data about where the closed form starts holding, not a
 failure, so it is never reported as MISMATCH.
+
+Each problem (its parameters, forbidden family, closed form and candidate
+extremal constructions) is declared once in ``PROBLEMS``; the suites, the
+sweep and the CLI's ``formula`` command read that table.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import datetime as _dt
 import io
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +36,7 @@ from .constructions import (
 from .canonical import are_isomorphic
 from .detectors import Clique, ForbiddenFamily, Matching, StarForest, is_family_free
 from .formulas import (
+    FormulaResult,
     ex_clique_matching,
     ex_clique_star_forest,
     ex_star,
@@ -74,17 +80,8 @@ class SuiteRow:
         return tuple(none_low(v) for v in (self.n, self.k, self.s, self.l))
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "s": self.s,
-            "l": self.l,
-            "formula": self.formula,
-            "construction": self.construction,
-            "oracle": self.oracle,
-            "free": self.free,
-            "status": self.status,
-        }
+        # dataclasses.asdict would deep-copy each scalar and double emission time
+        return dict(vars(self))
 
 
 @dataclass
@@ -186,6 +183,111 @@ def _verdict(*checks: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
+# problems
+
+
+def _clique_star_family(k: int, s: int, l: int) -> ForbiddenFamily:
+    return ForbiddenFamily((Clique(k + 1), StarForest(s + 1, l)))
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One extremal problem, declared once.
+
+    ``family`` takes the parameters named in ``params``; ``formula`` and
+    ``builders`` take ``(n, *params)``.  ``builders`` returns thunks for the
+    candidate extremal graphs, and every candidate it returns applies at
+    that ``(n, params)``: below a construction's guaranteed range the
+    thunk may still refuse with ValueError.
+    """
+
+    params: tuple[str, ...]
+    family: Callable[..., ForbiddenFamily]
+    formula: Callable[..., FormulaResult]
+    builders: Callable[..., tuple[Callable[[], Graph], ...]]
+
+
+# Lambdas look formulas and builders up at call time, so a module attribute
+# swapped in later (a tracer, a test double) is the one that runs.
+PROBLEMS = {
+    "star": Problem(
+        params=("l",),
+        family=lambda l: ForbiddenFamily((StarForest(1, l + 1),)),
+        formula=lambda n, l: ex_star(n, l),
+        builders=lambda n, l: (lambda: regular_triangle_free(n, l)[0],),
+    ),
+    "clique-matching": Problem(
+        params=("k", "s"),
+        family=lambda k, s: ForbiddenFamily((Clique(k + 1), Matching(s + 1))),
+        formula=lambda n, k, s: ex_clique_matching(n, k, s),
+        # compact core vs split join
+        builders=lambda n, k, s: (
+            lambda: disjoint_union(turan_graph(2 * s + 1, k), empty_graph(n - 2 * s - 1)),
+            lambda: clique_matching_extremal(n, k, s),
+        ),
+    ),
+    "clique-star-forest": Problem(
+        params=("k", "s", "l"),
+        family=_clique_star_family,
+        formula=lambda n, k, s, l: ex_clique_star_forest(n, k, s, l),
+        builders=lambda n, k, s, l: (lambda: clique_star_forest_extremal(n, k, s, l),),
+    ),
+    "triangle-star-forest": Problem(
+        params=("s", "l"),
+        family=lambda s, l: _clique_star_family(2, s, l),
+        formula=lambda n, s, l: ex_triangle_star_forest(n, s, l),
+        builders=lambda n, s, l: (
+            (lambda: joined_regular_extremal(n, s, l), lambda: joined_capped_extremal(n, s, l))
+            if l >= s + 1
+            else (lambda: complete_bipartite(s, n - s),)
+        ),
+    ),
+}
+
+
+def _checked_row(name: str, n: int, record: ExtremalRecord | None = None, **params) -> SuiteRow:
+    """A row that must agree: every candidate free, its best edge count equal to the formula."""
+    problem = PROBLEMS[name]
+    args = [params[p] for p in problem.params]
+    graphs = [build() for build in problem.builders(n, *args)]
+    family = problem.family(*args)
+    free = all(is_family_free(g, family) for g in graphs)
+    construction = max(g.edge_count for g in graphs)
+    formula = problem.formula(n, *args).value
+    oracle = None if record is None else record.ex_value
+    return SuiteRow(
+        n=n,
+        k=params.get("k"),
+        s=params.get("s"),
+        l=params.get("l"),
+        formula=formula,
+        construction=construction,
+        oracle=oracle,
+        free=free,
+        status=_verdict(free, formula == construction, oracle is None or oracle == formula),
+    )
+
+
+def _explored_row(
+    name: str, n: int, record: ExtremalRecord, reason: str, construction: int | None = None, **params
+) -> SuiteRow:
+    """A row where search below the threshold may beat the formula: MATCH or SKIPPED(reason)."""
+    problem = PROBLEMS[name]
+    formula = problem.formula(n, *(params[p] for p in problem.params)).value
+    return SuiteRow(
+        n=n,
+        k=params.get("k"),
+        s=params.get("s"),
+        l=params.get("l"),
+        formula=formula,
+        construction=construction,
+        oracle=record.ex_value,
+        free=None,
+        status=MATCH if record.ex_value == formula else skipped(reason),
+    )
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -232,29 +334,10 @@ def _suite_star_turan(grid: dict, meter: _OracleMeter, jobs: int, cache) -> Suit
         raise ValueError(f"star-turan grid exceeds enumeration cap {ORACLE_MAX_N}")
     rows = []
     for degree in degrees:
-        family = ForbiddenFamily((StarForest(1, degree + 1),))
+        family = PROBLEMS["star"].family(degree)
         for n in range(degree * degree + 2, n_max + 1):
             record = fetch_record(n, family, cache, jobs, meter)
-            g, _ = regular_triangle_free(n, degree)
-            formula = ex_star(n, degree).value
-            free = is_family_free(g, family)
-            rows.append(
-                SuiteRow(
-                    n=n,
-                    k=None,
-                    s=None,
-                    l=degree,
-                    formula=formula,
-                    construction=g.edge_count,
-                    oracle=record.ex_value,
-                    free=free,
-                    status=_verdict(
-                        free,
-                        formula == g.edge_count,
-                        formula == record.ex_value,
-                    ),
-                )
-            )
+            rows.append(_checked_row("star", n, record, l=degree))
     return _finish("star-turan", rows, meter)
 
 
@@ -265,37 +348,11 @@ def _suite_clique_matching(grid: dict, meter: _OracleMeter, jobs: int, cache) ->
         raise ValueError(f"clique-matching grid exceeds enumeration cap {ORACLE_MAX_N}")
     rows = []
     for k, s in pairs:
-        family = ForbiddenFamily((Clique(k + 1), Matching(s + 1)))
+        family = PROBLEMS["clique-matching"].family(k, s)
         for n in range(2 * s + 1, n_max + 1):
             record = fetch_record(n, family, cache, jobs, meter)
-            # both candidate extremal builds: compact core vs split join
-            compact = disjoint_union(turan_graph(2 * s + 1, k), empty_graph(n - 2 * s - 1))
-            split = clique_matching_extremal(n, k, s)
-            built = max(compact.edge_count, split.edge_count)
-            free = is_family_free(compact, family) and is_family_free(split, family)
-            formula = ex_clique_matching(n, k, s).value
-            rows.append(
-                SuiteRow(
-                    n=n,
-                    k=k,
-                    s=s,
-                    l=None,
-                    formula=formula,
-                    construction=built,
-                    oracle=record.ex_value,
-                    free=free,
-                    status=_verdict(
-                        free,
-                        formula == built,
-                        formula == record.ex_value,
-                    ),
-                )
-            )
+            rows.append(_checked_row("clique-matching", n, record, k=k, s=s))
     return _finish("clique-matching", rows, meter)
-
-
-def _clique_star_family(k: int, s: int, l: int) -> ForbiddenFamily:
-    return ForbiddenFamily((Clique(k + 1), StarForest(s + 1, l)))
 
 
 def _suite_clique_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
@@ -307,31 +364,11 @@ def _suite_clique_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cache)
     for k in k_values:
         for s in s_values:
             for l in l_values:
-                family = _clique_star_family(k, s, l)
                 first = s + (l - 1) ** 2 + 2
                 for n in range(first, first + span + 1):
-                    g = clique_star_forest_extremal(n, k, s, l)
-                    free = is_family_free(g, family)
-                    formula = ex_clique_star_forest(n, k, s, l).value
-                    rows.append(
-                        SuiteRow(
-                            n=n,
-                            k=k,
-                            s=s,
-                            l=l,
-                            formula=formula,
-                            construction=g.edge_count,
-                            oracle=None,
-                            free=free,
-                            status=_verdict(free, formula == g.edge_count),
-                        )
-                    )
+                    rows.append(_checked_row("clique-star-forest", n, k=k, s=s, l=l))
     notes = {"oracle": f"skipped: grid sizes exceed the enumeration cap {ORACLE_MAX_N}"}
     return _finish("clique-star-forest", rows, meter, notes)
-
-
-def _triangle_family(s: int, l: int) -> ForbiddenFamily:
-    return ForbiddenFamily((Clique(3), StarForest(s + 1, l)))
 
 
 def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
@@ -345,11 +382,12 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
     oracle_n_max = grid.get("oracle_n_max", 9)
     if oracle_n_max > ORACLE_MAX_N:
         raise ValueError(f"triangle-star-forest oracle grid exceeds cap {ORACLE_MAX_N}")
+    problem = PROBLEMS["triangle-star-forest"]
     rows = []
     for s in s_values:
         for l in l_values:
             for n in range(s + 1, n_max + 1):
-                family = _triangle_family(s, l)
+                family = problem.family(s, l)
                 e1, e2 = extremal_family_edges(n, s, l)
                 # Below the guaranteed range the builders may refuse; rows
                 # exist only where the construction actually comes out.
@@ -361,7 +399,7 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
                     g2 = joined_capped_extremal(n, s, l)
                 except ValueError:
                     g2 = None
-                result = ex_triangle_star_forest(n, s, l)
+                formula = problem.formula(n, s, l).value
                 even = (n - s) % 2 == 0
                 iso_ok = True
                 if g1 is not None and g2 is not None and even and n <= iso_max:
@@ -369,88 +407,38 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
                 star_case = l >= s + 1
                 g1_carries = star_case and (even or e1 >= e2)
                 g2_carries = star_case and not even and e2 > e1
+                # (graph, its own edge-count check, whether the formula rests on it)
+                built = []
                 if g1 is not None:
-                    g1_free = is_family_free(g1, family)
-                    rows.append(
-                        SuiteRow(
-                            n=n,
-                            k=2,
-                            s=s,
-                            l=l,
-                            formula=result.value,
-                            construction=g1.edge_count,
-                            oracle=None,
-                            free=g1_free,
-                            status=_verdict(
-                                g1_free,
-                                g1.edge_count == e1,
-                                (not g1_carries) or result.value == g1.edge_count,
-                            ),
-                        )
-                    )
+                    built.append((g1, g1.edge_count == e1, g1_carries))
                 if g2 is not None:
-                    g2_free = is_family_free(g2, family)
-                    rows.append(
-                        SuiteRow(
-                            n=n,
-                            k=2,
-                            s=s,
-                            l=l,
-                            formula=result.value,
-                            construction=g2.edge_count,
-                            oracle=None,
-                            free=g2_free,
-                            status=_verdict(
-                                g2_free,
-                                g2.edge_count == e2,
-                                iso_ok,
-                                (not g2_carries) or result.value == g2.edge_count,
-                            ),
-                        )
-                    )
+                    built.append((g2, g2.edge_count == e2 and iso_ok, g2_carries))
                 if not star_case:
-                    split = complete_bipartite(s, n - s)
-                    split_free = is_family_free(split, family)
+                    built.append((complete_bipartite(s, n - s), True, True))
+                for g, count_ok, carries in built:
+                    free = is_family_free(g, family)
                     rows.append(
                         SuiteRow(
                             n=n,
                             k=2,
                             s=s,
                             l=l,
-                            formula=result.value,
-                            construction=split.edge_count,
+                            formula=formula,
+                            construction=g.edge_count,
                             oracle=None,
-                            free=split_free,
+                            free=free,
                             status=_verdict(
-                                split_free, result.value == split.edge_count
+                                free, count_ok, (not carries) or formula == g.edge_count
                             ),
                         )
                     )
     for s, l in oracle_combos:
+        bound = exploration_threshold(s, l)
+        reason = f"divergence below unproven threshold, exploratory bound n>={bound}"
+        family = problem.family(s, l)
         for n in range(s + 2, oracle_n_max + 1):
-            family = _triangle_family(s, l)
             record = fetch_record(n, family, cache, jobs, meter)
-            formula = ex_triangle_star_forest(n, s, l).value
-            if record.ex_value == formula:
-                status = MATCH
-            else:
-                status = skipped(
-                    f"divergence below unproven threshold, exploratory bound "
-                    f"n>={exploration_threshold(s, l)}"
-                )
-            rows.append(
-                SuiteRow(
-                    n=n,
-                    k=2,
-                    s=s,
-                    l=l,
-                    formula=formula,
-                    construction=None,
-                    oracle=record.ex_value,
-                    free=None,
-                    status=status,
-                )
-            )
+            rows.append(_explored_row("triangle-star-forest", n, record, reason, k=2, s=s, l=l))
     return _finish("triangle-star-forest", rows, meter)
 
 
@@ -463,51 +451,29 @@ def _suite_boundary_sweep(grid: dict, meter: _OracleMeter, jobs: int, cache) -> 
         raise ValueError(f"boundary sweep exceeds enumeration cap {ORACLE_MAX_N}")
     if k < 2 or s < 0 or l < 1 or (k > 2 and l < 2):
         raise ValueError(f"bad sweep parameters k={k}, s={s}, l={l}")
-    family = _clique_star_family(k, s, l) if k >= 3 else _triangle_family(s, l)
+    name = "triangle-star-forest" if k == 2 else "clique-star-forest"
+    problem = PROBLEMS[name]
+    params = {"k": k, "s": s, "l": l}
+    args = [params[p] for p in problem.params]
+    family = problem.family(*args)
     rows = []
     agreement = None
     for n in range(s + 2, n_max + 1):
-        if k >= 3:
-            formula = ex_clique_star_forest(n, k, s, l).value
-        else:
-            formula = ex_triangle_star_forest(n, s, l).value
         record = fetch_record(n, family, cache, jobs, meter)
-        if k >= 3:
-            builders = [lambda: clique_star_forest_extremal(n, k, s, l)]
-        elif l >= s + 1:
-            builders = [
-                lambda: joined_regular_extremal(n, s, l),
-                lambda: joined_capped_extremal(n, s, l),
-            ]
-        else:
-            builders = [lambda: complete_bipartite(s, n - s)]
         candidates = []
-        for build in builders:
+        for build in problem.builders(n, *args):
             try:
                 candidates.append(build().edge_count)
             except ValueError:
                 pass
-        construction = max(candidates) if candidates else None
-        if record.ex_value == formula:
-            status = MATCH
-            if agreement is None:
-                agreement = n
-        else:
-            status = skipped("pre-threshold divergence")
-            agreement = None
-        rows.append(
-            SuiteRow(
-                n=n,
-                k=k,
-                s=s,
-                l=l,
-                formula=formula,
-                construction=construction,
-                oracle=record.ex_value,
-                free=None,
-                status=status,
-            )
+        row = _explored_row(
+            name, n, record, "pre-threshold divergence", max(candidates, default=None), **params
         )
+        if row.status != MATCH:
+            agreement = None
+        elif agreement is None:
+            agreement = n
+        rows.append(row)
     notes = {
         "first_agreement_n": agreement,
         "note": "agreement point is empirical; the sweep asserts nothing",
@@ -589,7 +555,7 @@ def emit_report(report: SuiteReport, fmt: str = "csv") -> bytes:
     if fmt == "table":
         headers = CSV_SCHEMA.split(",")
         table = [headers] + [
-            [_cell(row.as_dict()[col]) for col in headers] for row in rows
+            [_cell(d[col]) for col in headers] for d in map(SuiteRow.as_dict, rows)
         ]
         widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
         out = io.StringIO()

@@ -12,6 +12,23 @@ from turanstar import (
     run_suite,
 )
 from turanstar.cli import main
+from turanstar.constructions import (
+    capped_bipartite,
+    clique_matching_extremal,
+    clique_star_forest_extremal,
+    complete_bipartite,
+    joined_capped_extremal,
+    joined_regular_extremal,
+    regular_triangle_free,
+    turan_graph,
+)
+from turanstar.formulas import (
+    ex_clique_matching,
+    ex_clique_star_forest,
+    ex_star,
+    ex_triangle_star_forest,
+)
+from turanstar.graph6 import graph6_encode
 from turanstar.harness import CSV_SCHEMA, MATCH, emit_report
 
 
@@ -156,6 +173,7 @@ def test_csv_layout(tmp_path):
     # booleans serialize lowercase, empty cells stay empty
     assert first[7] in ("true", "false")
     assert all(line.split(",")[3] == "" for line in lines[header_at + 1 :])
+    assert [list(row.as_dict()) for row in report.rows[:1]] == [CSV_SCHEMA.split(",")]
 
 
 def test_emit_report_json_and_table(tmp_path):
@@ -212,6 +230,59 @@ def test_cli_construct_missing_option_is_usage_error():
         main, ["construct", "--builder", "regular", "--n", "4", "--l", "9"]
     )
     assert result.exit_code == 2
+
+
+# builder -> (n, its required options, the same graph from a direct library call)
+CONSTRUCT_POINTS = {
+    "turan": (10, {"k": 3}, lambda: turan_graph(10, 3)),
+    "complete-bipartite": (9, {"s": 4}, lambda: complete_bipartite(4, 5)),
+    "regular": (20, {"l": 4}, lambda: regular_triangle_free(20, 4)[0]),
+    "capped-bipartite": (9, {"l": 3}, lambda: capped_bipartite(9, 3)[0]),
+    "joined-regular": (12, {"s": 3, "l": 4}, lambda: joined_regular_extremal(12, 3, 4)),
+    "joined-capped": (13, {"s": 3, "l": 4}, lambda: joined_capped_extremal(13, 3, 4)),
+    "clique-matching": (11, {"k": 3, "s": 2}, lambda: clique_matching_extremal(11, 3, 2)),
+    "clique-star-forest": (
+        30,
+        {"k": 3, "s": 1, "l": 2},
+        lambda: clique_star_forest_extremal(30, 3, 1, 2),
+    ),
+}
+
+
+def _choices(command, option):
+    (param,) = [p for p in main.commands[command].params if p.name == option]
+    return set(param.type.choices)
+
+
+def _construct_args(builder, n, options):
+    args = ["construct", "--builder", builder, "--n", str(n)]
+    for name, value in options.items():
+        args += [f"--{name}", str(value)]
+    return args
+
+
+def test_construct_points_cover_every_builder():
+    assert set(CONSTRUCT_POINTS) == _choices("construct", "builder")
+
+
+@pytest.mark.parametrize("builder", sorted(CONSTRUCT_POINTS))
+def test_cli_construct_matches_library_call(builder):
+    n, options, direct = CONSTRUCT_POINTS[builder]
+    result = CliRunner().invoke(main, _construct_args(builder, n, options))
+    assert result.exit_code == 0, result.output
+    assert result.output == graph6_encode(direct()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "builder,missing",
+    [(b, name) for b, (_, options, _) in sorted(CONSTRUCT_POINTS.items()) for name in options],
+)
+def test_cli_construct_names_each_missing_option(builder, missing):
+    n, options, _ = CONSTRUCT_POINTS[builder]
+    rest = {name: value for name, value in options.items() if name != missing}
+    result = CliRunner().invoke(main, _construct_args(builder, n, rest))
+    assert result.exit_code == 2
+    assert f"missing required option --{missing}" in result.output
 
 
 def test_cli_detect_table_and_json():
@@ -281,6 +352,33 @@ def test_cli_formula_usage_errors():
     assert result.exit_code == 2
 
 
+# problem -> (arguments after --which, the closed form called directly)
+FORMULA_POINTS = {
+    "star": (["--n", "11", "--l", "3"], lambda: ex_star(11, 3)),
+    "clique-matching": (["--n", "9", "--k", "3", "--s", "2"], lambda: ex_clique_matching(9, 3, 2)),
+    "clique-star-forest": (
+        ["--n", "30", "--k", "3", "--s", "1", "--l", "2"],
+        lambda: ex_clique_star_forest(30, 3, 1, 2),
+    ),
+    "triangle-star-forest": (
+        ["--n", "14", "--s", "1", "--l", "3"],
+        lambda: ex_triangle_star_forest(14, 1, 3),
+    ),
+}
+
+
+def test_formula_points_cover_every_problem():
+    assert set(FORMULA_POINTS) | {"family-pair"} == _choices("formula", "which")
+
+
+@pytest.mark.parametrize("which", sorted(FORMULA_POINTS))
+def test_cli_formula_matches_library_call(which):
+    args, direct = FORMULA_POINTS[which]
+    result = CliRunner().invoke(main, ["formula", "--which", which, *args])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == direct().as_dict()
+
+
 def test_cli_oracle_with_cache(tmp_path):
     runner = CliRunner()
     cache = tmp_path / "cache.jsonl"
@@ -325,6 +423,27 @@ def test_cli_sweep(tmp_path):
     assert result.exit_code == 0
     assert "pre-threshold divergence" in result.output
     assert "MISMATCH" not in result.output
+
+
+def test_cli_sweep_clique_star_forest():
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--k", "3", "--s", "1", "--l", "2", "--n-max", "9", "--format", "csv"],
+    )
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert "# first_agreement_n: 7" in lines
+    assert not any(line.startswith("# exploratory_threshold") for line in lines)
+    body = lines[lines.index(CSV_SCHEMA) + 1 :]
+    assert body == [
+        "3,3,1,2,3,,3,,MATCH",
+        "4,3,1,2,4,4,5,,SKIPPED(pre-threshold divergence)",
+        "5,3,1,2,6,6,8,,SKIPPED(pre-threshold divergence)",
+        "6,3,1,2,7,7,8,,SKIPPED(pre-threshold divergence)",
+        "7,3,1,2,9,9,9,,MATCH",
+        "8,3,1,2,10,10,10,,MATCH",
+        "9,3,1,2,12,12,12,,MATCH",
+    ]
 
 
 def test_cli_version():
