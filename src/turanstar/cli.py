@@ -37,7 +37,7 @@ def _need(names: tuple[str, ...], **values) -> list:
     """The named option values in order; a usage error for the first one missing."""
     for name in names:
         if values[name] is None:
-            raise click.UsageError(f"missing required option --{name} for this builder")
+            raise click.UsageError(f"missing required option --{name}")
     return [values[name] for name in names]
 
 

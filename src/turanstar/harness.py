@@ -20,8 +20,9 @@ import datetime as _dt
 import io
 import json
 import logging
+import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .constructions import (
@@ -150,11 +151,15 @@ def fetch_record(
     jobs: int,
     meter: _OracleMeter | None = None,
 ) -> ExtremalRecord:
-    """The cached record for (n, family), or a fresh search appended to the cache."""
+    """The cached record for (n, family), or a fresh search appended to the cache.
+
+    A hit reports the lookup's own time as ``elapsed``, not the stored run's.
+    """
     if cache is not None:
+        start = time.perf_counter()
         hit = cache.lookup(n, family)
         if hit is not None:
-            return hit
+            return replace(hit, elapsed=time.perf_counter() - start)
     record = brute_force_ex(n, family, jobs=jobs)
     if meter is not None:
         meter.fresh_runs += 1

@@ -13,10 +13,10 @@ the parents' codes, rebuild each parent from its code and return the codes
 of its free children.  graph6 appears only at output, in the sorted
 canonical strings of ``ExtremalRecord.extremal_graphs``.
 
-Membership tests for the two join families and the complete split graph do
-a full structural search (all candidate core subsets, all consistent
-partitions) because the families contain many non-isomorphic graphs; a
-canonical comparison against one builder output would be wrong.
+Membership in a join family is checked by edge count, then by a search over
+splits into five parts: two core parts, each free to face either side of the
+rest, those two sides and a leftover vertex.  The families hold many
+non-isomorphic graphs, so comparing with one builder output would be wrong.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
 from .canonical import are_isomorphic, canonical_code, graph_from_code
-from .detectors import ForbiddenFamily, is_family_free
+from .detectors import ForbiddenFamily, contains_clique, is_family_free
+from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
-from .graphs import Graph, bits, empty_graph, mask_of
+from .graphs import Graph, bits, empty_graph, induced_subgraph
 from .constructions import complete_bipartite
 
 ORACLE_MAX_N = 11
@@ -209,216 +209,75 @@ FamilyDescriptor = CompleteBipartiteDescriptor | RegularJoinDescriptor | CappedJ
 _MEMBERSHIP_MAX_N = 16
 
 
-def _two_part_core(g: Graph, u_mask: int) -> tuple[int, int] | None:
-    """Part masks if g restricted to u_mask is a balanced complete bipartition.
-
-    Returns (bigger, smaller) part masks, or None.  Empty and singleton
-    cores are trivially valid.
-    """
-    verts = list(bits(u_mask))
-    if not verts:
-        return 0, 0
-    # In a complete bipartite graph the non-neighborhood of v within the set
-    # is exactly v's own part, so the candidate parts are forced; the
-    # verification loop below rejects anything that merely looked right.
-    assigned = 0
-    parts = []
-    for v in verts:
-        if assigned >> v & 1:
-            continue
-        comp = ((u_mask & ~g.rows[v]) | (1 << v)) & ~assigned
-        parts.append(comp)
-        assigned |= comp
-        if len(parts) > 2:
-            return None
-    while len(parts) < 2:
-        parts.append(0)
-    a, b = parts
-    if abs(a.bit_count() - b.bit_count()) > 1:
-        return None
-    for p, q in ((a, b), (b, a)):
-        for v in bits(p):
-            if g.rows[v] & p:
-                return None
-            if (g.rows[v] & q) != q:
-                return None
-    if a.bit_count() < b.bit_count():
-        a, b = b, a
-    return a, b
+# Parts of a join-family member, rows and columns in this order: core parts
+# A (the larger) and B, the rest's sides X and Y joined to A and to B, and a
+# leftover E of at most one vertex.  Entry [p][q]: p and q completely joined
+# (1), with no edges between them (0), or unconstrained (None).
+_JOIN_RULE = (
+    (0, 1, 1,    0,    0),     # A
+    (1, 0, 0,    1,    0),     # B
+    (1, 0, 0,    None, None),  # X
+    (0, 1, None, 0,    None),  # Y
+    (0, 0, None, None, None),  # E
+)
 
 
-def _independent(g: Graph, vertex_mask: int) -> bool:
-    return all(g.rows[v] & vertex_mask == 0 for v in bits(vertex_mask))
+def _join_splits(g: Graph, sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Part masks of every split of g into parts of `sizes` that obeys _JOIN_RULE,
+    placing vertices by descending degree, then index, so the core comes first."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    masks = [0] * len(sizes)
 
-
-def _triangle_free_within(g: Graph, vertex_mask: int) -> bool:
-    for v in bits(vertex_mask):
-        for w in bits(g.rows[v] & vertex_mask):
-            if w <= v:
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(order):
+            yield tuple(masks)
+            return
+        bit, row = 1 << order[i], g.rows[order[i]]
+        for part, rule in enumerate(_JOIN_RULE):
+            if masks[part].bit_count() == sizes[part]:
                 continue
-            if g.rows[v] & g.rows[w] & vertex_mask:
-                return False
+            for placed, r in zip(masks, rule):
+                if r == 1 and placed & ~row or r == 0 and placed & row:
+                    break
+            else:
+                masks[part] |= bit
+                yield from place(i + 1)
+                masks[part] ^= bit
+
+    yield from place(0)
+
+
+def _near_regular(g: Graph, rest: int, degree: int) -> bool:
+    """Triangle-free, every degree in the rest `degree`, bar one short if the sum is odd?"""
+    short = 0
+    for v in bits(rest):
+        d = (g.rows[v] & rest).bit_count()
+        if not degree - 1 <= d <= degree:
+            return False
+        short += d < degree
+    return short == degree * rest.bit_count() % 2 and not contains_clique(induced_subgraph(g, rest), 3)
+
+
+def _capped_sides(g: Graph, s_side: int, t_side: int, degree: int) -> bool:
+    """Every T vertex of degree exactly `degree` in the rest, every S vertex at most?"""
+    rest = s_side | t_side
+    for v in bits(rest):
+        d = (g.rows[v] & rest).bit_count()
+        if d > degree or d < degree and t_side >> v & 1:
+            return False
     return True
-
-
-def _exact_shared_neighborhood(g: Graph, part_mask: int, rest_mask: int) -> int | None:
-    """The common outside neighborhood, if every part vertex has the same one."""
-    seen = None
-    for v in bits(part_mask):
-        nbhd = g.rows[v] & rest_mask
-        if seen is None:
-            seen = nbhd
-        elif nbhd != seen:
-            return None
-    return seen
-
-
-def _two_coloring_side_sizes(g: Graph, vertex_mask: int) -> list[tuple[int, int]] | None:
-    """Per-component 2-coloring masks, or None if not bipartite."""
-    out = []
-    assigned = 0
-    for root in bits(vertex_mask):
-        if assigned >> root & 1:
-            continue
-        color = {root: 0}
-        stack = [root]
-        sides = [1 << root, 0]
-        while stack:
-            v = stack.pop()
-            for w in bits(g.rows[v] & vertex_mask):
-                if w in color:
-                    if color[w] == color[v]:
-                        return None
-                    continue
-                color[w] = color[v] ^ 1
-                sides[color[w]] |= 1 << w
-                stack.append(w)
-        assigned |= sides[0] | sides[1]
-        out.append((sides[0], sides[1]))
-    return out
-
-
-def _balanced_bipartition_exists(g: Graph, vertex_mask: int, target: int) -> bool:
-    """Can the graph on vertex_mask be 2-colored with one side of size target?"""
-    comps = _two_coloring_side_sizes(g, vertex_mask)
-    if comps is None:
-        return False
-    reachable = 1  # bitset over achievable side sizes
-    for side0, side1 in comps:
-        a, b = side0.bit_count(), side1.bit_count()
-        reachable = (reachable << a) | (reachable << b)
-    return bool(reachable >> target & 1)
-
-
-def _regular_rest_ok(g: Graph, rest_mask: int, degree: int) -> bool:
-    m = rest_mask.bit_count()
-    degs = sorted((g.rows[v] & rest_mask).bit_count() for v in bits(rest_mask))
-    if degree * m % 2:
-        expected = [degree - 1] + [degree] * (m - 1)
-    else:
-        expected = [degree] * m
-    if degs != expected:
-        return False
-    return _triangle_free_within(g, rest_mask)
-
-
-def _regular_join_partition_ok(g: Graph, rest_mask: int, x_a: int | None, x_b: int | None) -> bool:
-    """Does some good partition of the rest extend the forced sides?
-
-    x_a / x_b are the exact outside neighborhoods of the two core parts
-    (None while the part is empty, leaving that side unconstrained).
-    """
-    m = rest_mask.bit_count()
-    low, high = m // 2, (m + 1) // 2
-    if x_a is None and x_b is None:
-        if m % 2 == 0:
-            return _balanced_bipartition_exists(g, rest_mask, low)
-        for v0 in bits(rest_mask):
-            if _balanced_bipartition_exists(g, rest_mask & ~(1 << v0), low):
-                return True
-        return False
-    if x_b is None:
-        known = x_a
-        if known is None or known & ~rest_mask:
-            return False
-        if known.bit_count() != low or not _independent(g, known):
-            return False
-        rest = rest_mask & ~known
-        if m % 2 == 0:
-            return _independent(g, rest)
-        for v0 in bits(rest):
-            if _independent(g, rest & ~(1 << v0)):
-                return True
-        return False
-    # both sides forced
-    if x_a is None or (x_a | x_b) & ~rest_mask or x_a & x_b:
-        return False
-    leftover = rest_mask & ~(x_a | x_b)
-    if x_a.bit_count() != low or x_b.bit_count() != low:
-        return False
-    if leftover.bit_count() != m - 2 * low:  # 0 even, 1 odd
-        return False
-    return _independent(g, x_a) and _independent(g, x_b)
-
-
-def _capped_join_partition_ok(g: Graph, rest_mask: int, x_a, x_b, degree: int) -> bool:
-    """Is the rest the capped bipartite graph, split consistently with the join?"""
-    m = rest_mask.bit_count()
-    t_size, s_size = m // 2, (m + 1) // 2
-
-    def sides_ok(s_mask: int, t_mask: int) -> bool:
-        if s_mask.bit_count() != s_size or t_mask.bit_count() != t_size:
-            return False
-        if not (_independent(g, s_mask) and _independent(g, t_mask)):
-            return False
-        if any((g.rows[v] & rest_mask).bit_count() != degree for v in bits(t_mask)):
-            return False
-        return all((g.rows[v] & rest_mask).bit_count() <= degree for v in bits(s_mask))
-
-    if x_a is None and x_b is None:
-        comps = _two_coloring_side_sizes(g, rest_mask)
-        if comps is None:
-            return False
-        # Assign each component's sides to S/T; T takes exactly t_size
-        # vertices, all of degree exactly `degree` inside the rest.
-        choices = []
-        for side0, side1 in comps:
-            local = []
-            for t_side, s_side in ((side0, side1), (side1, side0)):
-                if all(
-                    (g.rows[v] & rest_mask).bit_count() == degree for v in bits(t_side)
-                ) and all(
-                    (g.rows[v] & rest_mask).bit_count() <= degree for v in bits(s_side)
-                ):
-                    local.append(t_side.bit_count())
-            if not local:
-                return False
-            choices.append(local)
-        reachable = 1
-        for local in choices:
-            nxt = 0
-            for size in set(local):
-                nxt |= reachable << size
-            reachable = nxt
-        return bool(reachable >> t_size & 1)
-    if x_b is None:
-        known = x_a
-        if known is None or known & ~rest_mask:
-            return False
-        rest = rest_mask & ~known
-        return sides_ok(known, rest) or sides_ok(rest, known)
-    if x_a is None or (x_a | x_b) & ~rest_mask or x_a & x_b:
-        return False
-    if (x_a | x_b) != rest_mask:
-        return False
-    return sides_ok(x_a, x_b) or sides_ok(x_b, x_a)
 
 
 def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
     """Structural membership test against an extremal family.
 
-    The core subset and the partition of the rest are searched
-    exhaustively; either core part may face either side of the rest.
+    K_{s,n-s} is compared by isomorphism.  A join-family member splits into
+    the five parts of ``_JOIN_RULE``, |A| = ceil(s/2) and |B| = floor(s/2).
+    Regular join: X and Y have floor(m/2) of the m = n - s rest vertices,
+    E the odd one, and the rest is triangle-free and near-(l-1)-regular.
+    Capped join: no E; X and Y are, in either order, S (ceil(m/2) vertices
+    of rest degree <= l-1) and T (floor(m/2), degree l-1).  After an edge-
+    count check every split is searched: either core part may face either side.
     """
     if g.n > _MEMBERSHIP_MAX_N:
         raise ValueError(f"membership search capped at n = {_MEMBERSHIP_MAX_N}, got {g.n}")
@@ -432,28 +291,20 @@ def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
     s, l = descriptor.s, descriptor.l
     if s < 0 or l < 1 or g.n < s:
         return False
-    regular = isinstance(descriptor, RegularJoinDescriptor)
-    degree = l - 1
-    full = (1 << g.n) - 1
-    for core in combinations(range(g.n), s):
-        u_mask = mask_of(core)
-        parts = _two_part_core(g, u_mask)
-        if parts is None:
-            continue
-        rest_mask = full & ~u_mask
-        if regular and not _regular_rest_ok(g, rest_mask, degree):
-            continue
-        part_a, part_b = parts
-        x_a = _exact_shared_neighborhood(g, part_a, rest_mask) if part_a else None
-        x_b = _exact_shared_neighborhood(g, part_b, rest_mask) if part_b else None
-        if part_a and x_a is None:
-            continue
-        if part_b and x_b is None:
-            continue
-        if regular:
-            if _regular_join_partition_ok(g, rest_mask, x_a, x_b):
-                return True
-        else:
-            if _capped_join_partition_ok(g, rest_mask, x_a, x_b, degree):
-                return True
+    core = ((s + 1) // 2, s // 2)
+    half, odd = divmod(g.n - s, 2)
+    e1, e2 = extremal_family_edges(g.n, s, l)
+    if isinstance(descriptor, RegularJoinDescriptor):
+        if g.edge_count != e1:
+            return False
+        splits = _join_splits(g, (*core, half, half, odd))
+        return any(_near_regular(g, x | y | e, l - 1) for _, _, x, y, e in splits)
+    # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges
+    if g.edge_count == e2:
+        splits = _join_splits(g, (*core, half + odd, half, 0))
+        if any(_capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
+            return True
+    if g.edge_count == e2 - s % 2 * odd:
+        splits = _join_splits(g, (*core, half, half + odd, 0))
+        return any(_capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
     return False

@@ -5,6 +5,7 @@ vertex subsets, all edge subsets, all assignments.  Nothing is shared
 with the package internals, so agreement between the two is meaningful.
 """
 
+import functools
 import itertools
 import random
 
@@ -100,6 +101,66 @@ def ref_ex(n: int, family) -> int:
         if ref_is_free(g, family):
             best = g.edge_count
     return best
+
+
+# Edges between the parts of a join-family member, keyed by the two part
+# letters in alphabetical order: A and B are the core parts (A the larger),
+# X and Y the sides of the rest joined to A and to B, E a leftover vertex.
+# True: every edge present; False: none; pairs not listed: anything goes.
+_JOIN_PAIRS = {
+    "AB": True, "AX": True, "BY": True,
+    "AA": False, "BB": False, "XX": False, "YY": False,
+    "AY": False, "AE": False, "BX": False, "BE": False,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _labellings(parts: str) -> tuple[tuple[str, ...], ...]:
+    return tuple(sorted(set(itertools.permutations(parts))))
+
+
+def _obeys_join(g: Graph, label) -> bool:
+    for u, v in itertools.combinations(range(g.n), 2):
+        rule = _JOIN_PAIRS.get("".join(sorted(label[u] + label[v])))
+        if rule is not None and g.has_edge(u, v) != rule:
+            return False
+    return True
+
+
+def ref_family_membership(g: Graph, regular: bool, s: int, l: int) -> bool:
+    """Is g in the regular (or else the capped) join family with core s and leaves l?
+
+    Tries every labelling of the vertices by part letters, checks the edges
+    between parts pair by pair, then the degrees inside the rest X, Y, E:
+    regular, all l-1 bar one vertex at l-2 when (l-1)(n-s) is odd, and no
+    triangle; capped, l-1 on the side T and at most l-1 on the side S.
+    """
+    if s < 0 or l < 1 or g.n < s:
+        return False
+    m, d = g.n - s, l - 1
+    core = "A" * ((s + 1) // 2) + "B" * (s // 2)
+    if regular:
+        layouts = [(core + "X" * (m // 2) + "Y" * (m // 2) + "E" * (m % 2), None)]
+    else:  # (parts, the letter of the side S)
+        layouts = [
+            (core + "X" * ((m + 1) // 2) + "Y" * (m // 2), "X"),
+            (core + "X" * (m // 2) + "Y" * ((m + 1) // 2), "Y"),
+        ]
+    for parts, s_side in layouts:
+        for label in _labellings(parts):
+            if not _obeys_join(g, label):
+                continue
+            rest = [v for v in range(g.n) if label[v] in "XYE"]
+            deg = {v: sum(g.has_edge(v, w) for w in rest) for v in rest}
+            if regular:
+                want = [d - 1] + [d] * (m - 1) if d * m % 2 else [d] * m
+                pairs = itertools.combinations(range(m), 2)
+                h = build_graph(m, [(i, j) for i, j in pairs if g.has_edge(rest[i], rest[j])])
+                if sorted(deg.values()) == want and not ref_has_clique(h, 3):
+                    return True
+            elif all(deg[v] <= d if label[v] == s_side else deg[v] == d for v in rest):
+                return True
+    return False
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -29,7 +30,7 @@ from turanstar.formulas import (
     ex_triangle_star_forest,
 )
 from turanstar.graph6 import graph6_encode
-from turanstar.harness import CSV_SCHEMA, MATCH, emit_report
+from turanstar.harness import CSV_SCHEMA, MATCH, emit_report, fetch_record
 
 
 FAST_GRIDS = {
@@ -346,6 +347,7 @@ def test_cli_formula_usage_errors():
     runner = CliRunner()
     result = runner.invoke(main, ["formula", "--which", "star", "--n", "11"])
     assert result.exit_code == 2
+    assert "missing required option --l\n" in result.output
     result = runner.invoke(
         main, ["formula", "--which", "clique-matching", "--n", "5", "--k", "1", "--s", "1"]
     )
@@ -388,8 +390,19 @@ def test_cli_oracle_with_cache(tmp_path):
     blob = json.loads(result.output)
     assert blob["ex_value"] == 4
     assert cache.exists()
-    again = runner.invoke(main, args)
-    assert json.loads(again.output) == blob
+    again = json.loads(runner.invoke(main, args).output)
+    # a hit reports its own lookup time, not the cold run's
+    assert again.pop("elapsed") != blob.pop("elapsed")
+    assert again == blob
+
+
+def test_cache_hit_reports_lookup_time(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    rec = brute_force_ex(5, fam("clique:3"))
+    ResultCache(path).append(dataclasses.replace(rec, elapsed=1e6))
+    hit = fetch_record(5, fam("clique:3"), ResultCache(path), jobs=1)
+    assert hit == rec
+    assert hit.elapsed < 1
 
 
 def test_cli_oracle_rejects_oversized():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -14,11 +15,15 @@ from turanstar import (
     RegularJoinDescriptor,
     StarForest,
     are_isomorphic,
+    bits,
     brute_force_ex,
     build_graph,
     canonical_code,
     canonical_form,
+    capped_bipartite,
     complete_bipartite,
+    disjoint_union,
+    empty_graph,
     enumerate_extremal,
     enumerate_free_graphs,
     family_membership,
@@ -29,7 +34,7 @@ from turanstar import (
     turan_graph,
 )
 
-from _reference import ref_ex, ref_is_free
+from _reference import ref_ex, ref_family_membership, ref_is_free
 
 K3 = ForbiddenFamily((Clique(3),))
 
@@ -249,3 +254,100 @@ def test_membership_rejects_perturbations():
     h = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert family_membership(h, CompleteBipartiteDescriptor(1))
     assert not family_membership(h, RegularJoinDescriptor(2, 3))
+
+
+def cycles(*lengths):
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return build_graph(start, edges)
+
+
+def relabelled(g, seed):
+    return g.relabel(tuple(random.Random(seed).sample(range(g.n), g.n)))
+
+
+def test_membership_agrees_with_reference_on_atlas():
+    calls = members = 0
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() > 6:
+            break
+        g = build_graph(h.number_of_nodes(), h.edges())
+        for s, l in itertools.product(range(4), range(1, 5)):
+            for regular, descriptor in ((True, RegularJoinDescriptor), (False, CappedJoinDescriptor)):
+                want = ref_family_membership(g, regular, s, l)
+                assert family_membership(g, descriptor(s, l)) == want, (h.edges(), regular, s, l)
+                calls += 1
+                members += want
+    assert (calls, members) == (6688, 158)
+
+
+def test_membership_with_empty_core_parts():
+    # s = 0: no core; both families need the rest bipartite with balanced sides
+    for descriptor in (RegularJoinDescriptor(0, 3), CappedJoinDescriptor(0, 3)):
+        assert family_membership(cycles(4, 6), descriptor)
+        assert not family_membership(cycles(5, 5), descriptor)
+    # odd rests tell the families apart; at s = 1 the core part B is empty
+    for n, s, l in ((9, 0, 3), (10, 1, 3), (11, 2, 3)):
+        g1 = relabelled(joined_regular_extremal(n, s, l), n)
+        g2 = relabelled(joined_capped_extremal(n, s, l), n)
+        assert family_membership(g1, RegularJoinDescriptor(s, l))
+        assert not family_membership(g1, CappedJoinDescriptor(s, l))
+        assert family_membership(g2, CappedJoinDescriptor(s, l))
+        assert not family_membership(g2, RegularJoinDescriptor(s, l))
+    # an even rest collapses them
+    g = relabelled(joined_capped_extremal(9, 1, 3), 9)
+    assert family_membership(g, RegularJoinDescriptor(1, 3))
+    assert family_membership(g, CappedJoinDescriptor(1, 3))
+
+
+def test_membership_odd_rest_leftover_is_searched():
+    # the leftover vertex E may be any rest vertex the rest's sides leave out
+    assert family_membership(cycles(9), RegularJoinDescriptor(0, 3))
+    assert family_membership(cycles(4, 5), RegularJoinDescriptor(0, 3))
+    assert not family_membership(cycles(3, 6), RegularJoinDescriptor(0, 3))
+    g = joined_regular_extremal(11, 2, 3)
+    (leftover,) = [v for v in range(2, 11) if not g.rows[v] & 0b11]
+    # moving a core edge onto the leftover makes the old endpoint the leftover
+    h = g.remove_edge(0, 2).add_edge(0, leftover)
+    assert family_membership(relabelled(h, 11), RegularJoinDescriptor(2, 3))
+    assert not family_membership(relabelled(h.add_edge(1, leftover), 11), RegularJoinDescriptor(2, 3))
+
+
+def test_membership_at_the_size_cap():
+    for n in range(13, 17):
+        for s, l in ((3, 4), (4, 3)):
+            g1 = relabelled(joined_regular_extremal(n, s, l), n)
+            g2 = relabelled(joined_capped_extremal(n, s, l), n)
+            assert family_membership(g1, RegularJoinDescriptor(s, l)), (n, s, l)
+            assert family_membership(g2, CappedJoinDescriptor(s, l)), (n, s, l)
+    # one edge inside the rest moved: the edge count is kept, the degrees are not
+    g = joined_regular_extremal(16, 3, 4)
+    u, v = next((u, v) for u, v in g.edges() if u >= 3)
+    w = next(w for w in range(3, 16) if w != u and not g.has_edge(u, w))
+    moved = relabelled(g.remove_edge(u, v).add_edge(u, w), 16)
+    assert moved.edge_count == g.edge_count
+    assert not family_membership(moved, RegularJoinDescriptor(3, 4))
+    with pytest.raises(ValueError):
+        family_membership(empty_graph(17), RegularJoinDescriptor(3, 4))
+
+
+def test_membership_capped_core_may_face_either_side():
+    # the larger core part {0, 2} joined to the regular side T, which has
+    # one vertex fewer than S: one edge short of the builder's layout
+    rest, s_side, t_side = capped_bipartite(7, 3)
+    g = disjoint_union(turan_graph(3, 2), rest)
+    for a in (0, 2):
+        for t in bits(t_side):
+            g = g.add_edge(a, t + 3)
+    for x in bits(s_side):
+        g = g.add_edge(1, x + 3)
+    assert g.edge_count == 18 and joined_capped_extremal(10, 3, 3).edge_count == 19
+    assert family_membership(relabelled(g, 10), CappedJoinDescriptor(3, 3))
+    assert not family_membership(relabelled(g, 10), RegularJoinDescriptor(3, 3))
+
+
+def test_membership_rejects_unknown_descriptor():
+    with pytest.raises(TypeError):
+        family_membership(complete_bipartite(2, 3), (2, 3))
