@@ -8,7 +8,11 @@ isomorphic.  The labeling is found the classical way:
 
 1. Refine the ordered partition of the vertices until it is equitable
    (every vertex in a cell sees the same number of neighbors in every
-   cell).  Refinement is deterministic, so it is isomorphism-equivariant.
+   cell).  Each pass counts neighbors only in the cells the previous pass
+   split off, since counts into every other cell are already constant on
+   each cell; the sub-cells come out in the order that counting against
+   every cell gives.  Refinement is deterministic, so it is
+   isomorphism-equivariant.
 2. While some cell has two or more vertices, individualize each candidate
    vertex of the first such cell in turn and recurse.  Every discrete
    partition reached encodes one adjacency bit string: the upper triangle
@@ -22,6 +26,11 @@ isomorphic.  The labeling is found the classical way:
    their labelings is an automorphism.  Recorded automorphisms that fix
    the current branch prefix pointwise let the search skip sibling
    branches that can only repeat known codes.
+
+The search also returns what it learned about the automorphism group:
+the recorded automorphisms plus one transposition per twinned vertex,
+the swaps that step 3 prunes without recording.  ``automorphism_generators``
+exposes them, so the exhaustive search can augment one non-edge per orbit.
 
 Exact and exponential in the worst case; the module refuses graphs above
 CANONICAL_MAX_N vertices, which is all the exhaustive search scale needs.
@@ -37,35 +46,50 @@ CANONICAL_MAX_N = 16
 _Cells = list[tuple[int, ...]]
 
 
-def _refine(rows: tuple[int, ...], cells: _Cells) -> _Cells:
+def _refine(rows: tuple[int, ...], cells: _Cells, splitters: list[int]) -> _Cells:
     """Equitable refinement of an ordered partition.
 
-    Each cell is split by the tuple of neighbor counts into every current
-    cell; sub-cells are ordered by their count signature.  Repeats until
-    stable.  The input cell order is preserved for unsplit cells, which
-    keeps the whole procedure deterministic.
+    Each cell is split by the tuple of its vertices' neighbor counts into
+    the ``splitters``, masks of cells in partition order; sub-cells are
+    ordered by that count signature.  The next pass refines against the
+    sub-cells this pass split off, in partition order, bar the last
+    sub-cell of each split: a vertex's count into it follows from its
+    count into the old cell.  Repeats until no cell splits.
+
+    The caller passes every cell into which some cell's vertices may see
+    unequal counts: the full mask at the root, the individualized vertex
+    below it.  Counts into any other cell are constant on every cell, and
+    the dropped entry is the last of its block, so the signatures order the
+    sub-cells exactly as signatures against every cell would, and the input
+    cell order is preserved for unsplit cells.
     """
-    while True:
-        masks = [mask_of(c) for c in cells]
+    while splitters:
         out: _Cells = []
-        changed = False
+        split: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((rows[v] & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+            # one splitter, the common case below the root: a bare count
+            # orders like its 1-tuple and saves a tuple per vertex
+            groups: dict[int | tuple[int, ...], list[int]] = {}
+            if len(splitters) == 1:
+                m = splitters[0]
+                for v in cell:
+                    groups.setdefault((rows[v] & m).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    row = rows[v]
+                    sig = tuple([(row & m).bit_count() for m in splitters])
+                    groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 out.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(tuple(groups[sig]))
-        cells = out
-        if not changed:
-            return cells
+                continue
+            subs = [tuple(groups[sig]) for sig in sorted(groups)]
+            out += subs
+            split += [mask_of(c) for c in subs[:-1]]
+        cells, splitters = out, split
+    return cells
 
 
 def _twin_classes(rows: tuple[int, ...]) -> list[int]:
@@ -85,8 +109,9 @@ def _twin_classes(rows: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _search(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Least code and a labeling (position -> original vertex) attaining it."""
+def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """Least code, a labeling (position -> original vertex) attaining it,
+    and automorphisms of g that generate the orbits the search pruned."""
     n = g.n
     rows = g.rows
     twin = _twin_classes(rows)
@@ -111,9 +136,9 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...]]:
                     return True
         return False
 
-    def walk(cells: _Cells, prefix: list[int]) -> None:
+    def walk(cells: _Cells, prefix: list[int], splitters: list[int]) -> None:
         nonlocal best_code, best_perm
-        cells = _refine(rows, cells)
+        cells = _refine(rows, cells, splitters)
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
             perm = tuple(c[0] for c in cells)
@@ -143,16 +168,23 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...]]:
             rest = tuple(x for x in cell if x != v)
             child = cells[:split_at] + [(v,), rest] + cells[split_at + 1 :]
             prefix.append(v)
-            walk(child, prefix)
+            walk(child, prefix, [1 << v])
             prefix.pop()
 
     if not n:
-        return 0, best_perm
-    walk([tuple(range(n))], [])
-    return best_code, best_perm
+        return 0, best_perm, []
+    walk([tuple(range(n))], [], [(1 << n) - 1])
+    # twin swaps are automorphisms the search skipped without recording
+    swaps = []
+    for v, w in enumerate(twin):
+        if w != v:
+            sigma = list(range(n))
+            sigma[v], sigma[w] = w, v
+            swaps.append(tuple(sigma))
+    return best_code, best_perm, autos + swaps
 
 
-def _checked_search(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _checked_search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonicalization caps at {CANONICAL_MAX_N} vertices, got {g.n}")
     return _search(g)
@@ -161,6 +193,16 @@ def _checked_search(g: Graph) -> tuple[int, tuple[int, ...]]:
 def canonical_code(g: Graph) -> int:
     """Canonical code as an int; equal for two graphs of one order iff isomorphic."""
     return _checked_search(g)[0]
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g (vertex -> image) met by its canonical search.
+
+    Every one maps g onto itself.  Together they generate the group the
+    search pruned by: each pair of leaves found equal, both ways, and the
+    transposition of each vertex with the first vertex of its twin class.
+    """
+    return _checked_search(g)[2]
 
 
 def graph_from_code(n: int, code: int) -> Graph:

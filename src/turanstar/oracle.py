@@ -4,9 +4,13 @@ Enumeration works level by level on edge count, starting from the empty
 graph.  Forbidden-pattern freeness survives edge deletion, so every free
 graph with e+1 edges is one edge addition away from a free graph with e
 edges; augmenting each level and deduplicating by canonical form therefore
-visits every isomorphism class exactly once.  The visit counter counts
-augmentation attempts, which depends only on the class sets, never on
-worker scheduling, so records compare equal across any worker count.
+visits every isomorphism class exactly once.  Non-edges that an
+automorphism of the parent maps onto each other give isomorphic children,
+so each parent's non-edges are split into orbits under the generators its
+canonical search found, and the detector and the canonical search run once
+per orbit.  The visit counter still counts every non-edge tried, which
+depends only on the class sets, never on the orbits or on worker
+scheduling, so records compare equal across any worker count.
 
 Inside the search a class is its integer canonical code: workers receive
 the parents' codes, rebuild each parent from its code and return the codes
@@ -26,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import are_isomorphic, canonical_code, graph_from_code
+from .canonical import are_isomorphic, automorphism_generators, canonical_code, graph_from_code
 from .detectors import ForbiddenFamily, contains_clique, is_family_free
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
@@ -74,11 +78,38 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration capped at n = {ORACLE_MAX_N}, got {n}")
 
 
+def _orbit_representatives(g: Graph, generators: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """First non-edge (u < v, in row order) of each orbit of non-edges under
+    the group the generators generate."""
+    n = g.n
+    seen = [0] * n  # seen[u] bit v: non-edge u-v lies in an orbit already yielded
+    for u in range(n):
+        row = g.rows[u]
+        for v in range(u + 1, n):
+            if row >> v & 1 or seen[u] >> v & 1:
+                continue
+            yield u, v
+            seen[u] |= 1 << v
+            stack = [(u, v)]
+            while stack:
+                a, b = stack.pop()
+                for sigma in generators:
+                    x, y = sigma[a], sigma[b]
+                    if x > y:
+                        x, y = y, x
+                    if not seen[x] >> y & 1:
+                        seen[x] |= 1 << y
+                        stack.append((x, y))
+
+
 def _expand_codes(args: tuple[int, str, tuple[int, ...]]) -> tuple[set[int], int]:
     """Worker: augment each graph by one edge, keep free results.
 
     Module level so process pools can pickle it.  Returns canonical codes
-    of the successors plus the number of augmentations attempted.
+    of the successors plus the number of augmentations attempted, which
+    counts every non-edge.  Non-edges in one orbit of the parent's
+    automorphism group give isomorphic children, so only the first of
+    each orbit is checked and canonicalized.
     """
     n, family_spec, codes = args
     family = ForbiddenFamily.parse(family_spec)
@@ -86,15 +117,11 @@ def _expand_codes(args: tuple[int, str, tuple[int, ...]]) -> tuple[set[int], int
     visited = 0
     for code in codes:
         g = graph_from_code(n, code)
-        for u in range(n):
-            row = g.rows[u]
-            for v in range(u + 1, n):
-                if row >> v & 1:
-                    continue
-                visited += 1
-                h = g.add_edge(u, v)
-                if is_family_free(h, family):
-                    out.add(canonical_code(h))
+        visited += n * (n - 1) // 2 - g.edge_count
+        for u, v in _orbit_representatives(g, automorphism_generators(g)):
+            h = g.add_edge(u, v)
+            if is_family_free(h, family):
+                out.add(canonical_code(h))
     return out, visited
 
 
@@ -212,7 +239,10 @@ _MEMBERSHIP_MAX_N = 16
 # Parts of a join-family member, rows and columns in this order: core parts
 # A (the larger) and B, the rest's sides X and Y joined to A and to B, and a
 # leftover E of at most one vertex.  Entry [p][q]: p and q completely joined
-# (1), with no edges between them (0), or unconstrained (None).
+# (1), with no edges between them (0), or unconstrained (None).  X and Y are
+# independent in a capped rest, which is bipartite between them.  A regular
+# rest need only be triangle-free, so there X (Y) is independent only because
+# A (B) is completely joined to it, and is unconstrained when A (B) is empty.
 _JOIN_RULE = (
     (0, 1, 1,    0,    0),     # A
     (1, 0, 0,    1,    0),     # B
@@ -222,9 +252,14 @@ _JOIN_RULE = (
 )
 
 
-def _join_splits(g: Graph, sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iterator[tuple[int, ...]]:
     """Part masks of every split of g into parts of `sizes` that obeys _JOIN_RULE,
     placing vertices by descending degree, then index, so the core comes first."""
+    rules = [list(rule) for rule in _JOIN_RULE]
+    if not bipartite_rest:
+        for core, side in ((0, 2), (1, 3)):
+            if not sizes[core]:
+                rules[side][side] = None
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     masks = [0] * len(sizes)
 
@@ -233,7 +268,7 @@ def _join_splits(g: Graph, sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield tuple(masks)
             return
         bit, row = 1 << order[i], g.rows[order[i]]
-        for part, rule in enumerate(_JOIN_RULE):
+        for part, rule in enumerate(rules):
             if masks[part].bit_count() == sizes[part]:
                 continue
             for placed, r in zip(masks, rule):
@@ -297,14 +332,14 @@ def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
     if isinstance(descriptor, RegularJoinDescriptor):
         if g.edge_count != e1:
             return False
-        splits = _join_splits(g, (*core, half, half, odd))
+        splits = _join_splits(g, (*core, half, half, odd), bipartite_rest=False)
         return any(_near_regular(g, x | y | e, l - 1) for _, _, x, y, e in splits)
     # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges
     if g.edge_count == e2:
-        splits = _join_splits(g, (*core, half + odd, half, 0))
+        splits = _join_splits(g, (*core, half + odd, half, 0), bipartite_rest=True)
         if any(_capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
             return True
     if g.edge_count == e2 - s % 2 * odd:
-        splits = _join_splits(g, (*core, half, half + odd, 0))
+        splits = _join_splits(g, (*core, half, half + odd, 0), bipartite_rest=True)
         return any(_capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
     return False

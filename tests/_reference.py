@@ -5,11 +5,20 @@ vertex subsets, all edge subsets, all assignments.  Nothing is shared
 with the package internals, so agreement between the two is meaningful.
 """
 
-import functools
 import itertools
 import random
 
-from turanstar import Clique, Graph, Matching, StarForest, build_graph
+from turanstar import (
+    Clique,
+    Graph,
+    Matching,
+    StarForest,
+    build_graph,
+    canonical_code,
+    graph_from_code,
+    is_family_free,
+    mask_of,
+)
 
 
 def ref_has_clique(g: Graph, size: int) -> bool:
@@ -103,64 +112,118 @@ def ref_ex(n: int, family) -> int:
     return best
 
 
-# Edges between the parts of a join-family member, keyed by the two part
-# letters in alphabetical order: A and B are the core parts (A the larger),
-# X and Y the sides of the rest joined to A and to B, E a leftover vertex.
-# True: every edge present; False: none; pairs not listed: anything goes.
-_JOIN_PAIRS = {
-    "AB": True, "AX": True, "BY": True,
-    "AA": False, "BB": False, "XX": False, "YY": False,
-    "AY": False, "AE": False, "BX": False, "BE": False,
-}
+def _joined(g: Graph, p, q) -> bool:
+    return all(g.has_edge(u, v) for u in p for v in q)
 
 
-@functools.lru_cache(maxsize=None)
-def _labellings(parts: str) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(set(itertools.permutations(parts))))
+def _apart(g: Graph, p, q) -> bool:
+    return not any(g.has_edge(u, v) for u in p for v in q)
 
 
-def _obeys_join(g: Graph, label) -> bool:
-    for u, v in itertools.combinations(range(g.n), 2):
-        rule = _JOIN_PAIRS.get("".join(sorted(label[u] + label[v])))
-        if rule is not None and g.has_edge(u, v) != rule:
-            return False
-    return True
+def _parts(left: tuple[int, ...], size: int):
+    """Every choice of `size` vertices from `left`, with the vertices left over."""
+    for part in itertools.combinations(left, size):
+        yield part, tuple(v for v in left if v not in part)
+
+
+def _join_members(g: Graph, sizes: tuple[int, ...]):
+    """Every split (A, B, X, Y, E) of g's vertices, of these sizes, whose core
+    A, B spans K_{|A|,|B|}, with A completely joined to X, B to Y, and no
+    other edges between the core and the rest X, Y, E."""
+    for a, left in _parts(tuple(range(g.n)), sizes[0]):
+        if not _apart(g, a, a):
+            continue
+        for b, rest in _parts(left, sizes[1]):
+            if not (_apart(g, b, b) and _joined(g, a, b)):
+                continue
+            for x, left_x in _parts(rest, sizes[2]):
+                if not (_joined(g, a, x) and _apart(g, b, x)):
+                    continue
+                for y, e in _parts(left_x, sizes[3]):
+                    if _joined(g, b, y) and _apart(g, a, y + e) and _apart(g, b, e):
+                        yield a, b, x, y, e
 
 
 def ref_family_membership(g: Graph, regular: bool, s: int, l: int) -> bool:
     """Is g in the regular (or else the capped) join family with core s and leaves l?
 
-    Tries every labelling of the vertices by part letters, checks the edges
-    between parts pair by pair, then the degrees inside the rest X, Y, E:
-    regular, all l-1 bar one vertex at l-2 when (l-1)(n-s) is odd, and no
-    triangle; capped, l-1 on the side T and at most l-1 on the side S.
+    Checks the families' definition over every split of the vertices into
+    parts.  The core parts A and B, of ceil(s/2) and floor(s/2) vertices,
+    span K_{|A|,|B|}; A is completely joined to the rest's side X, B to the
+    side Y, and the core has no other edges into the rest.  Regular: X and
+    Y have floor(m/2) of the m = n - s rest vertices and E the odd one;
+    every rest degree is l-1, bar one at l-2 when (l-1)m is odd; g is
+    triangle-free.  Capped: X and Y are the rest's sides S and T, in either
+    order, with ceil(m/2) and floor(m/2) vertices and no E; the rest is
+    bipartite between them, T vertices have rest degree l-1 and S vertices
+    at most l-1.
     """
     if s < 0 or l < 1 or g.n < s:
         return False
     m, d = g.n - s, l - 1
-    core = "A" * ((s + 1) // 2) + "B" * (s // 2)
+    core = ((s + 1) // 2, s // 2)
     if regular:
-        layouts = [(core + "X" * (m // 2) + "Y" * (m // 2) + "E" * (m % 2), None)]
-    else:  # (parts, the letter of the side S)
-        layouts = [
-            (core + "X" * ((m + 1) // 2) + "Y" * (m // 2), "X"),
-            (core + "X" * (m // 2) + "Y" * ((m + 1) // 2), "Y"),
-        ]
-    for parts, s_side in layouts:
-        for label in _labellings(parts):
-            if not _obeys_join(g, label):
-                continue
-            rest = [v for v in range(g.n) if label[v] in "XYE"]
+        layouts = [(core + (m // 2, m // 2), None)]
+    else:  # (part sizes, which side is S)
+        layouts = [(core + ((m + 1) // 2, m // 2), "X"), (core + (m // 2, (m + 1) // 2), "Y")]
+    for sizes, s_side in layouts:
+        for a, b, x, y, e in _join_members(g, sizes):
+            rest = x + y + e
             deg = {v: sum(g.has_edge(v, w) for w in rest) for v in rest}
             if regular:
                 want = [d - 1] + [d] * (m - 1) if d * m % 2 else [d] * m
-                pairs = itertools.combinations(range(m), 2)
-                h = build_graph(m, [(i, j) for i, j in pairs if g.has_edge(rest[i], rest[j])])
-                if sorted(deg.values()) == want and not ref_has_clique(h, 3):
+                if sorted(deg.values()) == want and not ref_has_clique(g, 3):
                     return True
-            elif all(deg[v] <= d if label[v] == s_side else deg[v] == d for v in rest):
-                return True
+            elif _apart(g, x, x) and _apart(g, y, y):
+                s_part, t_part = (x, y) if s_side == "X" else (y, x)
+                if all(deg[v] <= d for v in s_part) and all(deg[v] == d for v in t_part):
+                    return True
     return False
+
+
+def ref_expand_codes(n: int, family, codes) -> tuple[set[int], int]:
+    """Canonical codes of the free one-edge augmentations of each coded
+    graph, trying every non-edge, and the number of non-edges tried."""
+    out: set[int] = set()
+    visited = 0
+    for code in codes:
+        g = graph_from_code(n, code)
+        for u, v in itertools.combinations(range(n), 2):
+            if not g.has_edge(u, v):
+                visited += 1
+                h = g.add_edge(u, v)
+                if is_family_free(h, family):
+                    out.add(canonical_code(h))
+    return out, visited
+
+
+def ref_refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Equitable refinement against every cell on every pass.
+
+    The canonical search's refinement before it counted only against the
+    cells split in the previous pass; its output is the same partition.
+    """
+    while True:
+        masks = [mask_of(c) for c in cells]
+        out: list[tuple[int, ...]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((rows[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    out.append(tuple(groups[sig]))
+        cells = out
+        if not changed:
+            return cells
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -10,6 +10,8 @@ from turanstar import (
     CANONICAL_MAX_N,
     are_isomorphic,
     build_graph,
+    complete_bipartite,
+    disjoint_union,
     canonical_code,
     canonical_form,
     canonical_graph,
@@ -20,8 +22,10 @@ from turanstar import (
     graph_from_code,
     turan_graph,
 )
+from turanstar import canonical
+from turanstar.canonical import automorphism_generators
 
-from _reference import random_graph
+from _reference import random_graph, ref_refine
 
 GOLDEN = Path(__file__).parent / "data" / "canonical_forms.txt"
 
@@ -161,3 +165,79 @@ def test_graph_from_code_rejects_stray_bits():
         graph_from_code(3, 0b1000)
     with pytest.raises(ValueError):
         graph_from_code(3, -1)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(tuple(perm))
+
+
+def _golden_graphs():
+    return [graph6_decode(line.split()[0]) for line in GOLDEN.read_text().splitlines()]
+
+
+def _is_automorphism(g, sigma):
+    return sorted(sigma) == list(range(g.n)) and all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
+
+
+def test_automorphism_generators_map_the_graph_onto_itself():
+    rng = random.Random(37)
+    graphs = _golden_graphs() + [
+        random_graph(rng, rng.randrange(0, 17), rng.uniform(0.05, 0.95)) for _ in range(300)
+    ]
+    found = 0
+    for g in graphs:
+        gens = automorphism_generators(g)
+        found += len(gens)
+        for sigma in gens:
+            assert _is_automorphism(g, sigma), (graph6_encode(g), sigma)
+    assert found > 1000
+
+
+def test_automorphism_generators_give_the_full_vertex_orbits_up_to_six_vertices():
+    # twin swaps are pruned without being recorded; without their
+    # transpositions the orbits of e.g. a star's leaves would come out split
+    def orbits(n, perms):
+        out = set()
+        for v in range(n):
+            orbit, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for sigma in perms:
+                    if sigma[u] not in orbit:
+                        orbit.add(sigma[u])
+                        stack.append(sigma[u])
+            out.add(frozenset(orbit))
+        return out
+
+    for h in nx.graph_atlas_g()[1:]:
+        n = h.number_of_nodes()
+        if n > 6:
+            break
+        g = build_graph(n, h.edges())
+        group = [
+            tuple(m[v] for v in range(n))
+            for m in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter()
+        ]
+        assert orbits(n, automorphism_generators(g)) == orbits(n, group), h.edges()
+
+
+def test_search_matches_refinement_against_every_cell(monkeypatch):
+    # refining only against the cells split in the previous pass must give
+    # the same partitions, so the same code and labelling, as counting
+    # neighbours in every cell on every pass
+    rng = random.Random(41)
+    shapes = [
+        lambda: random_graph(rng, rng.randrange(0, 13), rng.uniform(0.1, 0.9)),
+        lambda: turan_graph(rng.randrange(1, 13), rng.randrange(1, 5)),
+        lambda: complete_bipartite(rng.randrange(0, 6), rng.randrange(0, 7)),
+        lambda: disjoint_union(
+            build_graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+            random_graph(rng, rng.randrange(0, 8), 0.3),
+        ),
+    ]
+    graphs = [_relabelled(rng.choice(shapes)(), rng) for _ in range(2000)]
+    fast = [canonical._search(g)[:2] for g in graphs]
+    monkeypatch.setattr(canonical, "_refine", lambda rows, cells, splitters: ref_refine(rows, cells))
+    assert [canonical._search(g)[:2] for g in graphs] == fast

@@ -34,7 +34,9 @@ from turanstar import (
     turan_graph,
 )
 
-from _reference import ref_ex, ref_family_membership, ref_is_free
+from turanstar.oracle import _expand_codes, _levels
+
+from _reference import ref_ex, ref_expand_codes, ref_family_membership, ref_is_free
 
 K3 = ForbiddenFamily((Clique(3),))
 
@@ -117,6 +119,30 @@ def test_all_graph_counts_match_oeis():
     fam = ForbiddenFamily((Clique(9),))
     got = [sum(1 for _ in enumerate_free_graphs(n, fam)) for n in range(1, 8)]
     assert got == want
+
+
+@pytest.mark.parametrize("spec", ["clique:3", "starforest:2x2", "clique:3,matching:3", "clique:9"])
+def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
+    family = ForbiddenFamily.parse(spec)
+    # clique:9 admits every graph: its n = 8 levels (12,346 classes) are
+    # stood in for by 40 seeded random graphs of each edge count
+    n_full = 7 if spec == "clique:9" else 8
+    for n in range(1, n_full + 1):
+        for level, codes, _ in _levels(n, family, jobs=1):
+            assert _expand_codes((n, spec, codes)) == ref_expand_codes(n, family, codes), (n, level)
+    if spec == "clique:9":
+        rng = random.Random(43)
+        pairs = list(itertools.combinations(range(8), 2))
+        for edges in range(len(pairs) + 1):
+            codes = tuple({canonical_code(build_graph(8, rng.sample(pairs, edges))) for _ in range(40)})
+            assert _expand_codes((8, spec, codes)) == ref_expand_codes(8, family, codes), edges
+
+
+def test_visited_count_at_n9_on_one_and_two_workers():
+    # every non-edge of every triangle-free class on 9 vertices, not one per orbit
+    for jobs in (1, 2):
+        record = brute_force_ex(9, K3, jobs=jobs)
+        assert (record.ex_value, record.graphs_visited) == (20, 47860), jobs
 
 
 def test_free_graphs_come_in_canonical_code_order():
@@ -284,10 +310,12 @@ def test_membership_agrees_with_reference_on_atlas():
 
 
 def test_membership_with_empty_core_parts():
-    # s = 0: no core; both families need the rest bipartite with balanced sides
+    # s = 0: no core; the capped rest is bipartite between its sides, the
+    # regular rest need only be triangle-free
     for descriptor in (RegularJoinDescriptor(0, 3), CappedJoinDescriptor(0, 3)):
         assert family_membership(cycles(4, 6), descriptor)
-        assert not family_membership(cycles(5, 5), descriptor)
+    assert family_membership(cycles(5, 5), RegularJoinDescriptor(0, 3))
+    assert not family_membership(cycles(5, 5), CappedJoinDescriptor(0, 3))
     # odd rests tell the families apart; at s = 1 the core part B is empty
     for n, s, l in ((9, 0, 3), (10, 1, 3), (11, 2, 3)):
         g1 = relabelled(joined_regular_extremal(n, s, l), n)
@@ -300,6 +328,43 @@ def test_membership_with_empty_core_parts():
     g = relabelled(joined_capped_extremal(9, 1, 3), 9)
     assert family_membership(g, RegularJoinDescriptor(1, 3))
     assert family_membership(g, CappedJoinDescriptor(1, 3))
+
+
+def petersen():
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                       + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+
+
+def test_membership_regular_rest_without_core_need_not_be_bipartite():
+    # triangle-free cubic graphs: s = 0 and l = 4 ask for nothing more
+    for g in (petersen(), graph6_decode("G@Umf?")):
+        assert ref_family_membership(g, True, 0, 4) and not ref_family_membership(g, False, 0, 4)
+        assert family_membership(relabelled(g, g.n), RegularJoinDescriptor(0, 4))
+        assert not family_membership(relabelled(g, g.n), CappedJoinDescriptor(0, 4))
+
+
+def test_membership_regular_rest_side_without_core_part_may_hold_edges():
+    # s = 1, l = 5: the core vertex 0 is joined to X = 1..6; the 4-regular
+    # triangle-free rest 1..13 keeps two disjoint edges 7-8 and 9-10 off X,
+    # so with B empty no choice of the leftover E leaves Y independent
+    x_neighbours = {7: (1, 2, 3), 8: (4, 5, 6), 9: (1, 2, 4), 10: (3, 5, 6), 11: (1, 2, 3, 4), 12: (1, 2, 5, 6),
+                    13: (3, 4, 5, 6)}
+    g = build_graph(14, [(0, x) for x in range(1, 7)] + [(7, 8), (9, 10)]
+                    + [(y, x) for y, xs in x_neighbours.items() for x in xs])
+    assert ref_is_free(g, K3) and g.edge_count == 32
+    assert [(g.rows[v] >> 1).bit_count() for v in range(1, 14)] == [4] * 13
+    moved = g.remove_edge(0, 1).add_edge(11, 13)  # a rest degree 5
+    for h, member in ((relabelled(g, 14), True), (relabelled(moved, 14), False)):
+        assert ref_family_membership(h, True, 1, 5) == member
+        assert family_membership(h, RegularJoinDescriptor(1, 5)) == member
+
+
+def test_every_extremal_class_without_core_is_a_regular_join_member():
+    # K3 and one 4-leaf star, i.e. triangle-free with maximum degree 3: the
+    # closed form holds from n = (l-1)^2 + 2 = 11, and every class must be a member
+    record = brute_force_ex(11, ForbiddenFamily.parse("clique:3,starforest:1x4"))
+    assert (record.ex_value, len(record.extremal_graphs)) == (16, 23)
+    assert all(family_membership(graph6_decode(c), RegularJoinDescriptor(0, 4)) for c in record.extremal_graphs)
 
 
 def test_membership_odd_rest_leftover_is_searched():
