@@ -96,6 +96,14 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(n, rows)
 
 
+class BelowRangeError(ValueError):
+    """A builder refuses parameters below the range where it is proven to build.
+
+    Suites that scan below that range skip such a size; any other
+    ValueError from a builder is a bug and propagates.
+    """
+
+
 class SwapSupplyError(ValueError):
     """The block engine ran out of eligible edges to reroute.
 
@@ -234,7 +242,7 @@ def regular_triangle_free(n: int, degree: int) -> tuple[Graph, PartitionCertific
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     if n < degree * degree + 2:
-        raise ValueError(f"need n >= degree^2 + 2, got n={n}, degree={degree}")
+        raise BelowRangeError(f"need n >= degree^2 + 2, got n={n}, degree={degree}")
     try:
         return _attempt_regular(n, degree)
     except SwapSupplyError as exc:  # pragma: no cover - in-range failure is a bug
@@ -255,7 +263,7 @@ def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
         raise ValueError(f"leaf bound must be positive, got l={l}")
     degree = l - 1
     if (m + 1) // 2 < degree:
-        raise ValueError(f"need ceil(m/2) >= l-1, got m={m}, l={l}")
+        raise BelowRangeError(f"need ceil(m/2) >= l-1, got m={m}, l={l}")
     rows = _blocked_engine(m, degree, reroute_spare=False)
     g = Graph(m, tuple(rows))
     half = m // 2
@@ -364,6 +372,6 @@ def clique_star_forest_extremal(n: int, k: int, s: int, l: int) -> Graph:
         raise ValueError(f"s must be non-negative, got {s}")
     m = n - s
     if m < (l - 1) ** 2 + 2:
-        raise ValueError(f"need n - s >= (l-1)^2 + 2, got n={n}, s={s}, l={l}")
+        raise BelowRangeError(f"need n - s >= (l-1)^2 + 2, got n={n}, s={s}, l={l}")
     core, _ = regular_triangle_free(m, l - 1)
     return join(turan_graph(s, k - 2), core)

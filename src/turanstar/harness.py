@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .constructions import (
+    BelowRangeError,
+    SwapSupplyError,
     clique_matching_extremal,
     clique_star_forest_extremal,
     complete_bipartite,
@@ -203,7 +205,7 @@ class Problem:
     ``builders`` take ``(n, *params)``.  ``builders`` returns thunks for the
     candidate extremal graphs, and every candidate it returns applies at
     that ``(n, params)``: below a construction's guaranteed range the
-    thunk may still refuse with ValueError.
+    thunk may still refuse with BelowRangeError or SwapSupplyError.
     """
 
     params: tuple[str, ...]
@@ -398,11 +400,11 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
                 # exist only where the construction actually comes out.
                 try:
                     g1 = joined_regular_extremal(n, s, l)
-                except ValueError:
+                except (BelowRangeError, SwapSupplyError):
                     g1 = None
                 try:
                     g2 = joined_capped_extremal(n, s, l)
-                except ValueError:
+                except (BelowRangeError, SwapSupplyError):
                     g2 = None
                 formula = problem.formula(n, s, l).value
                 even = (n - s) % 2 == 0
@@ -469,7 +471,7 @@ def _suite_boundary_sweep(grid: dict, meter: _OracleMeter, jobs: int, cache) -> 
         for build in problem.builders(n, *args):
             try:
                 candidates.append(build().edge_count)
-            except ValueError:
+            except (BelowRangeError, SwapSupplyError):
                 pass
         row = _explored_row(
             name, n, record, "pre-threshold divergence", max(candidates, default=None), **params

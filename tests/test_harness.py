@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from turanstar import (
+    BelowRangeError,
     ForbiddenFamily,
     ResultCache,
     SUITE_NAMES,
@@ -12,6 +13,7 @@ from turanstar import (
     graph6_decode,
     run_suite,
 )
+from turanstar import harness
 from turanstar.cli import main
 from turanstar.constructions import (
     capped_bipartite,
@@ -82,6 +84,32 @@ def test_run_suite_rejects_unknown():
         run_suite("regular-core", jobs=0)
     with pytest.raises(ValueError):
         run_suite("boundary-sweep", {"n_max": 99})
+
+
+def test_below_range_refusals_have_their_own_type():
+    with pytest.raises(BelowRangeError, match=r"ceil\(m/2\) >= l-1"):
+        capped_bipartite(2, 3)
+    with pytest.raises(BelowRangeError, match=r"n - s >= \(l-1\)\^2 \+ 2"):
+        clique_star_forest_extremal(3, 3, 1, 2)
+    with pytest.raises(BelowRangeError, match=r"degree\^2 \+ 2"):
+        regular_triangle_free(5, 2)
+
+
+@pytest.mark.parametrize(
+    "suite, builder",
+    [
+        ("triangle-star-forest", "joined_regular_extremal"),
+        ("triangle-star-forest", "joined_capped_extremal"),
+        ("boundary-sweep", "joined_capped_extremal"),
+    ],
+)
+def test_builder_bug_is_not_read_as_below_range(monkeypatch, suite, builder):
+    def broken(*args):
+        raise ValueError("builder bug")
+
+    monkeypatch.setattr(harness, builder, broken)
+    with pytest.raises(ValueError, match="builder bug"):
+        run_suite(suite, FAST_GRIDS[suite])
 
 
 def test_triangle_suite_reports_sub_threshold_pair(tmp_path):
