@@ -254,7 +254,8 @@ _JOIN_RULE = (
 
 def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iterator[tuple[int, ...]]:
     """Part masks of every split of g into parts of `sizes` that obeys _JOIN_RULE,
-    placing vertices by descending degree, then index, so the core comes first."""
+    placing vertices by descending degree, then index, so the core comes first.
+    Unless the rest is bipartite, X (Y) may hold edges when A (B) is empty."""
     rules = [list(rule) for rule in _JOIN_RULE]
     if not bipartite_rest:
         for core, side in ((0, 2), (1, 3)):
@@ -309,7 +310,9 @@ def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
     K_{s,n-s} is compared by isomorphism.  A join-family member splits into
     the five parts of ``_JOIN_RULE``, |A| = ceil(s/2) and |B| = floor(s/2).
     Regular join: X and Y have floor(m/2) of the m = n - s rest vertices,
-    E the odd one, and the rest is triangle-free and near-(l-1)-regular.
+    E the odd one, and the rest is triangle-free and near-(l-1)-regular;
+    X (Y) is independent only when A (B) is nonempty, so s = 0 asks for no
+    bipartite rest.
     Capped join: no E; X and Y are, in either order, S (ceil(m/2) vertices
     of rest degree <= l-1) and T (floor(m/2), degree l-1).  After an edge-
     count check every split is searched: either core part may face either side.
