@@ -353,7 +353,7 @@ def test_membership_regular_rest_side_without_core_part_may_hold_edges():
                     + [(y, x) for y, xs in x_neighbours.items() for x in xs])
     assert ref_is_free(g, K3) and g.edge_count == 32
     assert [(g.rows[v] >> 1).bit_count() for v in range(1, 14)] == [4] * 13
-    moved = g.remove_edge(0, 1).add_edge(11, 13)  # a rest degree 5
+    moved = g.remove_edge(0, 1).add_edge(11, 13)  # 0 misses X vertex 1; 11-13-3 is a triangle
     for h, member in ((relabelled(g, 14), True), (relabelled(moved, 14), False)):
         assert ref_family_membership(h, True, 1, 5) == member
         assert family_membership(h, RegularJoinDescriptor(1, 5)) == member
