@@ -29,8 +29,12 @@ isomorphic.  The labeling is found the classical way:
 
 The search also returns what it learned about the automorphism group:
 the recorded automorphisms plus one transposition per twinned vertex,
-the swaps that step 3 prunes without recording.  ``automorphism_generators``
-exposes them, so the exhaustive search can augment one non-edge per orbit.
+the swaps that step 3 prunes without recording.
+``canonical_code_and_generators`` hands them over with the code, conjugated
+by the labeling onto the canonical graph ``graph_from_code(n, code)``.  The
+exhaustive search keeps them with each class it finds, so when that class
+is extended a level later it can augment one non-edge per orbit without
+searching the class a second time.
 
 Exact and exponential in the worst case; the module refuses graphs above
 CANONICAL_MAX_N vertices, which is all the exhaustive search scale needs.
@@ -195,14 +199,20 @@ def canonical_code(g: Graph) -> int:
     return _checked_search(g)[0]
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms of g (vertex -> image) met by its canonical search.
+def canonical_code_and_generators(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical code and automorphisms (vertex -> image) of the canonical
+    graph ``graph_from_code(g.n, code)``, from one search.
 
-    Every one maps g onto itself.  Together they generate the group the
-    search pruned by: each pair of leaves found equal, both ways, and the
-    transposition of each vertex with the first vertex of its twin class.
+    Every generator maps the canonical graph onto itself.  Together they
+    generate the group the search pruned by: each pair of leaves found
+    equal, both ways, and the transposition of each vertex with the first
+    vertex of its twin class, all carried over from g's labeling.
     """
-    return _checked_search(g)[2]
+    code, perm, autos = _checked_search(g)
+    position = [0] * g.n
+    for i, v in enumerate(perm):
+        position[v] = i
+    return code, [tuple([position[sigma[v]] for v in perm]) for sigma in autos]
 
 
 def graph_from_code(n: int, code: int) -> Graph:
@@ -220,11 +230,6 @@ def graph_from_code(n: int, code: int) -> Graph:
     if code:
         raise ValueError(f"code has bits beyond the {n * (n - 1) // 2} pairs of {n} vertices")
     return Graph(n, tuple(rows))
-
-
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Relabeling map (new position -> old vertex) to canonical form."""
-    return _checked_search(g)[1]
 
 
 def canonical_graph(g: Graph) -> Graph:

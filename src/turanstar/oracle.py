@@ -4,18 +4,36 @@ Enumeration works level by level on edge count, starting from the empty
 graph.  Forbidden-pattern freeness survives edge deletion, so every free
 graph with e+1 edges is one edge addition away from a free graph with e
 edges; augmenting each level and deduplicating by canonical form therefore
-visits every isomorphism class exactly once.  Non-edges that an
-automorphism of the parent maps onto each other give isomorphic children,
-so each parent's non-edges are split into orbits under the generators its
-canonical search found, and the detector and the canonical search run once
-per orbit.  The visit counter still counts every non-edge tried, which
-depends only on the class sets, never on the orbits or on worker
-scheduling, so records compare equal across any worker count.
+visits every isomorphism class exactly once.  Three cuts keep that cheap:
+
+1. Non-edges that an automorphism of the parent maps onto each other give
+   isomorphic children, so each parent's non-edges are split into orbits
+   and only the first non-edge of each orbit is tried.
+2. The generators of that group come from the canonical search that found
+   the parent, one level earlier: ``canonical_code_and_generators`` returns
+   them with the code, on the canonical graph that the code rebuilds, and
+   each level carries them to the next.  No parent is searched twice.
+3. A child g + uv is kept only when no edge of it has a larger degree pair
+   (smaller end's degree, larger end's degree) than uv, in the style of
+   McKay's canonical deletion (J. Algorithms 1998), and is skipped before
+   the detector and the canonical search otherwise.  Each class H is still
+   reached: delete an edge e of H whose pair is largest; H - e is free, so
+   its class P is a parent, and the orbit representative r of P's non-edge
+   that plays e gives P + r isomorphic to H by a map taking r to e, so r
+   carries e's degree pair and passes.  The pair is the same on a whole
+   orbit, so the filter and the orbit cut commute.
+
+A level is a set of classes, so the filter only thins how often one class
+is found, never which classes are found.  The visit counter still counts
+every non-edge tried, which depends only on the class sets, never on the
+orbits, the filter or worker scheduling, so records compare equal across
+any worker count.
 
 Inside the search a class is its integer canonical code: workers receive
-the parents' codes, rebuild each parent from its code and return the codes
-of its free children.  graph6 appears only at output, in the sorted
-canonical strings of ``ExtremalRecord.extremal_graphs``.
+the parents' codes with their generators, rebuild each parent from its code
+and return the codes and generators of its kept free children.  graph6
+appears only at output, in the sorted canonical strings of
+``ExtremalRecord.extremal_graphs``.
 
 Membership in a join family is checked by edge count, then by a search over
 splits into five parts: two core parts, each free to face either side of the
@@ -30,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import are_isomorphic, automorphism_generators, canonical_code, graph_from_code
+from .canonical import are_isomorphic, canonical_code_and_generators, graph_from_code
 from .detectors import ForbiddenFamily, contains_clique, is_family_free
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
@@ -78,7 +96,10 @@ def _check_cap(n: int) -> None:
         raise ValueError(f"enumeration capped at n = {ORACLE_MAX_N}, got {n}")
 
 
-def _orbit_representatives(g: Graph, generators: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+Generators = list[tuple[int, ...]]
+
+
+def _orbit_representatives(g: Graph, generators: Generators) -> Iterator[tuple[int, int]]:
     """First non-edge (u < v, in row order) of each orbit of non-edges under
     the group the generators generate."""
     n = g.n
@@ -102,26 +123,59 @@ def _orbit_representatives(g: Graph, generators: list[tuple[int, ...]]) -> Itera
                         stack.append((x, y))
 
 
-def _expand_codes(args: tuple[int, str, tuple[int, ...]]) -> tuple[set[int], int]:
+def _outranked(rows: tuple[int, ...], at_least: list[int], u: int, v: int) -> bool:
+    """Has some edge of g + uv a larger (smaller end, larger end) degree pair
+    than uv, degrees taken in g + uv?  ``rows`` are g's; ``at_least[t]`` is
+    the mask of g's vertices of degree at least t, for t = 0..n."""
+    p, q = sorted((rows[u].bit_count() + 1, rows[v].bit_count() + 1))
+    uv = 1 << u | 1 << v
+    # vertices of degree >= p, > p and > q in g + uv
+    mid = at_least[p] | uv & at_least[p - 1]
+    high = at_least[p + 1] | uv & at_least[p]
+    top = at_least[q + 1] | uv & at_least[q]
+    # an edge outranks uv when both ends lie in `high`, or one end lies in
+    # `top` and the other in `mid`; `top` lies inside `high`
+    rest = high
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        if rows[a] & (mid if top & low else high):
+            return True
+    return False
+
+
+def _expand_codes(
+    args: tuple[int, str, list[tuple[int, Generators]]],
+) -> tuple[dict[int, Generators], int]:
     """Worker: augment each graph by one edge, keep free results.
 
-    Module level so process pools can pickle it.  Returns canonical codes
-    of the successors plus the number of augmentations attempted, which
-    counts every non-edge.  Non-edges in one orbit of the parent's
-    automorphism group give isomorphic children, so only the first of
-    each orbit is checked and canonicalized.
+    Module level so process pools can pickle it.  Takes each parent's code
+    with automorphism generators of ``graph_from_code(n, code)``; returns
+    the same for the successors, plus the number of augmentations
+    attempted, which counts every non-edge.  Only the first non-edge of each
+    orbit, and only one that no edge of the child outranks by degree pair,
+    is checked and canonicalized.
     """
-    n, family_spec, codes = args
+    n, family_spec, parents = args
     family = ForbiddenFamily.parse(family_spec)
-    out: set[int] = set()
+    out: dict[int, Generators] = {}
     visited = 0
-    for code in codes:
+    for code, generators in parents:
         g = graph_from_code(n, code)
         visited += n * (n - 1) // 2 - g.edge_count
-        for u, v in _orbit_representatives(g, automorphism_generators(g)):
+        at_least = [0] * (n + 1)
+        for x, row in enumerate(g.rows):
+            at_least[row.bit_count()] |= 1 << x
+        for t in range(n - 1, -1, -1):
+            at_least[t] |= at_least[t + 1]
+        for u, v in _orbit_representatives(g, generators):
+            if _outranked(g.rows, at_least, u, v):
+                continue
             h = g.add_edge(u, v)
             if is_family_free(h, family):
-                out.add(canonical_code(h))
+                child, child_generators = canonical_code_and_generators(h)
+                out.setdefault(child, child_generators)
     return out, visited
 
 
@@ -132,28 +186,28 @@ def _levels(
     seed = empty_graph(n)
     if not is_family_free(seed, family):
         return
-    current = (canonical_code(seed),)
-    yield 0, current, 0
+    parents = [canonical_code_and_generators(seed)]
+    yield 0, (parents[0][0],), 0
     spec = family.spec()
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         level = 0
-        while current:
+        while parents:
             level += 1
             if pool is None:
-                merged, visited = _expand_codes((n, spec, current))
+                found, visited = _expand_codes((n, spec, parents))
             else:
-                chunks = [current[i :: jobs] for i in range(jobs)]
-                merged = set()
+                chunks = [parents[i :: jobs] for i in range(jobs)]
+                found = {}
                 visited = 0
                 for part, seen in pool.map(
                     _expand_codes, [(n, spec, c) for c in chunks if c]
                 ):
-                    merged |= part
+                    found.update(part)
                     visited += seen
-            current = tuple(sorted(merged))
+            parents = sorted(found.items())
             # an empty level still reports the attempts that proved it empty
-            yield level, current, visited
+            yield level, tuple(code for code, _ in parents), visited
     finally:
         if pool is not None:
             pool.shutdown()
@@ -335,6 +389,8 @@ def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
     if isinstance(descriptor, RegularJoinDescriptor):
         if g.edge_count != e1:
             return False
+        if s == 0:  # every split puts the whole graph in the rest
+            return _near_regular(g, (1 << g.n) - 1, l - 1)
         splits = _join_splits(g, (*core, half, half, odd), bipartite_rest=False)
         return any(_near_regular(g, x | y | e, l - 1) for _, _, x, y, e in splits)
     # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges

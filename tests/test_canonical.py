@@ -15,7 +15,6 @@ from turanstar import (
     canonical_code,
     canonical_form,
     canonical_graph,
-    canonical_permutation,
     empty_graph,
     graph6_decode,
     graph6_encode,
@@ -23,7 +22,7 @@ from turanstar import (
     turan_graph,
 )
 from turanstar import canonical
-from turanstar.canonical import automorphism_generators
+from turanstar.canonical import canonical_code_and_generators
 
 from _reference import random_graph, ref_refine
 
@@ -55,12 +54,6 @@ def test_canonical_graph_is_fixed_point():
     cg = canonical_graph(g)
     assert canonical_graph(cg) == cg
     assert are_isomorphic(g, cg)
-
-
-def test_canonical_permutation_maps_to_canonical_graph():
-    g = build_graph(5, [(0, 4), (4, 2), (2, 1)])
-    perm = canonical_permutation(g)
-    assert g.relabel(perm) == canonical_graph(g)
 
 
 def test_permutation_invariance_random():
@@ -181,21 +174,25 @@ def _is_automorphism(g, sigma):
     return sorted(sigma) == list(range(g.n)) and all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges())
 
 
-def test_automorphism_generators_map_the_graph_onto_itself():
+def test_generators_map_the_canonical_graph_onto_itself():
+    # the search finds them in g's labelling; they must come back in the
+    # labelling of the canonical graph the code rebuilds
     rng = random.Random(37)
     graphs = _golden_graphs() + [
         random_graph(rng, rng.randrange(0, 17), rng.uniform(0.05, 0.95)) for _ in range(300)
     ]
     found = 0
     for g in graphs:
-        gens = automorphism_generators(g)
+        code, gens = canonical_code_and_generators(g)
+        assert code == canonical_code(g)
+        c = graph_from_code(g.n, code)
         found += len(gens)
         for sigma in gens:
-            assert _is_automorphism(g, sigma), (graph6_encode(g), sigma)
+            assert _is_automorphism(c, sigma), (graph6_encode(g), sigma)
     assert found > 1000
 
 
-def test_automorphism_generators_give_the_full_vertex_orbits_up_to_six_vertices():
+def test_generators_give_the_full_vertex_orbits_up_to_six_vertices():
     # twin swaps are pruned without being recorded; without their
     # transpositions the orbits of e.g. a star's leaves would come out split
     def orbits(n, perms):
@@ -211,16 +208,19 @@ def test_automorphism_generators_give_the_full_vertex_orbits_up_to_six_vertices(
             out.add(frozenset(orbit))
         return out
 
+    rng = random.Random(47)
     for h in nx.graph_atlas_g()[1:]:
         n = h.number_of_nodes()
         if n > 6:
             break
-        g = build_graph(n, h.edges())
+        code, gens = canonical_code_and_generators(_relabelled(build_graph(n, h.edges()), rng))
+        c = nx.Graph(graph_from_code(n, code).edges())
+        c.add_nodes_from(range(n))
         group = [
             tuple(m[v] for v in range(n))
-            for m in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter()
+            for m in nx.algorithms.isomorphism.GraphMatcher(c, c).isomorphisms_iter()
         ]
-        assert orbits(n, automorphism_generators(g)) == orbits(n, group), h.edges()
+        assert orbits(n, gens) == orbits(n, group), h.edges()
 
 
 def test_search_matches_refinement_against_every_cell(monkeypatch):

@@ -34,6 +34,8 @@ from turanstar import (
     turan_graph,
 )
 
+from turanstar import oracle
+from turanstar.canonical import canonical_code_and_generators
 from turanstar.oracle import _expand_codes, _levels
 
 from _reference import ref_ex, ref_expand_codes, ref_family_membership, ref_is_free
@@ -108,8 +110,8 @@ def test_free_graph_counts_match_atlas():
 
 def test_triangle_free_counts_match_oeis():
     # OEIS A006785: triangle-free graphs on n unlabeled vertices
-    want = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
-    got = [sum(1 for _ in enumerate_free_graphs(n, K3)) for n in range(1, 10)]
+    want = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
+    got = [sum(1 for _ in enumerate_free_graphs(n, K3)) for n in range(1, 11)]
     assert got == want
 
 
@@ -123,19 +125,38 @@ def test_all_graph_counts_match_oeis():
 
 @pytest.mark.parametrize("spec", ["clique:3", "starforest:2x2", "clique:3,matching:3", "clique:9"])
 def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
+    # a whole level, each parent carrying the generators its own search
+    # found a level earlier, reaches every class of the next level; the
+    # degree-pair filter only thins how often each one is reached
     family = ForbiddenFamily.parse(spec)
     # clique:9 admits every graph: its n = 8 levels (12,346 classes) are
     # stood in for by 40 seeded random graphs of each edge count
     n_full = 7 if spec == "clique:9" else 8
     for n in range(1, n_full + 1):
-        for level, codes, _ in _levels(n, family, jobs=1):
-            assert _expand_codes((n, spec, codes)) == ref_expand_codes(n, family, codes), (n, level)
+        parents = [canonical_code_and_generators(empty_graph(n))]
+        level = 0
+        while parents:
+            found, visited = _expand_codes((n, spec, parents))
+            want = ref_expand_codes(n, family, [code for code, _ in parents])
+            assert (set(found), visited) == want, (n, level)
+            parents = sorted(found.items())
+            level += 1
     if spec == "clique:9":
+        # a partial parent set may miss a child whose only kept parent is
+        # not sampled, so the kept children are a subset of all children
         rng = random.Random(43)
         pairs = list(itertools.combinations(range(8), 2))
         for edges in range(len(pairs) + 1):
-            codes = tuple({canonical_code(build_graph(8, rng.sample(pairs, edges))) for _ in range(40)})
-            assert _expand_codes((8, spec, codes)) == ref_expand_codes(8, family, codes), edges
+            parents = dict(canonical_code_and_generators(build_graph(8, rng.sample(pairs, edges))) for _ in range(40))
+            found, visited = _expand_codes((8, spec, list(parents.items())))
+            want, want_visited = ref_expand_codes(8, family, parents)
+            assert set(found) <= want and visited == want_visited, edges
+
+
+@pytest.mark.parametrize("spec", ["clique:3", "starforest:2x2"])
+def test_levels_agree_on_one_and_two_workers(spec):
+    family = ForbiddenFamily.parse(spec)
+    assert list(_levels(9, family, jobs=1)) == list(_levels(9, family, jobs=2))
 
 
 def test_visited_count_at_n9_on_one_and_two_workers():
@@ -341,6 +362,20 @@ def test_membership_regular_rest_without_core_need_not_be_bipartite():
         assert ref_family_membership(g, True, 0, 4) and not ref_family_membership(g, False, 0, 4)
         assert family_membership(relabelled(g, g.n), RegularJoinDescriptor(0, 4))
         assert not family_membership(relabelled(g, g.n), CappedJoinDescriptor(0, 4))
+
+
+def test_membership_without_core_checks_the_whole_graph_once(monkeypatch):
+    # s = 0 puts every vertex in the rest, whatever the split; the first
+    # edge, 0-10, moved to the first non-edge that keeps the graph
+    # triangle-free, 0-1, leaves e1 edges but degrees 2 and 4
+    g = joined_regular_extremal(16, 0, 4).remove_edge(0, 10).add_edge(0, 1)
+    assert g.edge_count == 24 and ref_is_free(g, K3)
+    calls = []
+    near_regular = oracle._near_regular
+    monkeypatch.setattr(oracle, "_near_regular", lambda *args: calls.append(args) or near_regular(*args))
+    assert not family_membership(g, RegularJoinDescriptor(0, 4))
+    assert family_membership(petersen(), RegularJoinDescriptor(0, 4))
+    assert len(calls) == 2
 
 
 def test_membership_regular_rest_side_without_core_part_may_hold_edges():
