@@ -9,9 +9,10 @@ contains none of them as a subgraph.  Three pattern kinds appear:
   center joined to ``leaves`` distinct leaves.
 
 Each pattern validates its own arguments, gives its text form through
-``spec()`` and answers ``occurs_in(g)`` with its detector.  All detectors
-are exact.  The test suite cross-checks their verdicts against plain
-exhaustive search, and the matching detector also against networkx.
+``spec()``, answers ``occurs_in(g)`` with its detector, and answers
+``occurs_with_edge(g, u, v)`` about g + uv for a g free of it.  All
+detectors are exact.  The test suite cross-checks their verdicts against
+plain exhaustive search, and the matching detector also against networkx.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .graphs import Graph, bits
 
 @dataclass(frozen=True, order=True)
 class Clique:
+    """K_size.  When g is free of it, g + uv contains it exactly when the
+    common neighbourhood of u and v in g holds a K_{size-2}: for size 3 that
+    is ``rows[u] & rows[v] != 0``, and size 2 is always there."""
+
     size: int
 
     def __post_init__(self) -> None:
@@ -36,6 +41,9 @@ class Clique:
 
     def occurs_in(self, g: Graph) -> bool:
         return contains_clique(g, self.size)
+
+    def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
+        return _clique_within(g.rows, g.rows[u] & g.rows[v], self.size - 2)
 
 
 @dataclass(frozen=True, order=True)
@@ -52,6 +60,9 @@ class Matching:
     def occurs_in(self, g: Graph) -> bool:
         return max_matching_size(g) >= self.edges
 
+    def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
+        return self.occurs_in(g.add_edge(u, v))
+
 
 @dataclass(frozen=True, order=True)
 class StarForest:
@@ -67,6 +78,9 @@ class StarForest:
 
     def occurs_in(self, g: Graph) -> bool:
         return contains_star_forest(g, self.copies, self.leaves)
+
+    def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
+        return self.occurs_in(g.add_edge(u, v))
 
 
 Pattern = Union[Clique, Matching, StarForest]
@@ -142,6 +156,18 @@ def contains_clique(g: Graph, size: int) -> bool:
     return max_clique_size(g, stop_at=size) >= size
 
 
+def _clique_within(rows: tuple[int, ...], mask: int, size: int) -> bool:
+    """Do the vertices of ``mask`` hold a clique on ``size`` vertices?"""
+    if size <= 1:
+        return size < 1 or mask != 0
+    while mask.bit_count() >= size:
+        low = mask & -mask
+        mask ^= low
+        if _clique_within(rows, mask & rows[low.bit_length() - 1], size - 1):
+            return True
+    return False
+
+
 def max_clique_size(g: Graph, *, stop_at: int | None = None) -> int:
     """Largest clique order, by branch and bound with a greedy coloring bound.
 
@@ -191,11 +217,6 @@ def max_clique_size(g: Graph, *, stop_at: int | None = None) -> int:
 
     expand((1 << n) - 1, 0)
     return best
-
-
-def independence_number(g: Graph) -> int:
-    """Largest independent set, as the clique number of the complement."""
-    return max_clique_size(g.complement())
 
 
 def max_matching_size(g: Graph) -> int:
@@ -385,9 +406,13 @@ def _pools_admit_disjoint_leaves(pools: list[int], leaves: int) -> bool:
     return True
 
 
-def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
-    """True when g contains no pattern of the family."""
+def is_family_free(g: Graph, family: ForbiddenFamily, edge: tuple[int, int] | None = None) -> bool:
+    """True when g contains no pattern of the family.
+
+    With ``edge = (u, v)``, a non-edge of a family-free g, the question is
+    asked of g + uv, and each pattern answers it by ``occurs_with_edge``.
+    """
     for pat in family.patterns:
-        if pat.occurs_in(g):
+        if pat.occurs_in(g) if edge is None else pat.occurs_with_edge(g, *edge):
             return False
     return True

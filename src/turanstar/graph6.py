@@ -10,7 +10,6 @@ the short form is supported here; anything bigger travels as a JSON object
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .graphs import Graph, build_graph
 
@@ -76,23 +75,3 @@ def graph6_decode(text: str) -> Graph:
 
 def to_edge_list_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
-
-
-def from_edge_list_json(data: str | dict[str, Any]) -> Graph:
-    """Parse ``{"n": int, "edges": [[u, v], ...]}`` from a string or dict."""
-    obj = json.loads(data) if isinstance(data, str) else data
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("edge-list JSON needs keys 'n' and 'edges'")
-    n = obj["n"]
-    edges = obj["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
-        raise ValueError("edge-list JSON has wrong field types")
-    pairs = []
-    for item in edges:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ValueError(f"bad edge entry {item!r}")
-        u, v = item
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise ValueError(f"bad edge entry {item!r}")
-        pairs.append((u, v))
-    return build_graph(n, pairs)

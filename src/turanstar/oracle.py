@@ -4,7 +4,7 @@ Enumeration works level by level on edge count, starting from the empty
 graph.  Forbidden-pattern freeness survives edge deletion, so every free
 graph with e+1 edges is one edge addition away from a free graph with e
 edges; augmenting each level and deduplicating by canonical form therefore
-visits every isomorphism class exactly once.  Three cuts keep that cheap:
+visits every isomorphism class exactly once.  Four cuts keep that cheap:
 
 1. Non-edges that an automorphism of the parent maps onto each other give
    isomorphic children, so each parent's non-edges are split into orbits
@@ -13,19 +13,30 @@ visits every isomorphism class exactly once.  Three cuts keep that cheap:
    the parent, one level earlier: ``canonical_code_and_generators`` returns
    them with the code, on the canonical graph that the code rebuilds, and
    each level carries them to the next.  No parent is searched twice.
-3. A child g + uv is kept only when no edge of it has a larger degree pair
-   (smaller end's degree, larger end's degree) than uv, in the style of
-   McKay's canonical deletion (J. Algorithms 1998), and is skipped before
-   the detector and the canonical search otherwise.  Each class H is still
-   reached: delete an edge e of H whose pair is largest; H - e is free, so
-   its class P is a parent, and the orbit representative r of P's non-edge
-   that plays e gives P + r isomorphic to H by a map taking r to e, so r
-   carries e's degree pair and passes.  The pair is the same on a whole
-   orbit, so the filter and the orbit cut commute.
+3. In the style of McKay's canonical deletion (J. Algorithms 1998), a child
+   g + uv is kept only when no edge of it outranks uv, and is skipped
+   before the detector and the canonical search otherwise.  The rank of an
+   edge is its degree pair (smaller end's degree, larger end's degree),
+   ties broken by the sorted pair of its ends' neighbour-degree sums, all
+   taken in g + uv.  Any isomorphism-invariant total preorder on edges
+   would do: each class H is still reached.  Delete an edge e of H of top
+   rank; H - e is free, so its class P is a parent, and the orbit
+   representative r of P's non-edge that plays e gives P + r isomorphic to
+   H by a map taking r to e, so r carries e's rank and passes.  The rank is
+   the same on a whole orbit, so the filter and the orbit cut commute.
+   Let ``top`` be the largest t such that some edge of g has both ends of
+   degree at least t.  That edge outranks every non-edge with an end of
+   degree below top - 1, and automorphisms keep degrees, so the orbits are
+   walked only over the non-edges between vertices of degree top - 1 or
+   more.
+4. g is free, so g + uv is tested edge-locally: each pattern answers
+   whether adding uv creates it (``Clique`` looks for a smaller clique in
+   the common neighbourhood of u and v), and g + uv is built only for a
+   child that passes, for its canonical search.
 
 A level is a set of classes, so the filter only thins how often one class
 is found, never which classes are found.  The visit counter still counts
-every non-edge tried, which depends only on the class sets, never on the
+every non-edge, which depends only on the class sets, never on the
 orbits, the filter or worker scheduling, so records compare equal across
 any worker count.
 
@@ -44,7 +55,6 @@ non-isomorphic graphs, so comparing with one builder output would be wrong.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -99,15 +109,16 @@ def _check_cap(n: int) -> None:
 Generators = list[tuple[int, ...]]
 
 
-def _orbit_representatives(g: Graph, generators: Generators) -> Iterator[tuple[int, int]]:
-    """First non-edge (u < v, in row order) of each orbit of non-edges under
-    the group the generators generate."""
-    n = g.n
-    seen = [0] * n  # seen[u] bit v: non-edge u-v lies in an orbit already yielded
-    for u in range(n):
-        row = g.rows[u]
-        for v in range(u + 1, n):
-            if row >> v & 1 or seen[u] >> v & 1:
+def _orbit_representatives(
+    g: Graph, generators: Generators, within: int
+) -> Iterator[tuple[int, int]]:
+    """First non-edge (u < v, in row order) of each orbit of non-edges with
+    both ends in the mask ``within``, under the group the generators
+    generate, which must map ``within`` onto itself."""
+    seen = [0] * g.n  # seen[u] bit v: non-edge u-v lies in an orbit already yielded
+    for u in bits(within):
+        for v in bits(within & ~g.rows[u] >> u + 1 << u + 1):
+            if seen[u] >> v & 1:
                 continue
             yield u, v
             seen[u] |= 1 << v
@@ -123,18 +134,25 @@ def _orbit_representatives(g: Graph, generators: Generators) -> Iterator[tuple[i
                         stack.append((x, y))
 
 
-def _outranked(rows: tuple[int, ...], at_least: list[int], u: int, v: int) -> bool:
-    """Has some edge of g + uv a larger (smaller end, larger end) degree pair
-    than uv, degrees taken in g + uv?  ``rows`` are g's; ``at_least[t]`` is
-    the mask of g's vertices of degree at least t, for t = 0..n."""
-    p, q = sorted((rows[u].bit_count() + 1, rows[v].bit_count() + 1))
+def _outranked(
+    rows: tuple[int, ...], at_least: list[int], sums: list[int], u: int, v: int
+) -> bool:
+    """Has some edge of g + uv a larger rank than uv, degrees taken in g + uv?
+
+    The rank is the (smaller end, larger end) degree pair, ties broken by
+    the sorted pair of the ends' neighbour-degree sums.  ``rows`` are g's;
+    ``at_least[t]`` is the mask of g's vertices of degree at least t, for
+    t = 0..n, and ``sums[x]`` the sum of the degrees of x's neighbours in g.
+    """
+    du, dv = rows[u].bit_count(), rows[v].bit_count()
+    p, q = sorted((du + 1, dv + 1))
     uv = 1 << u | 1 << v
     # vertices of degree >= p, > p and > q in g + uv
     mid = at_least[p] | uv & at_least[p - 1]
     high = at_least[p + 1] | uv & at_least[p]
     top = at_least[q + 1] | uv & at_least[q]
-    # an edge outranks uv when both ends lie in `high`, or one end lies in
-    # `top` and the other in `mid`; `top` lies inside `high`
+    # an edge outranks uv on degrees when both ends lie in `high`, or one end
+    # lies in `top` and the other in `mid`; `top` lies inside `high`
     rest = high
     while rest:
         low = rest & -rest
@@ -142,6 +160,26 @@ def _outranked(rows: tuple[int, ...], at_least: list[int], u: int, v: int) -> bo
         a = low.bit_length() - 1
         if rows[a] & (mid if top & low else high):
             return True
+    # the edges that tie uv on degrees join a degree-p end to a degree-q end;
+    # in g + uv a neighbour-degree sum gains one per neighbour in uv, and
+    # u's (v's) gains v's (u's) degree
+    gain = {u: dv + 1, v: du + 1}
+    key = sorted((sums[u] + gain[u], sums[v] + gain[v]))
+    q_end = (at_least[q] | uv & at_least[q - 1]) & ~top
+    rest = mid & ~high
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        ends = rows[a] & q_end
+        if ends:
+            sum_a = sums[a] + (rows[a] & uv).bit_count() + gain.get(a, 0)
+        while ends:
+            end = ends & -ends
+            ends ^= end
+            b = end.bit_length() - 1
+            if sorted((sum_a, sums[b] + (rows[b] & uv).bit_count() + gain.get(b, 0))) > key:
+                return True
     return False
 
 
@@ -154,8 +192,8 @@ def _expand_codes(
     with automorphism generators of ``graph_from_code(n, code)``; returns
     the same for the successors, plus the number of augmentations
     attempted, which counts every non-edge.  Only the first non-edge of each
-    orbit, and only one that no edge of the child outranks by degree pair,
-    is checked and canonicalized.
+    orbit, and only one that no edge of the child outranks, is checked and
+    canonicalized.
     """
     n, family_spec, parents = args
     family = ForbiddenFamily.parse(family_spec)
@@ -163,19 +201,25 @@ def _expand_codes(
     visited = 0
     for code, generators in parents:
         g = graph_from_code(n, code)
+        rows = g.rows
         visited += n * (n - 1) // 2 - g.edge_count
+        degrees = [row.bit_count() for row in rows]
         at_least = [0] * (n + 1)
-        for x, row in enumerate(g.rows):
-            at_least[row.bit_count()] |= 1 << x
+        for x, d in enumerate(degrees):
+            at_least[d] |= 1 << x
         for t in range(n - 1, -1, -1):
             at_least[t] |= at_least[t + 1]
-        for u, v in _orbit_representatives(g, generators):
-            if _outranked(g.rows, at_least, u, v):
+        sums = [sum(degrees[y] for y in bits(row)) for row in rows]
+        # an edge with both ends of degree >= top outranks every non-edge
+        # with an end of degree < top - 1
+        top = n
+        while top and not any(rows[a] & at_least[top] for a in bits(at_least[top])):
+            top -= 1
+        for u, v in _orbit_representatives(g, generators, at_least[max(top - 1, 0)]):
+            if _outranked(rows, at_least, sums, u, v) or not is_family_free(g, family, (u, v)):
                 continue
-            h = g.add_edge(u, v)
-            if is_family_free(h, family):
-                child, child_generators = canonical_code_and_generators(h)
-                out.setdefault(child, child_generators)
+            child, child_generators = canonical_code_and_generators(g.add_edge(u, v))
+            out.setdefault(child, child_generators)
     return out, visited
 
 
@@ -189,7 +233,11 @@ def _levels(
     parents = [canonical_code_and_generators(seed)]
     yield 0, (parents[0][0],), 0
     spec = family.spec()
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip its import
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         level = 0
         while parents:

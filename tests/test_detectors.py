@@ -13,7 +13,6 @@ from turanstar import (
     contains_clique,
     contains_star_forest,
     empty_graph,
-    independence_number,
     is_family_free,
     join,
     max_clique_size,
@@ -66,13 +65,6 @@ def test_max_matching_fixed():
         [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 6), (6, 7)],
     )
     assert max_matching_size(g) == ref_max_matching(g)
-
-
-def test_independence_number_fixed():
-    assert independence_number(empty_graph(4)) == 4
-    assert independence_number(turan_graph(9, 3)) == 3
-    assert independence_number(cycle(5)) == 2
-    assert independence_number(complete_bipartite(3, 4)) == 4
 
 
 def test_contains_star_forest_fixed():
@@ -198,6 +190,46 @@ def test_family_free_random_cross_check():
             assert is_family_free(g, fam) == ref_is_free(g, fam)
             for pat in fam.patterns:
                 assert pat.occurs_in(g) == (not ref_is_free(g, ForbiddenFamily((pat,))))
+
+
+EDGE_LOCAL_PATTERNS = (
+    [Clique(r) for r in range(2, 6)]
+    + [Matching(s) for s in range(1, 5)]
+    + [StarForest(c, l) for c in range(1, 4) for l in range(1, 4)]
+)
+
+
+def _free_graphs(pattern):
+    """The pattern-free atlas graphs on up to six vertices, then seeded
+    random graphs on up to ten vertices stripped of random edges until free."""
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), h.edges())
+        if not pattern.occurs_in(g):
+            yield g
+    rng = random.Random(127)
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(7, 11), rng.choice([0.3, 0.5, 0.7]))
+        while pattern.occurs_in(g):
+            g = g.remove_edge(*rng.choice(g.edges()))
+        yield g
+
+
+@pytest.mark.parametrize("pattern", EDGE_LOCAL_PATTERNS, ids=lambda p: p.spec())
+def test_edge_local_answer_matches_adding_the_edge(pattern):
+    for g in _free_graphs(pattern):
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    want = pattern.occurs_in(g.add_edge(u, v))
+                    assert pattern.occurs_with_edge(g, u, v) == want, (g.n, g.edges(), u, v)
+
+
+def test_family_free_with_an_added_edge_asks_about_the_child():
+    family = ForbiddenFamily((Clique(4), StarForest(2, 3)))
+    for g in _free_graphs(family.patterns[0]):
+        if is_family_free(g, family):
+            for u, v in g.complement().edges():
+                assert is_family_free(g, family, (u, v)) == is_family_free(g.add_edge(u, v), family)
 
 
 def test_star_forest_large_sparse_absence():

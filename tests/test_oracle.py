@@ -123,15 +123,19 @@ def test_all_graph_counts_match_oeis():
     assert got == want
 
 
-@pytest.mark.parametrize("spec", ["clique:3", "starforest:2x2", "clique:3,matching:3", "clique:9"])
+@pytest.mark.parametrize(
+    "spec",
+    ["clique:2", "clique:3", "clique:4", "starforest:2x2", "clique:3,matching:3", "clique:4,starforest:2x3", "clique:9"],
+)
 def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
     # a whole level, each parent carrying the generators its own search
     # found a level earlier, reaches every class of the next level; the
     # degree-pair filter only thins how often each one is reached
     family = ForbiddenFamily.parse(spec)
     # clique:9 admits every graph: its n = 8 levels (12,346 classes) are
-    # stood in for by 40 seeded random graphs of each edge count
-    n_full = 7 if spec == "clique:9" else 8
+    # stood in for by 40 seeded random graphs of each edge count; clique:4
+    # has 6,431 classes at n = 8 and stops at n = 7
+    n_full = 7 if spec in ("clique:9", "clique:4") else 8
     for n in range(1, n_full + 1):
         parents = [canonical_code_and_generators(empty_graph(n))]
         level = 0
@@ -157,6 +161,22 @@ def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
 def test_levels_agree_on_one_and_two_workers(spec):
     family = ForbiddenFamily.parse(spec)
     assert list(_levels(9, family, jobs=1)) == list(_levels(9, family, jobs=2))
+
+
+def test_canonical_searches_at_n9(monkeypatch):
+    # the count is deterministic and needs no worker, so a weaker screen of
+    # the children ahead of the canonical search fails here
+    searches = 0
+
+    def counted(g):
+        nonlocal searches
+        searches += 1
+        return canonical_code_and_generators(g)
+
+    monkeypatch.setattr(oracle, "canonical_code_and_generators", counted)
+    record = brute_force_ex(9, K3)
+    assert (record.ex_value, record.graphs_visited) == (20, 47860)
+    assert searches == 2089
 
 
 def test_visited_count_at_n9_on_one_and_two_workers():
