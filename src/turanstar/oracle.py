@@ -29,10 +29,10 @@ visits every isomorphism class exactly once.  Four cuts keep that cheap:
    degree below top - 1, and automorphisms keep degrees, so the orbits are
    walked only over the non-edges between vertices of degree top - 1 or
    more.
-4. g is free, so g + uv is tested edge-locally: each pattern answers
-   whether adding uv creates it (``Clique`` looks for a smaller clique in
-   the common neighbourhood of u and v), and g + uv is built only for a
-   child that passes, for its canonical search.
+4. g is free, so each pattern is asked only whether adding uv creates it.
+   ``Clique(r)`` looks for a K_{r-2} in the common neighbourhood of u and
+   v without building g + uv; the other patterns still build it.  The
+   oracle builds g + uv only for a child that passes, for its search.
 
 A level is a set of classes, so the filter only thins how often one class
 is found, never which classes are found.  The visit counter still counts

@@ -130,7 +130,7 @@ def test_all_graph_counts_match_oeis():
 def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
     # a whole level, each parent carrying the generators its own search
     # found a level earlier, reaches every class of the next level; the
-    # degree-pair filter only thins how often each one is reached
+    # rank filter only thins how often each one is reached
     family = ForbiddenFamily.parse(spec)
     # clique:9 admits every graph: its n = 8 levels (12,346 classes) are
     # stood in for by 40 seeded random graphs of each edge count; clique:4
