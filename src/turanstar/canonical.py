@@ -12,12 +12,15 @@ isomorphic.  The labeling is found the classical way:
    split off, since counts into every other cell are already constant on
    each cell; the sub-cells come out in the order that counting against
    every cell gives.  Refinement is deterministic, so it is
-   isomorphism-equivariant.
+   isomorphism-equivariant.  A cell is an int vertex mask, its vertices
+   taken in ascending order; every cell of an ordered partition refined
+   from the ascending root lists its vertices in that order anyway, so
+   masks change no code and no labeling.
 2. While some cell has two or more vertices, individualize each candidate
-   vertex of the first such cell in turn and recurse.  Every discrete
-   partition reached encodes one adjacency bit string: the upper triangle
-   row by row, first bit most significant.  The minimum over all of them
-   is the canonical code.
+   vertex of the first such cell in ascending order and recurse.  Every
+   discrete partition reached encodes one adjacency bit string: the upper
+   triangle row by row, first bit most significant.  The minimum over all
+   of them is the canonical code.
 3. Twins, two vertices whose neighborhoods agree apart from each other,
    swap under an automorphism that fixes every other vertex, and so the
    current prefix.  Only the first vertex of each twin class in a cell is
@@ -43,15 +46,13 @@ CANONICAL_MAX_N vertices, which is all the exhaustive search scale needs.
 from __future__ import annotations
 
 from .graph6 import graph6_encode
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits
 
 CANONICAL_MAX_N = 16
 
-_Cells = list[tuple[int, ...]]
 
-
-def _refine(rows: tuple[int, ...], cells: _Cells, splitters: list[int]) -> _Cells:
-    """Equitable refinement of an ordered partition.
+def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Equitable refinement of an ordered partition of vertex masks.
 
     Each cell is split by the tuple of its vertices' neighbor counts into
     the ``splitters``, masks of cells in partition order; sub-cells are
@@ -66,32 +67,52 @@ def _refine(rows: tuple[int, ...], cells: _Cells, splitters: list[int]) -> _Cell
     the dropped entry is the last of its block, so the signatures order the
     sub-cells exactly as signatures against every cell would, and the input
     cell order is preserved for unsplit cells.
+
+    Cells are vertex masks, read in ascending vertex order.  A split, and
+    an individualization in the search, keeps the relative order of the
+    vertices it leaves together, and the root cell is ascending, so a cell
+    kept as an ordered vertex list would be ascending too: masks give the
+    same partitions, the same branching order, and so the same codes and
+    labelings.  A split against one vertex is two ANDs with its row.
     """
     while splitters:
-        out: _Cells = []
+        out: list[int] = []
         split: list[int] = []
+        if len(splitters) == 1 and not splitters[0] & splitters[0] - 1:
+            # one vertex w, the common case below the root: count 0 (off
+            # w's row) orders before count 1 (on it)
+            row = rows[splitters[0].bit_length() - 1]
+            for cell in cells:
+                off = cell & ~row
+                if off and off != cell:
+                    out += (off, cell & row)
+                    split.append(off)
+                else:
+                    out.append(cell)
+            cells, splitters = out, split
+            continue
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & cell - 1:
                 out.append(cell)
                 continue
-            # one splitter, the common case below the root: a bare count
-            # orders like its 1-tuple and saves a tuple per vertex
-            groups: dict[int | tuple[int, ...], list[int]] = {}
-            if len(splitters) == 1:
-                m = splitters[0]
-                for v in cell:
-                    groups.setdefault((rows[v] & m).bit_count(), []).append(v)
-            else:
-                for v in cell:
-                    row = rows[v]
-                    sig = tuple([(row & m).bit_count() for m in splitters])
-                    groups.setdefault(sig, []).append(v)
+            # counts stay below 32 (CANONICAL_MAX_N is 16), so 5 bits a
+            # count pack the signature into an int that orders like its tuple
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = rows[low.bit_length() - 1]
+                sig = 0
+                for m in splitters:
+                    sig = sig << 5 | (row & m).bit_count()
+                groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 out.append(cell)
                 continue
-            subs = [tuple(groups[sig]) for sig in sorted(groups)]
+            subs = [groups[sig] for sig in sorted(groups)]
             out += subs
-            split += [mask_of(c) for c in subs[:-1]]
+            split += subs[:-1]
         cells, splitters = out, split
     return cells
 
@@ -140,12 +161,12 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
                     return True
         return False
 
-    def walk(cells: _Cells, prefix: list[int], splitters: list[int]) -> None:
+    def walk(cells: list[int], prefix: list[int], splitters: list[int]) -> None:
         nonlocal best_code, best_perm
         cells = _refine(rows, cells, splitters)
-        split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        split_at = next((i for i, c in enumerate(cells) if c & c - 1), None)
         if split_at is None:
-            perm = tuple(c[0] for c in cells)
+            perm = tuple([c.bit_length() - 1 for c in cells])
             code = encode(perm)
             if best_code is None or code < best_code:
                 best_code = code
@@ -162,22 +183,21 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
         cell = cells[split_at]
         branched: list[int] = []
         twins_seen: set[int] = set()
-        for v in cell:
+        for v in bits(cell):
             if twin[v] in twins_seen:
                 continue
             twins_seen.add(twin[v])
             if skippable(v, branched, prefix):
                 continue
             branched.append(v)
-            rest = tuple(x for x in cell if x != v)
-            child = cells[:split_at] + [(v,), rest] + cells[split_at + 1 :]
+            child = cells[:split_at] + [1 << v, cell ^ 1 << v] + cells[split_at + 1 :]
             prefix.append(v)
             walk(child, prefix, [1 << v])
             prefix.pop()
 
     if not n:
         return 0, best_perm, []
-    walk([tuple(range(n))], [], [(1 << n) - 1])
+    walk([(1 << n) - 1], [], [(1 << n) - 1])
     # twin swaps are automorphisms the search skipped without recording
     swaps = []
     for v, w in enumerate(twin):

@@ -10,7 +10,8 @@ contains none of them as a subgraph.  Three pattern kinds appear:
 
 Each pattern validates its own arguments, gives its text form through
 ``spec()``, answers ``occurs_in(g)`` with its detector, and answers
-``occurs_with_edge(g, u, v)`` about g + uv for a g free of it.  All
+``occurs_with_edge(g, u, v)`` about g + uv for a g free of it; a clique
+also answers for every v at once through ``edge_mask(g, u)``.  All
 detectors are exact.  The test suite cross-checks their verdicts against
 plain exhaustive search, and the matching detector also against networkx.
 """
@@ -27,8 +28,10 @@ from .graphs import Graph, bits
 @dataclass(frozen=True, order=True)
 class Clique:
     """K_size.  When g is free of it, g + uv contains it exactly when the
-    common neighbourhood of u and v in g holds a K_{size-2}: for size 3 that
-    is ``rows[u] & rows[v] != 0``, and size 2 is always there."""
+    common neighbourhood of u and v in g holds a K_{size-2}, that is, when
+    v is a common neighbour of some K_{size-2} inside u's neighbourhood.
+    ``edge_mask`` gathers those v for one u at a time: for size 3 it is the
+    union of the rows of u's neighbours, and for size 2 every vertex."""
 
     size: int
 
@@ -43,7 +46,13 @@ class Clique:
         return contains_clique(g, self.size)
 
     def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
-        return _clique_within(g.rows, g.rows[u] & g.rows[v], self.size - 2)
+        return bool(self.edge_mask(g, u) >> v & 1)
+
+    def edge_mask(self, g: Graph, u: int) -> int:
+        """Mask whose bit v, for each non-neighbour v of u other than u, is
+        set exactly when g + uv contains the clique; g must be free of it.
+        The bits of u and its neighbours mean nothing."""
+        return _clique_reach(g.rows, g.rows[u], (1 << g.n) - 1, self.size - 2)
 
 
 @dataclass(frozen=True, order=True)
@@ -156,16 +165,24 @@ def contains_clique(g: Graph, size: int) -> bool:
     return max_clique_size(g, stop_at=size) >= size
 
 
-def _clique_within(rows: tuple[int, ...], mask: int, size: int) -> bool:
-    """Do the vertices of ``mask`` hold a clique on ``size`` vertices?"""
-    if size <= 1:
-        return size < 1 or mask != 0
-    while mask.bit_count() >= size:
-        low = mask & -mask
-        mask ^= low
-        if _clique_within(rows, mask & rows[low.bit_length() - 1], size - 1):
-            return True
-    return False
+def _clique_reach(rows: tuple[int, ...], within: int, common: int, size: int) -> int:
+    """Union, over the cliques on ``size`` vertices inside ``within``, of
+    ``common`` cut down to the clique's common neighbourhood."""
+    if size == 0:
+        return common
+    out = 0
+    if size == 1:
+        while within:
+            low = within & -within
+            within ^= low
+            out |= rows[low.bit_length() - 1]
+        return out & common
+    while within.bit_count() >= size:
+        low = within & -within
+        within ^= low
+        row = rows[low.bit_length() - 1]
+        out |= _clique_reach(rows, within & row, common & row, size - 1)
+    return out
 
 
 def max_clique_size(g: Graph, *, stop_at: int | None = None) -> int:

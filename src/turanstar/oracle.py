@@ -30,9 +30,25 @@ visits every isomorphism class exactly once.  Four cuts keep that cheap:
    walked only over the non-edges between vertices of degree top - 1 or
    more.
 4. g is free, so each pattern is asked only whether adding uv creates it.
-   ``Clique(r)`` looks for a K_{r-2} in the common neighbourhood of u and
-   v without building g + uv; the other patterns still build it.  The
-   oracle builds g + uv only for a child that passes, for its search.
+   Before the orbit walk, each ``Clique`` pattern gives, for every vertex
+   u of the degree window, the mask of vertices v for which g + uv holds
+   the clique (``Clique.edge_mask``); the walk covers only the candidate
+   pairs, the window minus u's neighbours minus those masks.  The mask
+   must be exact.  Whether g + uv holds a clique depends only on the
+   isomorphism type of (g, u, v), so an exact mask is the same on a whole
+   orbit: the candidates are a union of orbits, and every orbit left is
+   walked from the same first non-edge as over the whole window.  A mask
+   that marked a free pair could drop a whole orbit, and with it a class.
+   One that missed blocked pairs unevenly could keep part of an orbit, so
+   the walk would start it from a later pair, and the rank tests, the
+   children searched and the generators each class keeps would change.
+   Every other pattern answers per pair and builds g + uv to do so.
+
+Per parent the screens run in this order: the degree window, the clique
+masks, the orbit walk, the rank test, the per-pair family check (which
+only matchings and star forests can still fail), and last the canonical
+search of g + uv, the only step that builds the child for a clique-only
+family.
 
 A level is a set of classes, so the filter only thins how often one class
 is found, never which classes are found.  The visit counter still counts
@@ -59,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .canonical import are_isomorphic, canonical_code_and_generators, graph_from_code
-from .detectors import ForbiddenFamily, contains_clique, is_family_free
+from .detectors import Clique, ForbiddenFamily, contains_clique, is_family_free
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph, induced_subgraph
@@ -110,14 +126,15 @@ Generators = list[tuple[int, ...]]
 
 
 def _orbit_representatives(
-    g: Graph, generators: Generators, within: int
+    g: Graph, generators: Generators, candidates: list[int]
 ) -> Iterator[tuple[int, int]]:
-    """First non-edge (u < v, in row order) of each orbit of non-edges with
-    both ends in the mask ``within``, under the group the generators
-    generate, which must map ``within`` onto itself."""
-    seen = [0] * g.n  # seen[u] bit v: non-edge u-v lies in an orbit already yielded
-    for u in bits(within):
-        for v in bits(within & ~g.rows[u] >> u + 1 << u + 1):
+    """First non-edge u-v (u < v, in row order) of each orbit of the
+    candidate pairs, bit v of ``candidates[u]``, under the group the
+    generators generate.  The candidates must be symmetric, non-edges and a
+    union of orbits."""
+    seen = [0] * g.n  # seen[u] bit v: pair u-v lies in an orbit already yielded
+    for u, mask in enumerate(candidates):
+        for v in bits(mask >> u + 1 << u + 1):
             if seen[u] >> v & 1:
                 continue
             yield u, v
@@ -191,12 +208,14 @@ def _expand_codes(
     Module level so process pools can pickle it.  Takes each parent's code
     with automorphism generators of ``graph_from_code(n, code)``; returns
     the same for the successors, plus the number of augmentations
-    attempted, which counts every non-edge.  Only the first non-edge of each
-    orbit, and only one that no edge of the child outranks, is checked and
+    attempted, which counts every non-edge.  Only the first candidate pair
+    of each orbit, in the degree window and outside every clique mask, and
+    only one that no edge of the child outranks, is checked and
     canonicalized.
     """
     n, family_spec, parents = args
     family = ForbiddenFamily.parse(family_spec)
+    cliques = [pat for pat in family.patterns if isinstance(pat, Clique)]
     out: dict[int, Generators] = {}
     visited = 0
     for code, generators in parents:
@@ -215,7 +234,15 @@ def _expand_codes(
         top = n
         while top and not any(rows[a] & at_least[top] for a in bits(at_least[top])):
             top -= 1
-        for u, v in _orbit_representatives(g, generators, at_least[max(top - 1, 0)]):
+        window = at_least[max(top - 1, 0)]
+        # exact clique masks keep the candidates a union of orbits
+        candidates = [0] * n
+        for u in bits(window):
+            blocked = rows[u]
+            for pat in cliques:
+                blocked |= pat.edge_mask(g, u)
+            candidates[u] = window & ~blocked
+        for u, v in _orbit_representatives(g, generators, candidates):
             if _outranked(rows, at_least, sums, u, v) or not is_family_free(g, family, (u, v)):
                 continue
             child, child_generators = canonical_code_and_generators(g.add_edge(u, v))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from turanstar import (
     CANONICAL_MAX_N,
     are_isomorphic,
+    bits,
     build_graph,
     complete_bipartite,
     disjoint_union,
@@ -19,6 +20,7 @@ from turanstar import (
     graph6_decode,
     graph6_encode,
     graph_from_code,
+    mask_of,
     turan_graph,
 )
 from turanstar import canonical
@@ -223,10 +225,21 @@ def test_generators_give_the_full_vertex_orbits_up_to_six_vertices():
         assert orbits(n, gens) == orbits(n, group), h.edges()
 
 
+def test_refinement_orders_large_counts_like_tuples():
+    # a pass packs one count per splitter into an int, which must order
+    # like the tuple of counts: vertex 0 sees (0, 9), vertex 1 sees (1, 0)
+    block = tuple(range(3, 12))
+    g = build_graph(16, [(0, v) for v in block] + [(1, 2)])
+    cells = [(0, 1), (2,), block, tuple(range(12, 16))]
+    got = canonical._refine(g.rows, [mask_of(c) for c in cells], [mask_of((2,)), mask_of(block)])
+    assert [tuple(bits(c)) for c in got] == ref_refine(g.rows, cells) == [(0,), (1,), *cells[1:]]
+
+
 def test_search_matches_refinement_against_every_cell(monkeypatch):
-    # refining only against the cells split in the previous pass must give
-    # the same partitions, so the same code and labelling, as counting
-    # neighbours in every cell on every pass
+    # refining only against the cells split in the previous pass, with
+    # cells as vertex masks, must give the same partitions, so the same
+    # code, labelling and automorphisms, as counting neighbours in every
+    # cell of a tuple partition on every pass
     rng = random.Random(41)
     shapes = [
         lambda: random_graph(rng, rng.randrange(0, 13), rng.uniform(0.1, 0.9)),
@@ -238,6 +251,10 @@ def test_search_matches_refinement_against_every_cell(monkeypatch):
         ),
     ]
     graphs = [_relabelled(rng.choice(shapes)(), rng) for _ in range(2000)]
-    fast = [canonical._search(g)[:2] for g in graphs]
-    monkeypatch.setattr(canonical, "_refine", lambda rows, cells, splitters: ref_refine(rows, cells))
-    assert [canonical._search(g)[:2] for g in graphs] == fast
+    fast = [canonical._search(g) for g in graphs]
+
+    def reference(rows, cells, splitters):
+        return [mask_of(c) for c in ref_refine(rows, [tuple(bits(c)) for c in cells])]
+
+    monkeypatch.setattr(canonical, "_refine", reference)
+    assert [canonical._search(g) for g in graphs] == fast

@@ -224,6 +224,20 @@ def test_edge_local_answer_matches_adding_the_edge(pattern):
                     assert pattern.occurs_with_edge(g, u, v) == want, (g.n, g.edges(), u, v)
 
 
+@pytest.mark.parametrize("size", range(2, 6))
+def test_clique_edge_mask_matches_adding_the_edge(size):
+    # the oracle drops every pair in the mask before its orbit walk, so the
+    # mask must be exact from either end of every non-edge
+    pattern = Clique(size)
+    for g in _free_graphs(pattern):
+        for u in range(g.n):
+            mask = pattern.edge_mask(g, u)
+            for v in range(g.n):
+                if v != u and not g.has_edge(u, v):
+                    want = pattern.occurs_in(g.add_edge(u, v))
+                    assert bool(mask >> v & 1) == want, (g.n, g.edges(), u, v)
+
+
 def test_family_free_with_an_added_edge_asks_about_the_child():
     family = ForbiddenFamily((Clique(4), StarForest(2, 3)))
     for g in _free_graphs(family.patterns[0]):

@@ -179,6 +179,28 @@ def test_canonical_searches_at_n9(monkeypatch):
     assert searches == 2089
 
 
+@pytest.mark.parametrize("spec,ex_visited,ranked", [
+    ("clique:3", (20, 47860), 5262),
+    ("clique:3,starforest:2x3", (15, 23044), 3070),
+])
+def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
+    # the clique mask drops blocked pairs before the orbit walk and the rank
+    # test; an exact mask makes the count follow from the class sets alone,
+    # and without it the counts are 17,407 and 7,785
+    tests = 0
+    outranked = oracle._outranked
+
+    def counted(*args):
+        nonlocal tests
+        tests += 1
+        return outranked(*args)
+
+    monkeypatch.setattr(oracle, "_outranked", counted)
+    record = brute_force_ex(9, ForbiddenFamily.parse(spec))
+    assert (record.ex_value, record.graphs_visited) == ex_visited
+    assert tests == ranked
+
+
 def test_visited_count_at_n9_on_one_and_two_workers():
     # every non-edge of every triangle-free class on 9 vertices, not one per orbit
     for jobs in (1, 2):
