@@ -12,7 +12,9 @@ isomorphic.  The labeling is found the classical way:
    split off, since counts into every other cell are already constant on
    each cell; the sub-cells come out in the order that counting against
    every cell gives.  Refinement is deterministic, so it is
-   isomorphism-equivariant.  A cell is an int vertex mask, its vertices
+   isomorphism-equivariant.  The root pass orders cells by degree, so the
+   isolated vertices take the first positions of every labeling, and the
+   exhaustive search relies on it to read them off a code.  A cell is an int vertex mask, its vertices
    taken in ascending order; every cell of an ordered partition refined
    from the ascending root lists its vertices in that order anyway, so
    masks change no code and no labeling.

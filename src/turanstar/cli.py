@@ -25,7 +25,7 @@ from .detectors import ForbiddenFamily
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
 from .harness import (
-    PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, fetch_record, run_suite
+    PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, fetch_records, run_suite
 )
 
 
@@ -158,7 +158,7 @@ def oracle(n, family, jobs, cache):
     fam = _parse_family(family)
     store = ResultCache(cache) if cache else None
     try:
-        record = fetch_record(n, fam, store, jobs)
+        record = fetch_records((n,), fam, store, jobs)[n]
     except ValueError as err:
         raise _usage(err)
     click.echo(json.dumps(record.to_json_dict()))

@@ -21,7 +21,7 @@ import io
 import json
 import logging
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -48,7 +48,7 @@ from .formulas import (
     extremal_family_edges,
 )
 from .graphs import Graph, disjoint_union, empty_graph
-from .oracle import ORACLE_MAX_N, ExtremalRecord, brute_force_ex
+from .oracle import ORACLE_MAX_N, ExtremalRecord, extremal_records
 
 TOOL_VERSION = "0.1.0"
 CSV_SCHEMA = "n,k,s,l,formula,construction,oracle,free,status"
@@ -146,29 +146,39 @@ class _OracleMeter:
     graphs_visited: int = 0
 
 
-def fetch_record(
-    n: int,
+def fetch_records(
+    ns: Iterable[int],
     family: ForbiddenFamily,
     cache: ResultCache | None,
     jobs: int,
     meter: _OracleMeter | None = None,
-) -> ExtremalRecord:
-    """The cached record for (n, family), or a fresh search appended to the cache.
+) -> dict[int, ExtremalRecord]:
+    """The record for each n in ns: cached, or derived from one fresh search.
 
-    A hit reports the lookup's own time as ``elapsed``, not the stored run's.
+    Each n is looked up once; the misses come from one ``extremal_records``
+    enumeration at the largest of them, are appended to the cache in
+    ascending n and count as one fresh run each.  Every record from that
+    enumeration carries its seconds as ``elapsed``.  A hit still reports
+    its own lookup's time as ``elapsed``, not the stored run's.
     """
-    if cache is not None:
-        start = time.perf_counter()
-        hit = cache.lookup(n, family)
-        if hit is not None:
-            return replace(hit, elapsed=time.perf_counter() - start)
-    record = brute_force_ex(n, family, jobs=jobs)
-    if meter is not None:
-        meter.fresh_runs += 1
-        meter.graphs_visited += record.graphs_visited
-    if cache is not None:
-        cache.append(record)
-    return record
+    records: dict[int, ExtremalRecord] = {}
+    misses = []
+    for n in sorted(set(ns)):
+        if cache is not None:
+            start = time.perf_counter()
+            hit = cache.lookup(n, family)
+            if hit is not None:
+                records[n] = replace(hit, elapsed=time.perf_counter() - start)
+                continue
+        misses.append(n)
+    for n, record in extremal_records(misses, family, jobs).items():
+        if meter is not None:
+            meter.fresh_runs += 1
+            meter.graphs_visited += record.graphs_visited
+        if cache is not None:
+            cache.append(record)
+        records[n] = record
+    return dict(sorted(records.items()))
 
 
 def _finish(
@@ -342,8 +352,8 @@ def _suite_star_turan(grid: dict, meter: _OracleMeter, jobs: int, cache) -> Suit
     rows = []
     for degree in degrees:
         family = PROBLEMS["star"].family(degree)
-        for n in range(degree * degree + 2, n_max + 1):
-            record = fetch_record(n, family, cache, jobs, meter)
+        records = fetch_records(range(degree * degree + 2, n_max + 1), family, cache, jobs, meter)
+        for n, record in records.items():
             rows.append(_checked_row("star", n, record, l=degree))
     return _finish("star-turan", rows, meter)
 
@@ -356,8 +366,8 @@ def _suite_clique_matching(grid: dict, meter: _OracleMeter, jobs: int, cache) ->
     rows = []
     for k, s in pairs:
         family = PROBLEMS["clique-matching"].family(k, s)
-        for n in range(2 * s + 1, n_max + 1):
-            record = fetch_record(n, family, cache, jobs, meter)
+        records = fetch_records(range(2 * s + 1, n_max + 1), family, cache, jobs, meter)
+        for n, record in records.items():
             rows.append(_checked_row("clique-matching", n, record, k=k, s=s))
     return _finish("clique-matching", rows, meter)
 
@@ -443,8 +453,8 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
         bound = exploration_threshold(s, l)
         reason = f"divergence below unproven threshold, exploratory bound n>={bound}"
         family = problem.family(s, l)
-        for n in range(s + 2, oracle_n_max + 1):
-            record = fetch_record(n, family, cache, jobs, meter)
+        records = fetch_records(range(s + 2, oracle_n_max + 1), family, cache, jobs, meter)
+        for n, record in records.items():
             rows.append(_explored_row("triangle-star-forest", n, record, reason, k=2, s=s, l=l))
     return _finish("triangle-star-forest", rows, meter)
 
@@ -465,8 +475,8 @@ def _suite_boundary_sweep(grid: dict, meter: _OracleMeter, jobs: int, cache) -> 
     family = problem.family(*args)
     rows = []
     agreement = None
-    for n in range(s + 2, n_max + 1):
-        record = fetch_record(n, family, cache, jobs, meter)
+    records = fetch_records(range(s + 2, n_max + 1), family, cache, jobs, meter)
+    for n, record in records.items():
         candidates = []
         for build in problem.builders(n, *args):
             try:

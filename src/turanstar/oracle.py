@@ -62,6 +62,23 @@ and return the codes and generators of its kept free children.  graph6
 appears only at output, in the sorted canonical strings of
 ``ExtremalRecord.extremal_graphs``.
 
+One enumeration serves every n up to the n it runs at.  No pattern has an
+isolated vertex (a clique has two or more vertices, a matching one or more
+edges, every star one or more leaves), so a graph H on n vertices is free
+exactly when H plus N - n isolated vertices is, and padding is a bijection
+from the classes on n vertices onto the classes on N vertices with at least
+N - n isolated vertices.  The canonical search puts the isolated vertices
+first: refinement orders the degree-0 cell first, and individualizing keeps
+it in front.  So a class on N vertices has at least N - n isolated vertices
+exactly when its code is below 2^C(n,2), and since each level's codes are
+sorted those classes are a prefix of the level, found by bisection, with no
+class decoded.  Their low C(n,2) bits are the adjacency of the n vertices
+left once the padding is stripped.  For each n, ex is the top level with
+such a class, and the visit count is the sum of C(n,2) - e over them, as a
+run at n expands each of its classes exactly once and tries every non-edge.
+Only the extremal classes of an n below N are searched again, on n
+vertices, to give the graph6 strings a run at n would give.
+
 Membership in a join family is checked by edge count, then by a search over
 splits into five parts: two core parts, each free to face either side of the
 rest, those two sides and a leftover vertex.  The families hold many
@@ -71,10 +88,17 @@ non-isomorphic graphs, so comparing with one builder output would be wrong.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import are_isomorphic, canonical_code_and_generators, graph_from_code
+from .canonical import (
+    are_isomorphic,
+    canonical_code_and_generators,
+    canonical_form,
+    graph_from_code,
+)
 from .detectors import Clique, ForbiddenFamily, contains_clique, is_family_free
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
@@ -302,29 +326,63 @@ def enumerate_free_graphs(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
             yield graph_from_code(n, code)
 
 
-def brute_force_ex(n: int, family: ForbiddenFamily, jobs: int = 1) -> ExtremalRecord:
-    """Exact extremal edge count and all extremal classes, by exhaustion."""
-    _check_cap(n)
+def extremal_records(
+    ns: Iterable[int], family: ForbiddenFamily, jobs: int = 1
+) -> dict[int, ExtremalRecord]:
+    """Exact extremal records for every n in ns, by one exhaustion at the largest.
+
+    Each record equals the one a separate run at its n gives; all share the
+    one enumeration's seconds as ``elapsed``.  Keys are the distinct ns in
+    ascending order.  Every n is checked against the cap before any search.
+    """
+    wanted = sorted(set(ns))
+    for n in wanted:
+        _check_cap(n)
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
+    if not wanted:
+        return {}
     start = time.perf_counter()
-    best_level = 0
-    best_codes: tuple[int, ...] = ()
-    total_visited = 0
-    for level, codes, visited in _levels(n, family, jobs):
-        total_visited += visited
-        if codes:
-            best_level, best_codes = level, codes
-    if not best_codes:
+    top = wanted[-1]
+    pairs = {n: n * (n - 1) // 2 for n in wanted}
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}
+    visited = dict.fromkeys(wanted, 0)
+    counted = 0
+    for level, codes, tried in _levels(top, family, jobs):
+        counted += tried
+        for n in wanted:
+            # classes with at least top - n isolated vertices: a sorted prefix
+            held = len(codes) if n == top else bisect_left(codes, 1 << pairs[n])
+            if held:
+                best[n] = level, codes[:held]
+                visited[n] += held * (pairs[n] - level)
+    if not best:
         raise AssertionError("empty graph should always be family-free")
-    return ExtremalRecord(
-        n=n,
-        family=family,
-        ex_value=best_level,
-        extremal_graphs=tuple(sorted(graph6_encode(graph_from_code(n, c)) for c in best_codes)),
-        graphs_visited=total_visited,
-        elapsed=time.perf_counter() - start,
-    )
+    if visited[top] != counted:
+        raise AssertionError(f"{counted} augmentations tried, {visited[top]} non-edges in the classes")
+    graphs = {}
+    for n, (level, codes) in best.items():
+        if n == top:
+            graphs[n] = sorted(graph6_encode(graph_from_code(n, c)) for c in codes)
+        else:  # strip the padding, then search again on n vertices
+            graphs[n] = sorted(canonical_form(graph_from_code(n, c)) for c in codes)
+    elapsed = time.perf_counter() - start
+    return {
+        n: ExtremalRecord(
+            n=n,
+            family=family,
+            ex_value=best[n][0],
+            extremal_graphs=tuple(graphs[n]),
+            graphs_visited=visited[n],
+            elapsed=elapsed,
+        )
+        for n in wanted
+    }
+
+
+def brute_force_ex(n: int, family: ForbiddenFamily, jobs: int = 1) -> ExtremalRecord:
+    """Exact extremal edge count and all extremal classes, by exhaustion."""
+    return extremal_records((n,), family, jobs)[n]
 
 
 def enumerate_extremal(n: int, family: ForbiddenFamily, jobs: int = 1) -> list[Graph]:

@@ -13,7 +13,7 @@ from turanstar import (
     graph6_decode,
     run_suite,
 )
-from turanstar import harness
+from turanstar import harness, oracle
 from turanstar.cli import main
 from turanstar.constructions import (
     capped_bipartite,
@@ -32,7 +32,7 @@ from turanstar.formulas import (
     ex_triangle_star_forest,
 )
 from turanstar.graph6 import graph6_encode
-from turanstar.harness import CSV_SCHEMA, MATCH, emit_report, fetch_record
+from turanstar.harness import CSV_SCHEMA, MATCH, emit_report, fetch_records
 
 
 FAST_GRIDS = {
@@ -428,9 +428,47 @@ def test_cache_hit_reports_lookup_time(tmp_path):
     path = tmp_path / "cache.jsonl"
     rec = brute_force_ex(5, fam("clique:3"))
     ResultCache(path).append(dataclasses.replace(rec, elapsed=1e6))
-    hit = fetch_record(5, fam("clique:3"), ResultCache(path), jobs=1)
+    hit = fetch_records((5,), fam("clique:3"), ResultCache(path), jobs=1)[5]
     assert hit == rec
     assert hit.elapsed < 1
+
+
+def test_partly_filled_cache_runs_one_enumeration_for_the_misses(tmp_path, monkeypatch):
+    family = fam("clique:3,starforest:2x2")
+    path = tmp_path / "cache.jsonl"
+    planted = {n: dataclasses.replace(brute_force_ex(n, family), graphs_visited=12345) for n in (5, 8)}
+    cache = ResultCache(path)
+    for n in (8, 5):
+        cache.append(planted[n])
+    sizes, lookups = [], []
+    levels, lookup = oracle._levels, ResultCache.lookup
+
+    def counted_levels(n, family, jobs):
+        sizes.append(n)
+        return levels(n, family, jobs)
+
+    def counted_lookup(self, n, family):
+        lookups.append(n)
+        return lookup(self, n, family)
+
+    monkeypatch.setattr(oracle, "_levels", counted_levels)
+    monkeypatch.setattr(ResultCache, "lookup", counted_lookup)
+    meter = harness._OracleMeter()
+    records = fetch_records(range(3, 9), family, cache, jobs=1, meter=meter)
+    assert sorted(lookups) == list(range(3, 9))
+    assert sizes == [7]  # the largest miss; the hit at 8 is not searched again
+    assert list(records) == list(range(3, 9))
+    for n in (5, 8):  # hits come back as stored, not recomputed
+        assert records[n].graphs_visited == 12345
+    misses = (3, 4, 6, 7)
+    monkeypatch.setattr(oracle, "_levels", levels)
+    separate = {n: brute_force_ex(n, family) for n in misses}
+    assert {n: records[n] for n in misses} == separate
+    assert meter.fresh_runs == 4
+    assert meter.graphs_visited == sum(r.graphs_visited for r in separate.values())
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["n"] for line in lines] == [8, 5, 3, 4, 6, 7]
+    assert all(ResultCache(path).lookup(n, family) == records[n] for n in range(3, 9))
 
 
 def test_cli_oracle_rejects_oversized():

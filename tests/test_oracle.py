@@ -26,6 +26,7 @@ from turanstar import (
     empty_graph,
     enumerate_extremal,
     enumerate_free_graphs,
+    extremal_records,
     family_membership,
     graph6_decode,
     graph_from_code,
@@ -38,7 +39,7 @@ from turanstar import oracle
 from turanstar.canonical import canonical_code_and_generators
 from turanstar.oracle import _expand_codes, _levels
 
-from _reference import ref_ex, ref_expand_codes, ref_family_membership, ref_is_free
+from _reference import random_graph, ref_ex, ref_expand_codes, ref_family_membership, ref_is_free
 
 K3 = ForbiddenFamily((Clique(3),))
 
@@ -306,6 +307,99 @@ def test_visited_counter_is_positive_and_stable():
     a = brute_force_ex(6, K3)
     b = brute_force_ex(6, K3, jobs=3)
     assert a.graphs_visited == b.graphs_visited > 0
+
+
+# ---------------------------------------------------------------------------
+# one enumeration at the largest n serves every smaller n
+
+PATTERNS = (
+    Clique(2), Clique(3), Clique(4),
+    Matching(1), Matching(2), Matching(3),
+    StarForest(1, 1), StarForest(1, 3), StarForest(2, 2), StarForest(3, 2),
+)
+
+
+def test_an_isolated_vertex_never_makes_a_pattern():
+    # no pattern has an isolated vertex, so padding keeps freeness
+    atlas = [
+        build_graph(g.number_of_nodes(), list(g.edges()))
+        for g in nx.generators.atlas.graph_atlas_g()
+        if 1 <= g.number_of_nodes() <= 6
+    ]
+    rng = random.Random(17)
+    graphs = atlas + [random_graph(rng, n, p) for n in range(7, 11) for p in (0.2, 0.4, 0.6) for _ in range(10)]
+    for g in graphs:
+        padded = disjoint_union(g, empty_graph(1))
+        for pat in PATTERNS:
+            assert pat.occurs_in(g) == pat.occurs_in(padded), (pat, g.rows)
+
+
+def test_isolated_vertices_lead_the_canonical_code():
+    # the derivation finds the classes with at least N - n isolated vertices
+    # as the codes below 2^C(n,2), because the search labels them first
+    for spec in ("clique:3", "clique:3,starforest:2x3", "matching:3"):
+        for _, codes, _ in _levels(8, ForbiddenFamily.parse(spec), jobs=1):
+            for code in codes:
+                isolated = sum(1 for row in graph_from_code(8, code).rows if not row)
+                for n in range(9):
+                    assert (code < 1 << n * (n - 1) // 2) == (isolated >= 8 - n), (spec, code, n)
+
+
+@pytest.mark.parametrize("spec,low", [
+    ("clique:3", 3),
+    ("clique:3,starforest:2x3", 3),
+    ("starforest:1x3", 0),
+    ("clique:4,matching:3", 5),
+    ("clique:3,matching:2", 1),
+])
+def test_shared_records_equal_separate_runs(spec, low):
+    family = ForbiddenFamily.parse(spec)
+    separate = {n: brute_force_ex(n, family) for n in range(low, 10)}
+    for jobs in (1, 2):
+        shared = extremal_records(range(low, 10), family, jobs=jobs)
+        assert list(shared) == list(separate), jobs
+        assert shared == separate, jobs
+        assert len({record.elapsed for record in shared.values()}) == 1, jobs
+
+
+def test_shared_ex_values_match_the_reference():
+    for spec in ("clique:3", "clique:3,starforest:2x2", "clique:4,matching:2", "starforest:1x2", "matching:3"):
+        family = ForbiddenFamily.parse(spec)
+        records = extremal_records(range(7), family)
+        assert {n: r.ex_value for n, r in records.items()} == {n: ref_ex(n, family) for n in range(7)}, spec
+
+
+def test_shared_records_take_unsorted_duplicate_and_gapped_ns(monkeypatch):
+    sizes = []
+
+    def counted(n, family, jobs):
+        sizes.append(n)
+        return _levels(n, family, jobs)
+
+    monkeypatch.setattr(oracle, "_levels", counted)
+    family = ForbiddenFamily.parse("clique:3,starforest:2x2")
+    records = extremal_records([8, 0, 5, 1, 5, 8], family)
+    assert sizes == [8]
+    assert list(records) == [0, 1, 5, 8]
+    assert records == {n: brute_force_ex(n, family) for n in (0, 1, 5, 8)}
+    assert (records[0].ex_value, records[0].graphs_visited) == (0, 0)
+    assert (records[1].ex_value, records[1].graphs_visited) == (0, 0)
+    assert extremal_records([], family) == {}
+
+
+@pytest.mark.parametrize("ns,jobs", [
+    ((5, ORACLE_MAX_N + 1), 1),
+    ((ORACLE_MAX_N + 1, 3), 1),
+    ((-1, 6), 1),
+    ((4, 6), 0),
+])
+def test_shared_records_check_every_n_before_searching(monkeypatch, ns, jobs):
+    def refused(*args):
+        raise AssertionError("enumerated before the checks")
+
+    monkeypatch.setattr(oracle, "_levels", refused)
+    with pytest.raises(ValueError):
+        extremal_records(ns, K3, jobs=jobs)
 
 
 def test_membership_complete_bipartite():
