@@ -25,7 +25,8 @@ from .detectors import ForbiddenFamily
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
 from .harness import (
-    PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, emit_report, fetch_records, run_suite
+    PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, boundary_sweep, emit_report, fetch_records,
+    run_suite,
 )
 
 
@@ -197,25 +198,24 @@ def verify(ctx, suites, jobs, cache, fmt, out):
 
 
 @main.command()
-@click.option("--k", type=int, default=2)
-@click.option("--s", type=int, default=1)
-@click.option("--l", type=int, default=2)
-@click.option("--n-max", type=int, default=11)
+@click.option("--k", type=int, default=None)
+@click.option("--s", type=int, default=None)
+@click.option("--l", type=int, default=None)
+@click.option("--n-max", type=int, default=None)
 @click.option("--jobs", type=int, default=1)
 @click.option("--cache", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]), default="table")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 @click.pass_context
-def sweep(ctx, k, s, l, n_max, jobs, cache, fmt, out):
-    """Tabulate exhaustive counts against the closed form as n grows."""
+def sweep(ctx, jobs, cache, fmt, out, **params):
+    """Tabulate exhaustive counts against the closed form as n grows.
+
+    Options left out take the boundary-sweep suite's values.
+    """
+    given = {name: value for name, value in params.items() if value is not None}
     store = ResultCache(cache) if cache else None
     try:
-        report = run_suite(
-            "boundary-sweep",
-            {"k": k, "s": s, "l": l, "n_max": n_max},
-            jobs=jobs,
-            cache=store,
-        )
+        report = boundary_sweep(**given, jobs=jobs, cache=store)
     except ValueError as err:
         raise _usage(err)
     _emit_many([report], fmt, out)

@@ -48,7 +48,7 @@ from .formulas import (
     extremal_family_edges,
 )
 from .graphs import Graph, disjoint_union, empty_graph
-from .oracle import ORACLE_MAX_N, ExtremalRecord, extremal_records
+from .oracle import ORACLE_MAX_N, ExtremalRecord, _check_cap, extremal_records
 
 TOOL_VERSION = "0.1.0"
 CSV_SCHEMA = "n,k,s,l,formula,construction,oracle,free,status"
@@ -155,15 +155,20 @@ def fetch_records(
 ) -> dict[int, ExtremalRecord]:
     """The record for each n in ns: cached, or derived from one fresh search.
 
-    Each n is looked up once; the misses come from one ``extremal_records``
-    enumeration at the largest of them, are appended to the cache in
-    ascending n and count as one fresh run each.  Every record from that
-    enumeration carries its seconds as ``elapsed``.  A hit still reports
-    its own lookup's time as ``elapsed``, not the stored run's.
+    Every n is checked against the cap before any lookup, so a cache line
+    never answers for an n the search would refuse.  Each n is looked up
+    once; the misses come from one ``extremal_records`` enumeration at the
+    largest of them, are appended to the cache in ascending n and count as
+    one fresh run each.  Every record from that enumeration carries its
+    seconds as ``elapsed``.  A hit still reports its own lookup's time as
+    ``elapsed``, not the stored run's.
     """
+    wanted = sorted(set(ns))
+    for n in wanted[:1] + wanted[-1:]:  # the cap is a range: its ends decide
+        _check_cap(n)
     records: dict[int, ExtremalRecord] = {}
     misses = []
-    for n in sorted(set(ns)):
+    for n in wanted:
         if cache is not None:
             start = time.perf_counter()
             hit = cache.lookup(n, family)
@@ -182,8 +187,9 @@ def fetch_records(
 
 
 def _finish(
-    suite: str, rows: list[SuiteRow], meter: _OracleMeter, notes: dict | None = None
+    suite: str, rows: list[SuiteRow], meter: _OracleMeter | None = None, notes: dict | None = None
 ) -> SuiteReport:
+    meter = meter or _OracleMeter()
     return SuiteReport(
         suite=suite,
         rows=rows,
@@ -306,16 +312,15 @@ def _explored_row(
 
 # ---------------------------------------------------------------------------
 # suites
+#
+# Each suite's grid is fixed in its code, and the sizes it searches sit under
+# the enumeration cap; only the boundary sweep takes parameters.
 
 
-def _suite_regular_core(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
-    degrees = grid.get("l_values", range(1, 7))
-    n_max = grid.get("n_max", 60)
-    if n_max > 200:
-        raise ValueError(f"regular-core grid cap is 200, got n_max={n_max}")
+def _suite_regular_core(jobs: int, cache) -> SuiteReport:
     rows = []
-    for degree in degrees:
-        for n in range(degree * degree + 2, n_max + 1):
+    for degree in range(1, 7):
+        for n in range(degree * degree + 2, 60 + 1):
             g, cert = regular_triangle_free(n, degree)
             degs = sorted(g.degree(v) for v in range(n))
             if degree * n % 2:
@@ -341,69 +346,50 @@ def _suite_regular_core(grid: dict, meter: _OracleMeter, jobs: int, cache) -> Su
                     status=_verdict(free, formula == g.edge_count),
                 )
             )
-    return _finish("regular-core", rows, meter)
+    return _finish("regular-core", rows)
 
 
-def _suite_star_turan(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
-    degrees = grid.get("l_values", (1, 2))
-    n_max = grid.get("n_max", 9)
-    if n_max > ORACLE_MAX_N:
-        raise ValueError(f"star-turan grid exceeds enumeration cap {ORACLE_MAX_N}")
+def _suite_star_turan(jobs: int, cache) -> SuiteReport:
+    meter = _OracleMeter()
     rows = []
-    for degree in degrees:
+    for degree in (1, 2):
         family = PROBLEMS["star"].family(degree)
-        records = fetch_records(range(degree * degree + 2, n_max + 1), family, cache, jobs, meter)
+        records = fetch_records(range(degree * degree + 2, 9 + 1), family, cache, jobs, meter)
         for n, record in records.items():
             rows.append(_checked_row("star", n, record, l=degree))
     return _finish("star-turan", rows, meter)
 
 
-def _suite_clique_matching(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
-    pairs = grid.get("pairs", ((2, 1), (2, 2), (3, 1), (3, 2)))
-    n_max = grid.get("n_max", 8)
-    if n_max > ORACLE_MAX_N:
-        raise ValueError(f"clique-matching grid exceeds enumeration cap {ORACLE_MAX_N}")
+def _suite_clique_matching(jobs: int, cache) -> SuiteReport:
+    meter = _OracleMeter()
     rows = []
-    for k, s in pairs:
+    for k, s in ((2, 1), (2, 2), (3, 1), (3, 2)):
         family = PROBLEMS["clique-matching"].family(k, s)
-        records = fetch_records(range(2 * s + 1, n_max + 1), family, cache, jobs, meter)
+        records = fetch_records(range(2 * s + 1, 8 + 1), family, cache, jobs, meter)
         for n, record in records.items():
             rows.append(_checked_row("clique-matching", n, record, k=k, s=s))
     return _finish("clique-matching", rows, meter)
 
 
-def _suite_clique_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
-    k_values = grid.get("k_values", range(3, 6))
-    s_values = grid.get("s_values", range(0, 4))
-    l_values = grid.get("l_values", range(2, 5))
-    span = grid.get("span", 10)
+def _suite_clique_star_forest(jobs: int, cache) -> SuiteReport:
     rows = []
-    for k in k_values:
-        for s in s_values:
-            for l in l_values:
+    for k in range(3, 6):
+        for s in range(0, 4):
+            for l in range(2, 5):
                 first = s + (l - 1) ** 2 + 2
-                for n in range(first, first + span + 1):
+                for n in range(first, first + 10 + 1):
                     rows.append(_checked_row("clique-star-forest", n, k=k, s=s, l=l))
     notes = {"oracle": f"skipped: grid sizes exceed the enumeration cap {ORACLE_MAX_N}"}
-    return _finish("clique-star-forest", rows, meter, notes)
+    return _finish("clique-star-forest", rows, notes=notes)
 
 
-def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
-    s_values = grid.get("s_values", range(0, 5))
-    l_values = grid.get("l_values", range(2, 6))
-    n_max = grid.get("n_max", 40)
-    iso_max = grid.get("iso_max", _ISO_CHECK_MAX_N)
-    oracle_combos = grid.get(
-        "oracle_combos", ((0, 2), (0, 3), (1, 2), (1, 3), (2, 2))
-    )
-    oracle_n_max = grid.get("oracle_n_max", 9)
-    if oracle_n_max > ORACLE_MAX_N:
-        raise ValueError(f"triangle-star-forest oracle grid exceeds cap {ORACLE_MAX_N}")
+def _suite_triangle_star_forest(jobs: int, cache) -> SuiteReport:
+    meter = _OracleMeter()
     problem = PROBLEMS["triangle-star-forest"]
     rows = []
-    for s in s_values:
-        for l in l_values:
-            for n in range(s + 1, n_max + 1):
+    for s in range(0, 5):
+        for l in range(2, 6):
+            for n in range(s + 1, 40 + 1):
                 family = problem.family(s, l)
                 e1, e2 = extremal_family_edges(n, s, l)
                 # Below the guaranteed range the builders may refuse; rows
@@ -419,7 +405,7 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
                 formula = problem.formula(n, s, l).value
                 even = (n - s) % 2 == 0
                 iso_ok = True
-                if g1 is not None and g2 is not None and even and n <= iso_max:
+                if g1 is not None and g2 is not None and even and n <= _ISO_CHECK_MAX_N:
                     iso_ok = are_isomorphic(g1, g2)
                 star_case = l >= s + 1
                 g1_carries = star_case and (even or e1 >= e2)
@@ -449,25 +435,36 @@ def _suite_triangle_star_forest(grid: dict, meter: _OracleMeter, jobs: int, cach
                             ),
                         )
                     )
-    for s, l in oracle_combos:
+    for s, l in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 2)):
         bound = exploration_threshold(s, l)
         reason = f"divergence below unproven threshold, exploratory bound n>={bound}"
         family = problem.family(s, l)
-        records = fetch_records(range(s + 2, oracle_n_max + 1), family, cache, jobs, meter)
+        records = fetch_records(range(s + 2, 9 + 1), family, cache, jobs, meter)
         for n, record in records.items():
             rows.append(_explored_row("triangle-star-forest", n, record, reason, k=2, s=s, l=l))
     return _finish("triangle-star-forest", rows, meter)
 
 
-def _suite_boundary_sweep(grid: dict, meter: _OracleMeter, jobs: int, cache) -> SuiteReport:
-    k = grid.get("k", 2)
-    s = grid.get("s", 1)
-    l = grid.get("l", 2)
-    n_max = grid.get("n_max", ORACLE_MAX_N)
-    if n_max > ORACLE_MAX_N:
-        raise ValueError(f"boundary sweep exceeds enumeration cap {ORACLE_MAX_N}")
+def boundary_sweep(
+    k: int = 2,
+    s: int = 1,
+    l: int = 2,
+    n_max: int = ORACLE_MAX_N,
+    *,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+) -> SuiteReport:
+    """Search against the closed form for K_{k+1} plus (s+1)S_l at n = s + 2..n_max.
+
+    The defaults are the ``boundary-sweep`` suite's.  Rows below the point
+    where the two agree are SKIPPED, never MISMATCH; the first n from
+    which they agree onward is noted, and the sweep asserts nothing.
+    """
     if k < 2 or s < 0 or l < 1 or (k > 2 and l < 2):
         raise ValueError(f"bad sweep parameters k={k}, s={s}, l={l}")
+    if n_max < s + 2:
+        raise ValueError(f"empty sweep: no n in s + 2 = {s + 2} .. n_max = {n_max}")
+    meter = _OracleMeter()
     name = "triangle-star-forest" if k == 2 else "clique-star-forest"
     problem = PROBLEMS[name]
     params = {"k": k, "s": s, "l": l}
@@ -506,26 +503,19 @@ _SUITES = {
     "clique-matching": _suite_clique_matching,
     "clique-star-forest": _suite_clique_star_forest,
     "triangle-star-forest": _suite_triangle_star_forest,
-    "boundary-sweep": _suite_boundary_sweep,
+    "boundary-sweep": lambda jobs, cache: boundary_sweep(jobs=jobs, cache=cache),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(
-    name: str,
-    grid: dict | None = None,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> SuiteReport:
-    """Run one verification suite and return its report."""
+def run_suite(name: str, *, jobs: int = 1, cache: ResultCache | None = None) -> SuiteReport:
+    """Run one verification suite over its fixed grid and return its report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    meter = _OracleMeter()
-    return _SUITES[name](dict(grid or {}), meter, jobs, cache)
+    return _SUITES[name](jobs, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +531,7 @@ def _cell(value) -> str:
 
 
 def emit_report(report: SuiteReport, fmt: str = "csv") -> bytes:
-    """Serialize a report; row order is deterministic for a fixed grid."""
+    """Serialize a report; row order is deterministic."""
     rows = report.sorted_rows()
     if fmt == "csv":
         out = io.StringIO()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,11 +10,12 @@ from turanstar import (
     ForbiddenFamily,
     ResultCache,
     SUITE_NAMES,
+    boundary_sweep,
     brute_force_ex,
     graph6_decode,
     run_suite,
 )
-from turanstar import harness, oracle
+from turanstar import ORACLE_MAX_N, harness, oracle
 from turanstar.cli import main
 from turanstar.constructions import (
     capped_bipartite,
@@ -35,24 +37,25 @@ from turanstar.graph6 import graph6_encode
 from turanstar.harness import CSV_SCHEMA, MATCH, emit_report, fetch_records
 
 
-FAST_GRIDS = {
-    "regular-core": {"l_values": (1, 2), "n_max": 20},
-    "star-turan": {"l_values": (1,), "n_max": 7},
-    "clique-matching": {"pairs": ((2, 1),), "n_max": 6},
-    "clique-star-forest": {"k_values": (3,), "s_values": (1,), "l_values": (2,), "span": 3},
-    "triangle-star-forest": {
-        "s_values": (1,),
-        "l_values": (2, 3),
-        "n_max": 14,
-        "oracle_combos": ((1, 2),),
-        "oracle_n_max": 7,
-    },
-    "boundary-sweep": {"n_max": 8},
-}
+VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify.csv"
 
 
 def fam(spec):
     return ForbiddenFamily.parse(spec)
+
+
+def strip_ts(text):
+    return [line for line in text.splitlines() if not line.startswith("# timestamp:")]
+
+
+def fixture_section(name):
+    """The lines of one suite's report in the committed verify output, minus the timestamp."""
+    (section,) = [
+        part
+        for part in VERIFY_FIXTURE.read_text().split("\n\n")
+        if f"# suite: {name}" in part.splitlines()
+    ]
+    return strip_ts(section)
 
 
 def test_suite_names_stable():
@@ -69,7 +72,8 @@ def test_suite_names_stable():
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_each_suite_runs_clean_on_small_grid(name, tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    report = run_suite(name, FAST_GRIDS[name], cache=cache)
+    report = run_suite(name, cache=cache)
+    assert strip_ts(emit_report(report, "csv").decode()) == fixture_section(name)
     assert report.ok(), [r for r in report.rows if r.status != MATCH][:3]
     assert report.rows
     assert report.version
@@ -83,7 +87,7 @@ def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("regular-core", jobs=0)
     with pytest.raises(ValueError):
-        run_suite("boundary-sweep", {"n_max": 99})
+        boundary_sweep(n_max=99)
 
 
 def test_below_range_refusals_have_their_own_type():
@@ -109,21 +113,13 @@ def test_builder_bug_is_not_read_as_below_range(monkeypatch, suite, builder):
 
     monkeypatch.setattr(harness, builder, broken)
     with pytest.raises(ValueError, match="builder bug"):
-        run_suite(suite, FAST_GRIDS[suite])
+        run_suite(suite)
 
 
 def test_triangle_suite_reports_sub_threshold_pair(tmp_path):
     # the (12,3,4) point: formula uses the capped form, both builds present
-    report = run_suite(
-        "triangle-star-forest",
-        {
-            "s_values": (3,),
-            "l_values": (4,),
-            "n_max": 13,
-            "oracle_combos": (),
-        },
-    )
-    target = [r for r in report.rows if r.n == 12]
+    report = run_suite("triangle-star-forest")
+    target = [r for r in report.rows if (r.n, r.s, r.l) == (12, 3, 4)]
     assert sorted(r.construction for r in target) == [27, 28]
     assert {r.formula for r in target} == {28}
     assert all(r.free for r in target)
@@ -163,10 +159,9 @@ def test_cache_first_entry_wins(tmp_path):
 
 def test_second_run_hits_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    grid = FAST_GRIDS["star-turan"]
-    first = run_suite("star-turan", grid, cache=cache)
+    first = run_suite("star-turan", cache=cache)
     assert first.fresh_oracle_runs > 0
-    second = run_suite("star-turan", grid, cache=cache)
+    second = run_suite("star-turan", cache=cache)
     assert second.fresh_oracle_runs == 0
     assert second.graphs_visited == 0
     # cached rows carry the same numbers
@@ -175,23 +170,14 @@ def test_second_run_hits_cache(tmp_path):
 
 def test_csv_outputs_byte_identical_apart_from_timestamp(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    grid = FAST_GRIDS["triangle-star-forest"]
-    a = emit_report(run_suite("triangle-star-forest", grid, cache=cache), "csv")
-    b = emit_report(run_suite("triangle-star-forest", grid, cache=cache), "csv")
-
-    def strip_ts(blob):
-        return [
-            line
-            for line in blob.decode().splitlines()
-            if not line.startswith("# timestamp:")
-        ]
-
+    a = emit_report(run_suite("triangle-star-forest", cache=cache), "csv").decode()
+    b = emit_report(run_suite("triangle-star-forest", cache=cache), "csv").decode()
     assert strip_ts(a) == strip_ts(b)
     assert strip_ts(a) != []
 
 
 def test_csv_layout(tmp_path):
-    report = run_suite("clique-matching", FAST_GRIDS["clique-matching"])
+    report = run_suite("clique-matching")
     lines = emit_report(report, "csv").decode().splitlines()
     assert lines[0] == "# turanstar-report schema=v1"
     assert lines[1] == "# suite: clique-matching"
@@ -206,7 +192,7 @@ def test_csv_layout(tmp_path):
 
 
 def test_emit_report_json_and_table(tmp_path):
-    report = run_suite("clique-matching", FAST_GRIDS["clique-matching"])
+    report = run_suite("clique-matching")
     payload = json.loads(emit_report(report, "json"))
     assert payload["suite"] == "clique-matching"
     assert payload["rows"]
@@ -218,7 +204,7 @@ def test_emit_report_json_and_table(tmp_path):
 
 
 def test_report_sorted_rows_are_stable():
-    report = run_suite("regular-core", FAST_GRIDS["regular-core"])
+    report = run_suite("regular-core")
     keys = [r.sort_key() for r in report.sorted_rows()]
     assert keys == sorted(keys)
 
@@ -477,6 +463,19 @@ def test_cli_oracle_rejects_oversized():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("n", [ORACLE_MAX_N + 1, -1])
+def test_cli_oracle_checks_cap_before_cache(tmp_path, n):
+    # a planted line must not answer for an n the search refuses
+    path = tmp_path / "c.jsonl"
+    planted = brute_force_ex(5, fam("clique:3")).to_json_dict()
+    path.write_text(json.dumps(dict(planted, n=n)) + "\n")
+    assert ResultCache(path).lookup(n, fam("clique:3")) is not None
+    args = ["oracle", "--n", str(n), "--family", "clique:3", "--cache", str(path)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "DFw" not in result.output
+
+
 def test_cli_verify_single_suite(tmp_path):
     runner = CliRunner()
     out = tmp_path / "report.csv"
@@ -502,6 +501,20 @@ def test_cli_sweep(tmp_path):
     assert result.exit_code == 0
     assert "pre-threshold divergence" in result.output
     assert "MISMATCH" not in result.output
+
+
+def test_cli_sweep_defaults_are_the_suites():
+    result = CliRunner().invoke(main, ["sweep", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert strip_ts(result.output) == fixture_section("boundary-sweep")
+
+
+def test_empty_sweep_is_a_usage_error():
+    with pytest.raises(ValueError, match="empty sweep"):
+        boundary_sweep(s=10)
+    result = CliRunner().invoke(main, ["sweep", "--s", "10"])
+    assert result.exit_code == 2
+    assert "empty sweep" in result.output
 
 
 def test_cli_sweep_clique_star_forest():
