@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from turanstar import (
     CANONICAL_MAX_N,
+    Clique,
+    ForbiddenFamily,
     are_isomorphic,
     bits,
     build_graph,
@@ -23,7 +26,7 @@ from turanstar import (
     mask_of,
     turan_graph,
 )
-from turanstar import canonical
+from turanstar import canonical, oracle
 from turanstar.canonical import canonical_code_and_generators
 
 from _reference import random_graph, ref_refine
@@ -258,3 +261,47 @@ def test_search_matches_refinement_against_every_cell(monkeypatch):
 
     monkeypatch.setattr(canonical, "_refine", reference)
     assert [canonical._search(g) for g in graphs] == fast
+
+
+def _searched_corpus(monkeypatch):
+    # every graph the n = 8 triangle-free enumeration hands to the search,
+    # the empty seed first, then 500 seeded random graphs on up to 12 vertices
+    searched = []
+    search = oracle.canonical_code_and_generators
+
+    def recorded(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(oracle, "canonical_code_and_generators", recorded)
+    for _ in oracle._levels(8, ForbiddenFamily((Clique(3),)), jobs=1):
+        pass
+    monkeypatch.undo()
+    rng = random.Random(53)
+    return searched, [random_graph(rng, rng.randrange(0, 13), rng.uniform(0.05, 0.95)) for _ in range(500)]
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_search_output_is_pinned(monkeypatch):
+    # codes, labellings and generators, byte for byte as the labelling gave
+    # them when these digests were taken; a speedup of the search that
+    # changes any of them fails here, not only through the search counts.
+    # The corpus digest tells a changed enumeration from a changed search.
+    searched, rand = _searched_corpus(monkeypatch)
+    graphs = searched + rand
+    assert len(searched) == 429
+    assert _digest(f"{g.n} {g.rows}" for g in graphs) == (
+        "d01d9c641f981d74b3b5bd9954a7431e79273a7b58e590210ae95a8d4373ea1f"
+    )
+    assert _digest(repr(canonical._search(g)) for g in graphs) == (
+        "c0264959e9f9a29bc02fe2bd1af75b88716f12b4e820ac463d9f419f1621df35"
+    )
+    assert _digest(repr(canonical_code_and_generators(g)) for g in graphs) == (
+        "f46aa122195ddefb941ac26cfa1ec1613d9a34a21fadbb400c671801c5b85818"
+    )
