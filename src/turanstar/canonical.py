@@ -12,12 +12,18 @@ isomorphic.  The labeling is found the classical way:
    split off, since counts into every other cell are already constant on
    each cell; the sub-cells come out in the order that counting against
    every cell gives.  Refinement is deterministic, so it is
-   isomorphism-equivariant.  The root pass orders cells by degree, so the
-   isolated vertices take the first positions of every labeling, and the
-   exhaustive search relies on it to read them off a code.  A cell is an int vertex mask, its vertices
-   taken in ascending order; every cell of an ordered partition refined
-   from the ascending root lists its vertices in that order anyway, so
-   masks change no code and no labeling.
+   isomorphism-equivariant.  The root pass buckets the vertices by degree,
+   in ascending order, which is what a pass against the one cell of all
+   vertices gives, and refines from there against every bucket but the
+   last.  So the isolated vertices take the first positions of every
+   labeling, and the exhaustive search relies on it to read them off a
+   code.  If the root partition is discrete, its labeling is the only
+   leaf and the search returns it at once, with no generators: twins swap
+   under an automorphism, which keeps their degrees and so every root
+   cell, so a discrete root has no twins to report.  A cell is an int
+   vertex mask, its vertices taken in ascending order; every cell of an
+   ordered partition refined from the ascending root lists its vertices
+   in that order anyway, so masks change no code and no labeling.
 2. While some cell has two or more vertices, individualize each candidate
    vertex of the first such cell in ascending order and recurse.  Every
    discrete partition reached encodes one adjacency bit string: the upper
@@ -64,15 +70,16 @@ def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> li
     count into the old cell.  Repeats until no cell splits.
 
     The caller passes every cell into which some cell's vertices may see
-    unequal counts: the full mask at the root, the individualized vertex
-    below it.  Counts into any other cell are constant on every cell, and
-    the dropped entry is the last of its block, so the signatures order the
-    sub-cells exactly as signatures against every cell would, and the input
-    cell order is preserved for unsplit cells.
+    unequal counts: at the root, the degree buckets bar the last; below
+    it, the individualized vertex.  Counts into any other cell are constant
+    on every cell, and the dropped entry is the last of its block, so the
+    signatures order the sub-cells exactly as signatures against every cell
+    would, and the input cell order is preserved for unsplit cells.
 
     Cells are vertex masks, read in ascending vertex order.  A split, and
     an individualization in the search, keeps the relative order of the
-    vertices it leaves together, and the root cell is ascending, so a cell
+    vertices it leaves together, and the root buckets split the ascending
+    vertex list, so a cell
     kept as an ordered vertex list would be ascending too: masks give the
     same partitions, the same branching order, and so the same codes and
     labelings.  A split against one vertex is two ANDs with its row.
@@ -141,10 +148,6 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
     and automorphisms of g that generate the orbits the search pruned."""
     n = g.n
     rows = g.rows
-    twin = _twin_classes(rows)
-    best_code: int | None = None
-    best_perm: tuple[int, ...] = tuple(range(n))
-    autos: list[tuple[int, ...]] = []
 
     def encode(perm: tuple[int, ...]) -> int:
         code = 0
@@ -153,6 +156,24 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
             for j in range(i + 1, n):
                 code = code << 1 | (ri >> perm[j] & 1)
         return code
+
+    # the first pass against the unit partition sorts the vertices into
+    # degree buckets, ascending, and splits off every bucket but the last
+    buckets: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        buckets[d] = buckets.get(d, 0) | 1 << v
+    root = [buckets[d] for d in sorted(buckets)]
+    root = _refine(rows, root, root[:-1])
+    if len(root) == n:
+        # twins swap under an automorphism, so they share every cell of the
+        # root: a discrete root has neither twins nor a second leaf
+        perm = tuple([c.bit_length() - 1 for c in root])
+        return encode(perm), perm, []
+    twin = _twin_classes(rows)
+    best_code: int | None = None
+    best_perm: tuple[int, ...] = tuple(range(n))
+    autos: list[tuple[int, ...]] = []
 
     def skippable(v: int, branched: list[int], prefix: list[int]) -> bool:
         for sigma in autos:
@@ -184,12 +205,12 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
             return
         cell = cells[split_at]
         branched: list[int] = []
-        twins_seen: set[int] = set()
+        twins_seen = 0  # mask of the twin classes already branched on or skipped
         for v in bits(cell):
-            if twin[v] in twins_seen:
+            if twins_seen >> twin[v] & 1:
                 continue
-            twins_seen.add(twin[v])
-            if skippable(v, branched, prefix):
+            twins_seen |= 1 << twin[v]
+            if autos and skippable(v, branched, prefix):
                 continue
             branched.append(v)
             child = cells[:split_at] + [1 << v, cell ^ 1 << v] + cells[split_at + 1 :]
@@ -197,9 +218,7 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
             walk(child, prefix, [1 << v])
             prefix.pop()
 
-    if not n:
-        return 0, best_perm, []
-    walk([(1 << n) - 1], [], [(1 << n) - 1])
+    walk(root, [], [])
     # twin swaps are automorphisms the search skipped without recording
     swaps = []
     for v, w in enumerate(twin):
@@ -242,15 +261,22 @@ def graph_from_code(n: int, code: int) -> Graph:
 
     Inverse of the code: on ``canonical_code(g)`` it gives the canonical graph.
     """
+    pairs = n * (n - 1) // 2
+    if code < 0 or code >> pairs:
+        raise ValueError(f"code has bits beyond the {pairs} pairs of {n} vertices")
     rows = [0] * n
-    for i in range(n - 2, -1, -1):
-        for j in range(n - 1, i, -1):
-            if code & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            code >>= 1
-    if code:
-        raise ValueError(f"code has bits beyond the {n * (n - 1) // 2} pairs of {n} vertices")
+    shift = pairs
+    for i in range(n - 1):
+        # row i's pairs i-(i+1) .. i-(n-1) are the next n - 1 - i bits, so
+        # bit b of that block is the pair i-(n-1-b)
+        shift -= n - 1 - i
+        block = code >> shift & (1 << n - 1 - i) - 1
+        while block:
+            low = block & -block
+            block ^= low
+            j = n - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Graph(n, tuple(rows))
 
 

@@ -197,6 +197,29 @@ def ref_expand_codes(n: int, family, codes) -> tuple[set[int], int]:
     return out, visited
 
 
+def ref_graph_from_code(n: int, code: int) -> Graph:
+    """Graph whose pairs u < v, in lexicographic order, read the bits of
+    ``code`` from the most significant of its C(n, 2) bits down."""
+    pairs = list(itertools.combinations(range(n), 2))
+    if not 0 <= code < 1 << len(pairs):
+        raise ValueError(f"code {code} is no string of {len(pairs)} bits")
+    return build_graph(n, [pair for i, pair in enumerate(pairs) if code >> len(pairs) - 1 - i & 1])
+
+
+def ref_outranked(g: Graph, u: int, v: int) -> bool:
+    """Does some edge of h = g + uv rank above uv?  An edge's rank is the
+    sorted pair of its ends' degrees, then the sorted pair of its ends'
+    neighbour-degree sums, all taken in h."""
+    h = g.add_edge(u, v)
+
+    def rank(a: int, b: int):
+        degrees = sorted((h.degree(a), h.degree(b)))
+        sums = sorted(sum(h.degree(w) for w in h.neighbors(x)) for x in (a, b))
+        return degrees, sums
+
+    return any(rank(a, b) > rank(u, v) for a, b in h.edges())
+
+
 def ref_refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Equitable refinement against every cell on every pass.
 

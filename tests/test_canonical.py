@@ -29,7 +29,7 @@ from turanstar import (
 from turanstar import canonical, oracle
 from turanstar.canonical import canonical_code_and_generators
 
-from _reference import random_graph, ref_refine
+from _reference import random_graph, ref_graph_from_code, ref_refine
 
 GOLDEN = Path(__file__).parent / "data" / "canonical_forms.txt"
 
@@ -165,6 +165,28 @@ def test_graph_from_code_rejects_stray_bits():
         graph_from_code(3, -1)
 
 
+def test_graph_from_code_matches_literal_decoder():
+    for n in range(6):
+        for code in range(1 << n * (n - 1) // 2):
+            assert graph_from_code(n, code) == ref_graph_from_code(n, code), (n, code)
+    rng = random.Random(59)
+    for n in range(6, CANONICAL_MAX_N + 1):
+        pairs = n * (n - 1) // 2
+        for code in [0, (1 << pairs) - 1] + [rng.getrandbits(pairs) for _ in range(60)]:
+            assert graph_from_code(n, code) == ref_graph_from_code(n, code), (n, code)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16])
+def test_graph_from_code_rejects_stray_bits_and_negative_codes(n):
+    pairs = n * (n - 1) // 2
+    for code in (1 << pairs, (1 << pairs + 1) - 1, 1 << pairs + 40, -1, -(1 << pairs)):
+        with pytest.raises(ValueError, match=f"beyond the {pairs} pairs of {n} vertices"):
+            graph_from_code(n, code)
+        with pytest.raises(ValueError):
+            ref_graph_from_code(n, code)
+    assert graph_from_code(n, (1 << pairs) - 1).edge_count == pairs
+
+
 def _relabelled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -242,7 +264,9 @@ def test_search_matches_refinement_against_every_cell(monkeypatch):
     # refining only against the cells split in the previous pass, with
     # cells as vertex masks, must give the same partitions, so the same
     # code, labelling and automorphisms, as counting neighbours in every
-    # cell of a tuple partition on every pass
+    # cell of a tuple partition on every pass; the reference root starts
+    # from the one cell of all vertices, so the degree buckets the search
+    # builds before its first refinement are checked too
     rng = random.Random(41)
     shapes = [
         lambda: random_graph(rng, rng.randrange(0, 13), rng.uniform(0.1, 0.9)),
@@ -255,12 +279,37 @@ def test_search_matches_refinement_against_every_cell(monkeypatch):
     ]
     graphs = [_relabelled(rng.choice(shapes)(), rng) for _ in range(2000)]
     fast = [canonical._search(g) for g in graphs]
+    roots = [ref_refine(g.rows, [tuple(range(g.n))] if g.n else []) for g in graphs]
+    at_root = True
 
     def reference(rows, cells, splitters):
+        nonlocal at_root
+        if at_root:  # the search's first refinement is its root pass
+            at_root = False
+            cells = [(1 << len(rows)) - 1] if rows else []
         return [mask_of(c) for c in ref_refine(rows, [tuple(bits(c)) for c in cells])]
 
     monkeypatch.setattr(canonical, "_refine", reference)
-    assert [canonical._search(g) for g in graphs] == fast
+    slow = []
+    for g in graphs:
+        at_root = True
+        slow.append(canonical._search(g))
+    assert slow == fast
+
+    # a discrete root is the only leaf and leaves no twins to swap
+    assert sum(len(root) == g.n for g, root in zip(graphs, roots)) > 100
+    for g, root, (_, _, gens) in zip(graphs, roots, fast):
+        if len(root) == g.n:
+            assert gens == [], graph6_encode(g)
+    # twins swap under an automorphism, so they share a root cell
+    twin_pairs = 0
+    for g, root in zip(graphs, roots):
+        cell_of = {v: i for i, cell in enumerate(root) for v in cell}
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u):
+                twin_pairs += 1
+                assert cell_of[u] == cell_of[v], (graph6_encode(g), u, v)
+    assert twin_pairs > 1000
 
 
 def _searched_corpus(monkeypatch):

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -32,6 +35,7 @@ from turanstar import (
     graph_from_code,
     joined_capped_extremal,
     joined_regular_extremal,
+    mask_of,
     turan_graph,
 )
 
@@ -39,9 +43,17 @@ from turanstar import oracle
 from turanstar.canonical import canonical_code_and_generators
 from turanstar.oracle import _expand_codes, _levels
 
-from _reference import random_graph, ref_ex, ref_expand_codes, ref_family_membership, ref_is_free
+from _reference import (
+    random_graph,
+    ref_ex,
+    ref_expand_codes,
+    ref_family_membership,
+    ref_is_free,
+    ref_outranked,
+)
 
 K3 = ForbiddenFamily((Clique(3),))
+DENSE_FIXTURE = Path(__file__).parents[1] / "perfbench" / "fixtures" / "oracle_dense.json"
 
 
 # Values computed in advance by exhaustive search over all labeled graphs
@@ -110,10 +122,15 @@ def test_free_graph_counts_match_atlas():
 
 
 def test_triangle_free_counts_match_oeis():
-    # OEIS A006785: triangle-free graphs on n unlabeled vertices
+    # OEIS A006785: triangle-free graphs on n unlabeled vertices; the n = 10
+    # classes, counted per edge count, also match the benchmark's levels
     want = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
-    got = [sum(1 for _ in enumerate_free_graphs(n, K3)) for n in range(1, 11)]
+    got = [sum(1 for _ in enumerate_free_graphs(n, K3)) for n in range(1, 10)]
+    per_level = Counter(g.edge_count for g in enumerate_free_graphs(10, K3))
+    got.append(sum(per_level.values()))
     assert got == want
+    levels = json.loads(DENSE_FIXTURE.read_text())["level_classes"]
+    assert [per_level[e] for e in range(max(per_level) + 1)] == levels
 
 
 def test_all_graph_counts_match_oeis():
@@ -200,6 +217,30 @@ def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
     record = brute_force_ex(9, ForbiddenFamily.parse(spec))
     assert (record.ex_value, record.graphs_visited) == ex_visited
     assert tests == ranked
+
+
+@pytest.mark.parametrize("spec,n_max", [("clique:3", 7), ("clique:3,starforest:2x3", 8)])
+def test_rank_test_matches_literal_reference(spec, n_max):
+    # every non-edge of every parent, in row order, with one
+    # neighbour-degree-sum list per parent as the expansion keeps it: built
+    # by the first tie, then reused, so a stale or misbuilt list flips a
+    # verdict here.  Two disjoint 3-stars need 8 vertices, so below that the
+    # second family's parents are the triangle-free ones
+    family = ForbiddenFamily.parse(spec)
+    verdicts = tied_parents = 0
+    for n in range(2, n_max + 1):
+        for _, codes, _ in _levels(n, family, jobs=1):
+            for code in codes:
+                g = graph_from_code(n, code)
+                at_least = [mask_of(x for x in range(n) if g.degree(x) >= t) for t in range(n + 1)]
+                sums = []
+                for u, v in itertools.combinations(range(n), 2):
+                    if not g.has_edge(u, v):
+                        got = oracle._outranked(g.rows, at_least, sums, u, v)
+                        assert got == ref_outranked(g, u, v), (n, code, u, v)
+                        verdicts += 1
+                tied_parents += bool(sums)
+    assert verdicts > 1000 and tied_parents > 50
 
 
 def test_visited_count_at_n9_on_one_and_two_workers():
