@@ -79,10 +79,10 @@ def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> li
     Cells are vertex masks, read in ascending vertex order.  A split, and
     an individualization in the search, keeps the relative order of the
     vertices it leaves together, and the root buckets split the ascending
-    vertex list, so a cell
-    kept as an ordered vertex list would be ascending too: masks give the
-    same partitions, the same branching order, and so the same codes and
-    labelings.  A split against one vertex is two ANDs with its row.
+    vertex list, so a cell kept as an ordered vertex list would be
+    ascending too: masks give the same partitions, the same branching
+    order, and so the same codes and labelings.  A split against one
+    vertex is two ANDs with its row.
     """
     while splitters:
         out: list[int] = []
@@ -157,8 +157,8 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
                 code = code << 1 | (ri >> perm[j] & 1)
         return code
 
-    # the first pass against the unit partition sorts the vertices into
-    # degree buckets, ascending, and splits off every bucket but the last
+    # a first pass against the one cell of all vertices would split it into
+    # these buckets and refine on against every bucket but the last
     buckets: dict[int, int] = {}
     for v, row in enumerate(rows):
         d = row.bit_count()
