@@ -151,19 +151,18 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
 
     def encode(perm: tuple[int, ...]) -> int:
         code = 0
-        for i in range(n):
+        for i in range(n - 1):
             ri = rows[perm[i]]
-            for j in range(i + 1, n):
-                code = code << 1 | (ri >> perm[j] & 1)
+            for w in perm[i + 1 :]:
+                code = code << 1 | (ri >> w & 1)
         return code
 
     # a first pass against the one cell of all vertices would split it into
     # these buckets and refine on against every bucket but the last
-    buckets: dict[int, int] = {}
+    buckets = [0] * n
     for v, row in enumerate(rows):
-        d = row.bit_count()
-        buckets[d] = buckets.get(d, 0) | 1 << v
-    root = [buckets[d] for d in sorted(buckets)]
+        buckets[row.bit_count()] |= 1 << v
+    root = [cell for cell in buckets if cell]
     root = _refine(rows, root, root[:-1])
     if len(root) == n:
         # twins swap under an automorphism, so they share every cell of the
