@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -200,6 +201,7 @@ def test_canonical_searches_at_n9(monkeypatch):
 @pytest.mark.parametrize("spec,ex_visited,ranked", [
     ("clique:3", (20, 47860), 5262),
     ("clique:3,starforest:2x3", (15, 23044), 3070),
+    ("clique:3,starforest:1x3", (9, 1548), 202),
 ])
 def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
     # the clique mask drops blocked pairs before the orbit walk and the rank
@@ -217,6 +219,31 @@ def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
     record = brute_force_ex(9, ForbiddenFamily.parse(spec))
     assert (record.ex_value, record.graphs_visited) == ex_visited
     assert tests == ranked
+
+
+@pytest.mark.parametrize("spec,digest,searched", [
+    ("clique:3,starforest:1x3", "9ef81a1731137c44b6b84d26dd50bfd4448bedcd7c7a57095ffc78cde60540dc", 54),
+    ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 957),
+    ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 709),
+    ("starforest:2x2", "59487b4a8c4dc0fc03b4e81ca0403aefbc2e845f00dc68574b78db99e9fbf659", 153),
+])
+def test_star_forest_levels_are_pinned(monkeypatch, spec, digest, searched):
+    # every level's (edge count, codes, augmentations) at n = 9, as the
+    # enumeration gave them when these digests were taken, and the canonical
+    # searches behind them: a star-forest check that lets one child too many
+    # or too few through to the search fails here
+    searches = 0
+    search = oracle.canonical_code_and_generators
+
+    def counted(g):
+        nonlocal searches
+        searches += 1
+        return search(g)
+
+    monkeypatch.setattr(oracle, "canonical_code_and_generators", counted)
+    levels = list(_levels(9, ForbiddenFamily.parse(spec), jobs=1))
+    assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
+    assert searches == searched
 
 
 @pytest.mark.parametrize("spec,n_max", [("clique:3", 7), ("clique:3,starforest:2x3", 8)])
