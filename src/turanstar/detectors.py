@@ -10,8 +10,11 @@ contains none of them as a subgraph.  Three pattern kinds appear:
 
 Each pattern validates its own arguments, gives its text form through
 ``spec()``, answers ``occurs_in(g)`` with its detector, and answers
-``occurs_with_edge(g, u, v)`` about g + uv for a g free of it; a clique
-also answers for every v at once through ``edge_mask(g, u)``.  All
+``occurs_with_edge(g, u, v)`` about g + uv for a g free of it.  Since g
+is free, a copy in g + uv must use uv, so cliques and star forests answer
+from g alone; only a matching builds g + uv.  Where ``has_edge_mask``
+holds, a pattern also answers for every v at once through
+``edge_mask(g, u)``: a clique always, a star forest of one copy.  All
 detectors are exact.  The test suite cross-checks their verdicts against
 plain exhaustive search, and the matching detector also against networkx.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, mask_of
 
 
 @dataclass(frozen=True, order=True)
@@ -34,6 +37,7 @@ class Clique:
     union of the rows of u's neighbours, and for size 2 every vertex."""
 
     size: int
+    has_edge_mask = True
 
     def __post_init__(self) -> None:
         if self.size < 2:
@@ -58,6 +62,7 @@ class Clique:
 @dataclass(frozen=True, order=True)
 class Matching:
     edges: int
+    has_edge_mask = False
 
     def __post_init__(self) -> None:
         if self.edges < 1:
@@ -75,12 +80,26 @@ class Matching:
 
 @dataclass(frozen=True, order=True)
 class StarForest:
+    """``copies`` vertex-disjoint S_leaves.  When g is free of it, a copy in
+    g + uv uses uv as a centre-leaf edge xy, {x, y} = {u, v}; so g + uv
+    holds it exactly when, for one of the two orientations, g - y holds a
+    star at x with leaves - 1 leaves and copies - 1 further S_leaves, all
+    vertex-disjoint.  That is decided over the centre sets that contain x,
+    by Hall's condition with demand leaves - 1 for x and leaves for the
+    other centres.  With one copy, g free means every degree is at most
+    leaves - 1, and g + uv holds the star exactly when u or v has degree
+    leaves - 1; ``edge_mask`` gives those v for one u at a time."""
+
     copies: int
     leaves: int
 
     def __post_init__(self) -> None:
         if self.copies < 1 or self.leaves < 1:
             raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {self}")
+
+    @property
+    def has_edge_mask(self) -> bool:
+        return self.copies == 1
 
     def spec(self) -> str:
         return f"starforest:{self.copies}x{self.leaves}"
@@ -89,7 +108,23 @@ class StarForest:
         return contains_star_forest(g, self.copies, self.leaves)
 
     def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
-        return self.occurs_in(g.add_edge(u, v))
+        if self.copies * (self.leaves + 1) > g.n:
+            return False
+        return _stars_with_forced_centre(g.rows, self.copies, self.leaves, u, v) or (
+            _stars_with_forced_centre(g.rows, self.copies, self.leaves, v, u)
+        )
+
+    def edge_mask(self, g: Graph, u: int) -> int:
+        """Mask whose bit v, for each non-neighbour v of u other than u, is
+        set exactly when g + uv contains the star; g must be free of it and
+        the forest must have one copy.  The bits of u and its neighbours
+        mean nothing."""
+        if self.copies != 1:
+            raise ValueError(f"only a one-copy star forest has an edge mask, got {self}")
+        need = self.leaves - 1
+        if g.rows[u].bit_count() >= need:
+            return (1 << g.n) - 1
+        return mask_of(v for v, row in enumerate(g.rows) if row.bit_count() >= need)
 
 
 Pattern = Union[Clique, Matching, StarForest]
@@ -329,9 +364,7 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
     leaves) settles most positive cases immediately, and a small blocking
     set that kills all high degrees settles most negative ones.  The exact
     fallback walks center subsets and decides leaf availability by Hall's
-    condition: the chosen centers can be served by disjoint leaf sets
-    exactly when every sub-collection of centers jointly sees at least
-    ``leaves`` per center outside the full center set.
+    condition (``_pools_admit_disjoint_leaves``).
     """
     if copies < 1 or leaves < 1:
         raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {copies}x{leaves}")
@@ -358,7 +391,7 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
                 pools = None
                 break
             pools.append(pool)
-        if pools is not None and _pools_admit_disjoint_leaves(pools, leaves):
+        if pools is not None and _pools_admit_disjoint_leaves(pools, [leaves] * copies):
             return True
     return False
 
@@ -411,14 +444,46 @@ def _star_hitting_certificate(rows: tuple[int, ...], n: int, copies: int, leaves
     return False
 
 
-def _pools_admit_disjoint_leaves(pools: list[int], leaves: int) -> bool:
+def _stars_with_forced_centre(rows: tuple[int, ...], copies: int, leaves: int, x: int, y: int) -> bool:
+    """Does g - y hold a star at x with ``leaves - 1`` leaves and
+    ``copies - 1`` further stars with ``leaves`` leaves, all vertex-disjoint?"""
+    off = ~(1 << x | 1 << y)
+    if (rows[x] & off).bit_count() < leaves - 1:
+        return False
+    candidates = [c for c, row in enumerate(rows) if off >> c & 1 and (row & off).bit_count() >= leaves]
+    demands = [leaves - 1] + [leaves] * (copies - 1)
+    for centers in combinations(candidates, copies - 1):
+        keep = off
+        for c in centers:
+            keep &= ~(1 << c)
+        pools = [rows[x] & keep]
+        for c in centers:
+            pool = rows[c] & keep
+            if pool.bit_count() < leaves:
+                break
+            pools.append(pool)
+        else:
+            if _pools_admit_disjoint_leaves(pools, demands):
+                return True
+    return False
+
+
+def _pools_admit_disjoint_leaves(pools: list[int], demands: list[int]) -> bool:
+    """Can each center take ``demands[i]`` leaves from ``pools[i]``, all
+    leaves distinct?  By Hall's condition, exactly when every
+    sub-collection of the pools jointly holds at least the sum of its
+    demands."""
     k = len(pools)
     union = [0] * (1 << k)
+    need = [0] * (1 << k)
     for sub in range(1, 1 << k):
         low = sub & -sub
-        u = union[sub ^ low] | pools[low.bit_length() - 1]
+        i = low.bit_length() - 1
+        u = union[sub ^ low] | pools[i]
+        d = need[sub ^ low] + demands[i]
         union[sub] = u
-        if u.bit_count() < leaves * sub.bit_count():
+        need[sub] = d
+        if u.bit_count() < d:
             return False
     return True
 

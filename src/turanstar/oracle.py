@@ -29,31 +29,41 @@ visits every isomorphism class exactly once.  Four cuts keep that cheap:
    degree below top - 1, and automorphisms keep degrees, so the orbits are
    walked only over the non-edges between vertices of degree top - 1 or
    more.
-4. g is free, so each pattern is asked only whether adding uv creates it.
-   Before the orbit walk, each ``Clique`` pattern gives, for every vertex
-   u of the degree window, the mask of vertices v for which g + uv holds
-   the clique (``Clique.edge_mask``); the walk covers only the candidate
-   pairs, the window minus u's neighbours minus those masks.  The mask
-   must be exact.  Whether g + uv holds a clique depends only on the
-   isomorphism type of (g, u, v), so an exact mask is the same on a whole
-   orbit: the candidates are a union of orbits, and every orbit left is
-   walked from the same first non-edge as over the whole window.  A mask
-   that marked a free pair could drop a whole orbit, and with it a class.
-   One that missed blocked pairs unevenly could keep part of an orbit, so
-   the walk would start it from a later pair, and the rank tests, the
-   children searched and the generators each class keeps would change.
-   Every other pattern answers per pair and builds g + uv to do so.
+4. g is free, so each pattern is asked only whether adding uv creates it,
+   and any copy it finds uses uv.  Before the orbit walk, each pattern with
+   an exact mask (``has_edge_mask``: every clique, and a star forest of one
+   copy) gives, for every vertex u of the degree window, the mask of
+   vertices v for which g + uv holds the pattern (``edge_mask``); the walk
+   covers only the candidate pairs, the window minus u's neighbours minus
+   those masks.  A clique's mask gathers the common neighbours of the
+   K_{size-2}'s in u's neighbourhood.  A one-copy star's is every vertex
+   when u has degree leaves - 1, and the vertices of that degree otherwise,
+   as g free caps every degree there.  The mask must be exact.  Whether
+   g + uv holds a pattern depends only on the isomorphism type of
+   (g, u, v), so an exact mask is the same on a whole orbit: the
+   candidates are a union of orbits, and every orbit left is walked from
+   the same first non-edge as over the whole window.  A mask that marked a
+   free pair could drop a whole orbit, and with it a class.  One that
+   missed blocked pairs unevenly could keep part of an orbit, so the walk
+   would start it from a later pair, and the rank tests, the children
+   searched and the generators each class keeps would change.  The other
+   patterns answer per pair.  A star forest of several copies answers from
+   g alone: uv must join a centre x to a leaf y, so it asks whether g - y
+   holds a star at x with one leaf fewer and the other copies, all
+   disjoint, by Hall's condition over the centre sets that hold x.  A
+   matching builds g + uv, the one pattern that still does.
 
-Per parent the screens run in this order: the degree window, the clique
+Per parent the screens run in this order: the degree window, the exact
 masks, the orbit walk, the rank test, the per-pair family check (which
-only matchings and star forests can still fail), and last the canonical
-search of g + uv, the only step that builds the child for a clique-only
-family.  The window's ``top`` comes from one pass over g's vertices: it is
-the largest degree d of a vertex with a neighbour of degree d or more, the
-lower end of an edge with both ends of degree at least d.  The
-neighbour-degree sums are built for a parent only when one of its rank
-tests first ties uv on degrees, and serve its later rank tests; at n = 10,
-7,507 of the 12,172 triangle-free parents ever need them.
+only matchings and star forests of several copies can still fail), and
+last the canonical search of g + uv, the only step that builds the child
+unless the family holds a matching.  The window's ``top`` comes from one
+pass over g's vertices: it is the largest degree d of a vertex with a
+neighbour of degree d or more, the lower end of an edge with both ends of
+degree at least d.  The neighbour-degree sums are built for a parent only
+when one of its rank tests first ties uv on degrees, and serve its later
+rank tests; at n = 10, 7,507 of the 12,172 triangle-free parents ever
+need them.
 
 A level is a set of classes, so the filter only thins how often one class
 is found, never which classes are found.  The visit counter still counts
@@ -104,7 +114,7 @@ from .canonical import (
     canonical_form,
     graph_from_code,
 )
-from .detectors import Clique, ForbiddenFamily, contains_clique, is_family_free
+from .detectors import ForbiddenFamily, contains_clique, is_family_free
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph, induced_subgraph
@@ -248,13 +258,13 @@ def _expand_codes(
     with automorphism generators of ``graph_from_code(n, code)``; returns
     the same for the successors, plus the number of augmentations
     attempted, which counts every non-edge.  Only the first candidate pair
-    of each orbit, in the degree window and outside every clique mask, and
+    of each orbit, in the degree window and outside every exact mask, and
     only one that no edge of the child outranks, is checked and
     canonicalized.
     """
     n, family_spec, parents = args
     family = ForbiddenFamily.parse(family_spec)
-    cliques = [pat for pat in family.patterns if isinstance(pat, Clique)]
+    masked = [pat for pat in family.patterns if pat.has_edge_mask]
     out: dict[int, Generators] = {}
     visited = 0
     pairs = n * (n - 1) // 2
@@ -277,11 +287,11 @@ def _expand_codes(
                 top = d
         window = at_least[max(top - 1, 0)]
         sums: list[int] = []  # filled by the first tie _outranked meets
-        # exact clique masks keep the candidates a union of orbits
+        # exact masks keep the candidates a union of orbits
         candidates = [0] * n
         for u in bits(window):
             blocked = rows[u]
-            for pat in cliques:
+            for pat in masked:
                 blocked |= pat.edge_mask(g, u)
             candidates[u] = window & ~blocked
         for u, v in _orbit_representatives(g, generators, candidates):

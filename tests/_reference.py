@@ -46,44 +46,23 @@ def ref_max_matching(g: Graph) -> int:
     return best(list(range(g.n)))
 
 
-def _distinct_reps(pools, need):
-    # pick `need` distinct vertices from every pool, pools may overlap
-    slots = []
-    for pool in pools:
-        slots.extend([pool] * need)
-    used = set()
-
-    def rec(i):
-        if i == len(slots):
+def ref_has_star_forest(g: Graph, copies: int, leaves: int) -> bool:
+    # place the centers in increasing order, each with a `leaves`-set of its
+    # neighbors, no vertex used twice, while enough vertices are left
+    def place(left, first, used):
+        if left == 0:
             return True
-        for x in slots[i]:
-            if x not in used:
-                used.add(x)
-                if rec(i + 1):
-                    return True
-                used.discard(x)
+        if len(used) + left * (leaves + 1) > g.n:
+            return False
+        for c in range(first, g.n):
+            if c not in used:
+                free = [x for x in g.neighbors(c) if x not in used]
+                for pick in itertools.combinations(free, leaves):
+                    if place(left - 1, c + 1, used | {c, *pick}):
+                        return True
         return False
 
-    return rec(0)
-
-
-def ref_has_star_forest(g: Graph, copies: int, leaves: int) -> bool:
-    if copies == 0:
-        return True
-    if leaves == 0:
-        return g.n >= copies
-    for centers in itertools.combinations(range(g.n), copies):
-        cset = set(centers)
-        pools = []
-        for c in centers:
-            pool = [v for v in g.neighbors(c) if v not in cset]
-            if len(pool) < leaves:
-                break
-            pools.append(pool)
-        else:
-            if _distinct_reps(pools, leaves):
-                return True
-    return False
+    return place(copies, 0, frozenset())
 
 
 def ref_is_free(g: Graph, family) -> bool:

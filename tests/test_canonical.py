@@ -11,6 +11,7 @@ from turanstar import (
     CANONICAL_MAX_N,
     Clique,
     ForbiddenFamily,
+    Graph,
     are_isomorphic,
     bits,
     build_graph,
@@ -90,6 +91,36 @@ def test_non_isomorphic_same_degree_sequence():
     two_triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert c6.degree_sequence() == two_triangles.degree_sequence()
     assert not are_isomorphic(c6, two_triangles)
+
+
+def test_identical_graphs_skip_the_search(monkeypatch):
+    # equal rows answer at once; a relabelled copy and a non-isomorphic pair
+    # with one degree sequence still reach the search, one per graph
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+
+    search = canonical._search
+
+    def refuse(_):
+        raise AssertionError("searched identical graphs")
+
+    monkeypatch.setattr(canonical, "_search", refuse)
+    assert are_isomorphic(g, Graph(g.n, g.rows))
+    searches = 0
+
+    def counted(h):
+        nonlocal searches
+        searches += 1
+        return search(h)
+
+    monkeypatch.setattr(canonical, "_search", counted)
+    relabelled = g.relabel((2, 4, 0, 5, 1, 3))
+    assert relabelled.rows != g.rows
+    assert are_isomorphic(g, relabelled)
+    assert searches == 2
+    c6_with_other_chord = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2)])
+    assert c6_with_other_chord.degree_sequence() == g.degree_sequence()
+    assert not are_isomorphic(g, c6_with_other_chord)
+    assert searches == 4
 
 
 def test_size_mismatch_and_cap():

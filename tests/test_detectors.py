@@ -195,8 +195,16 @@ def test_family_free_random_cross_check():
 EDGE_LOCAL_PATTERNS = (
     [Clique(r) for r in range(2, 6)]
     + [Matching(s) for s in range(1, 5)]
-    + [StarForest(c, l) for c in range(1, 4) for l in range(1, 4)]
+    + [StarForest(c, l) for c in range(1, 5) for l in range(1, 5)]
 )
+
+
+def _occurs_with_the_edge(pattern, g, u, v):
+    """The verdict about g + uv, for a star forest from the literal reference."""
+    h = g.add_edge(u, v)
+    if isinstance(pattern, StarForest):
+        return ref_has_star_forest(h, pattern.copies, pattern.leaves)
+    return pattern.occurs_in(h)
 
 
 def _free_graphs(pattern):
@@ -220,22 +228,35 @@ def test_edge_local_answer_matches_adding_the_edge(pattern):
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if not g.has_edge(u, v):
-                    want = pattern.occurs_in(g.add_edge(u, v))
+                    want = _occurs_with_the_edge(pattern, g, u, v)
                     assert pattern.occurs_with_edge(g, u, v) == want, (g.n, g.edges(), u, v)
 
 
-@pytest.mark.parametrize("size", range(2, 6))
-def test_clique_edge_mask_matches_adding_the_edge(size):
+def _assert_edge_mask_is_exact(pattern):
     # the oracle drops every pair in the mask before its orbit walk, so the
     # mask must be exact from either end of every non-edge
-    pattern = Clique(size)
+    assert pattern.has_edge_mask
     for g in _free_graphs(pattern):
         for u in range(g.n):
             mask = pattern.edge_mask(g, u)
             for v in range(g.n):
                 if v != u and not g.has_edge(u, v):
-                    want = pattern.occurs_in(g.add_edge(u, v))
+                    want = _occurs_with_the_edge(pattern, g, u, v)
                     assert bool(mask >> v & 1) == want, (g.n, g.edges(), u, v)
+
+
+@pytest.mark.parametrize("size", range(2, 6))
+def test_clique_edge_mask_matches_adding_the_edge(size):
+    _assert_edge_mask_is_exact(Clique(size))
+
+
+@pytest.mark.parametrize("leaves", range(1, 5))
+def test_star_forest_edge_mask_matches_adding_the_edge(leaves):
+    _assert_edge_mask_is_exact(StarForest(1, leaves))
+    # two or more copies have no exact mask
+    assert not StarForest(2, leaves).has_edge_mask
+    with pytest.raises(ValueError):
+        StarForest(2, leaves).edge_mask(empty_graph(8), 0)
 
 
 def test_family_free_with_an_added_edge_asks_about_the_child():

@@ -201,12 +201,13 @@ def test_canonical_searches_at_n9(monkeypatch):
 @pytest.mark.parametrize("spec,ex_visited,ranked", [
     ("clique:3", (20, 47860), 5262),
     ("clique:3,starforest:2x3", (15, 23044), 3070),
-    ("clique:3,starforest:1x3", (9, 1548), 202),
+    ("clique:3,starforest:1x3", (9, 1548), 73),
 ])
 def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
-    # the clique mask drops blocked pairs before the orbit walk and the rank
-    # test; an exact mask makes the count follow from the class sets alone,
-    # and without it the counts are 17,407 and 7,785
+    # the clique and one-copy star masks drop blocked pairs before the orbit
+    # walk and the rank test; an exact mask makes the count follow from the
+    # class sets alone.  Without the masks the first two counts are 17,407
+    # and 7,785; without the star mask the third is 202
     tests = 0
     outranked = oracle._outranked
 
