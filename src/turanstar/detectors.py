@@ -108,8 +108,6 @@ class StarForest:
         return contains_star_forest(g, self.copies, self.leaves)
 
     def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
-        if self.copies * (self.leaves + 1) > g.n:
-            return False
         return _stars_with_forced_centre(g.rows, self.copies, self.leaves, u, v) or (
             _stars_with_forced_centre(g.rows, self.copies, self.leaves, v, u)
         )
