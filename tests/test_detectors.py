@@ -9,6 +9,8 @@ from turanstar import (
     Matching,
     StarForest,
     build_graph,
+    clique_matching_extremal,
+    clique_star_forest_extremal,
     complete_bipartite,
     contains_clique,
     contains_star_forest,
@@ -132,15 +134,34 @@ def test_family_validation():
         ForbiddenFamily((StarForest(0, 2),))
 
 
+def _dense_clique_inputs():
+    """Dense graphs with their sizes to ask: Turan graphs at their clique
+    number and one above, and the clique builders' outputs at every size."""
+    for n in range(1, 15):
+        for k in range(1, 6):
+            yield turan_graph(n, k), (k, k + 1)
+    for n in range(1, 15):
+        for k in range(2, 6):
+            for s in range(n + 1):
+                yield clique_matching_extremal(n, k, s), range(1, 7)
+        for k in range(3, 6):
+            for l in range(2, 5):
+                for s in range(n - (l - 1) ** 2 - 1):
+                    yield clique_star_forest_extremal(n, k, s, l), range(1, 7)
+
+
 def test_clique_detector_random_cross_check():
     rng = random.Random(101)
     for _ in range(300):
         g = random_graph(rng, rng.randrange(1, 9), rng.choice([0.2, 0.5, 0.8]))
-        for r in range(2, 6):
+        for r in range(1, 7):
             assert contains_clique(g, r) == ref_has_clique(g, r), (
                 g.edges(),
                 r,
             )
+    for g, sizes in _dense_clique_inputs():
+        for r in sizes:
+            assert contains_clique(g, r) == ref_has_clique(g, r), (g.n, g.edges(), r)
 
 
 def test_matching_detector_random_cross_check():
@@ -200,11 +221,13 @@ EDGE_LOCAL_PATTERNS = (
 
 
 def _occurs_with_the_edge(pattern, g, u, v):
-    """The verdict about g + uv, for a star forest from the literal reference."""
+    """The verdict about g + uv, from the literal references."""
     h = g.add_edge(u, v)
-    if isinstance(pattern, StarForest):
-        return ref_has_star_forest(h, pattern.copies, pattern.leaves)
-    return pattern.occurs_in(h)
+    if isinstance(pattern, Clique):
+        return ref_has_clique(h, pattern.size)
+    if isinstance(pattern, Matching):
+        return ref_max_matching(h) >= pattern.edges
+    return ref_has_star_forest(h, pattern.copies, pattern.leaves)
 
 
 def _free_graphs(pattern):
