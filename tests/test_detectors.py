@@ -232,7 +232,8 @@ def _occurs_with_the_edge(pattern, g, u, v):
 
 def _free_graphs(pattern):
     """The pattern-free atlas graphs on up to six vertices, then seeded
-    random graphs on up to ten vertices stripped of random edges until free."""
+    random graphs on up to ten vertices stripped of random edges until free,
+    then for a star forest planted free graphs on up to 20 vertices."""
     for h in nx.graph_atlas_g():
         g = build_graph(h.number_of_nodes(), h.edges())
         if not pattern.occurs_in(g):
@@ -243,16 +244,48 @@ def _free_graphs(pattern):
         while pattern.occurs_in(g):
             g = g.remove_edge(*rng.choice(g.edges()))
         yield g
+    if isinstance(pattern, StarForest):
+        yield from _planted_star_forest_free(pattern.copies, pattern.leaves)
+
+
+def _planted_star_forest_free(copies, leaves):
+    """Graphs free of ``copies`` S_leaves on c(l + 1) to 20 vertices, where
+    the stripped random graphs above are too small to hold a copy once an
+    edge is added: c - 1 disjoint S_l, one S_{l-1} and spare isolated
+    vertices, shuffled, then seeded extra edges, each kept only while the
+    literal reference finds no copy."""
+    rng = random.Random(131)
+    for _ in range(6):
+        n = rng.randrange(copies * (leaves + 1), 21)
+        at = rng.sample(range(n), n)
+        g = build_graph(
+            n,
+            [
+                (at[i * (leaves + 1)], at[i * (leaves + 1) + j])
+                for i in range(copies)
+                for j in range(1, leaves + (i < copies - 1))
+            ],
+        )
+        pairs = g.complement().edges()
+        for u, v in rng.sample(pairs, min(8, len(pairs))):
+            h = g.add_edge(u, v)
+            if not ref_has_star_forest(h, copies, leaves):
+                g = h
+        yield g
 
 
 @pytest.mark.parametrize("pattern", EDGE_LOCAL_PATTERNS, ids=lambda p: p.spec())
 def test_edge_local_answer_matches_adding_the_edge(pattern):
+    positives = 0
     for g in _free_graphs(pattern):
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if not g.has_edge(u, v):
                     want = _occurs_with_the_edge(pattern, g, u, v)
                     assert pattern.occurs_with_edge(g, u, v) == want, (g.n, g.edges(), u, v)
+                    positives += want
+    # a cell that only ever compares False with False checks nothing
+    assert positives
 
 
 def _assert_edge_mask_is_exact(pattern):
