@@ -34,7 +34,9 @@ class Clique:
     common neighbourhood of u and v in g holds a K_{size-2}, that is, when
     v is a common neighbour of some K_{size-2} inside u's neighbourhood.
     ``edge_mask`` gathers those v for one u at a time: for size 3 it is the
-    union of the rows of u's neighbours, and for size 2 every vertex."""
+    union of the rows of u's neighbours, and for size 2 every vertex.  One
+    reach, ``_clique_reach``, serves both questions: ``occurs_in`` asks it
+    whether some vertex has a K_{size-1} among its higher neighbours."""
 
     size: int
     has_edge_mask = True
@@ -177,25 +179,19 @@ class ForbiddenFamily:
 
 
 def contains_clique(g: Graph, size: int) -> bool:
-    """True when g has a complete subgraph on ``size`` vertices."""
+    """True when g has a complete subgraph on ``size`` vertices, that is,
+    when some vertex u has a K_{size-1} among its higher neighbours.  The
+    reach that gives ``Clique.edge_mask`` answers this too."""
     if size < 1:
         raise ValueError(f"clique size must be positive, got {size}")
     if size == 1:
         return g.n >= 1
-    if size == 2:
-        return any(g.rows)
-    if size == 3:
-        # an edge uv lies on a triangle exactly when u and v share a neighbor
-        rows = g.rows
-        for u, row in enumerate(rows):
-            higher = row >> u + 1 << u + 1
-            while higher:
-                low = higher & -higher
-                if row & rows[low.bit_length() - 1]:
-                    return True
-                higher ^= low
-        return False
-    return max_clique_size(g, stop_at=size) >= size
+    rows = g.rows
+    for u, row in enumerate(rows):
+        higher = row >> u + 1 << u + 1
+        if _clique_reach(rows, higher, higher, size - 2):
+            return True
+    return False
 
 
 def _clique_reach(rows: tuple[int, ...], within: int, common: int, size: int) -> int:
@@ -216,57 +212,6 @@ def _clique_reach(rows: tuple[int, ...], within: int, common: int, size: int) ->
         row = rows[low.bit_length() - 1]
         out |= _clique_reach(rows, within & row, common & row, size - 1)
     return out
-
-
-def max_clique_size(g: Graph, *, stop_at: int | None = None) -> int:
-    """Largest clique order, by branch and bound with a greedy coloring bound.
-
-    With ``stop_at`` the search may quit as soon as a clique that large is
-    found; the return value is then only guaranteed to be >= stop_at when
-    one exists.
-    """
-    n = g.n
-    if n == 0:
-        return 0
-    rows = g.rows
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    best = 0
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if stop_at is not None and best >= stop_at:
-            return
-        if not cand:
-            return
-        # Greedy coloring: each class is an independent set, so a clique
-        # meets each class at most once and #classes bounds what remains.
-        class_masks: list[int] = []
-        seq: list[tuple[int, int]] = []
-        for v in order:
-            if not cand >> v & 1:
-                continue
-            for ci, cm in enumerate(class_masks):
-                if not rows[v] & cm:
-                    class_masks[ci] = cm | (1 << v)
-                    seq.append((v, ci))
-                    break
-            else:
-                class_masks.append(1 << v)
-                seq.append((v, len(class_masks) - 1))
-        seq.sort(key=lambda item: item[1])
-        avail = cand
-        for v, color in reversed(seq):
-            if size + color + 1 <= best:
-                return
-            avail &= ~(1 << v)
-            expand(avail & rows[v], size + 1)
-            if stop_at is not None and best >= stop_at:
-                return
-
-    expand((1 << n) - 1, 0)
-    return best
 
 
 def max_matching_size(g: Graph) -> int:

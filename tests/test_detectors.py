@@ -17,7 +17,6 @@ from turanstar import (
     empty_graph,
     is_family_free,
     join,
-    max_clique_size,
     max_matching_size,
     turan_graph,
 )
@@ -41,18 +40,23 @@ def test_contains_clique_fixed():
     assert not contains_clique(cycle(5), 3)
     assert contains_clique(cycle(3), 3)
     assert contains_clique(empty_graph(1), 1)
+    # the empty graph has clique number 0
     assert not contains_clique(empty_graph(0), 1)
     with pytest.raises(ValueError):
         contains_clique(empty_graph(3), 0)
-
-
-def test_max_clique_size_fixed():
-    assert max_clique_size(empty_graph(0)) == 0
-    assert max_clique_size(empty_graph(5)) == 1
-    assert max_clique_size(turan_graph(12, 4)) == 4
-    assert max_clique_size(cycle(7)) == 2
-    # join adds one to the clique number of each side
-    assert max_clique_size(join(turan_graph(4, 2), cycle(5))) == 2 + 2
+    # a clique as large as the clique number, and none one larger
+    for g, omega in (
+        (empty_graph(5), 1),
+        (turan_graph(12, 4), 4),
+        (cycle(7), 2),
+        # join adds one to the clique number of each side
+        (join(turan_graph(4, 2), cycle(5)), 2 + 2),
+        # dense multipartite graphs, where proving absence is slowest
+        (turan_graph(40, 5), 5),
+        (turan_graph(62, 4), 4),
+    ):
+        assert contains_clique(g, omega)
+        assert not contains_clique(g, omega + 1)
 
 
 def test_max_matching_fixed():
