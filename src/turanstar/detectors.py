@@ -14,16 +14,19 @@ Each pattern validates its own arguments, gives its text form through
 is free, a copy in g + uv must use uv, so cliques and star forests answer
 from g alone; only a matching builds g + uv.  Where ``has_edge_mask``
 holds, a pattern also answers for every v at once through
-``edge_mask(g, u)``: a clique always, a star forest of one copy.  All
-detectors are exact.  The test suite cross-checks their verdicts against
-plain exhaustive search, and the matching detector also against networkx.
+``edge_mask(g, u)``: a clique always, a star forest of one copy.  One
+clique reach (``_clique_reach``) answers both questions, about g and about
+g + uv, for a clique, and one walk over star centre sets (``_centre_walk``)
+answers both for a star forest.  All detectors are exact.  The test
+suite cross-checks their verdicts against plain exhaustive search, and the
+matching detector also against networkx.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+from typing import Sequence, Union
 
 from .graphs import Graph, bits, mask_of
 
@@ -306,8 +309,9 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
     A greedy packing attempt (high-degree centers first, lowest-index
     leaves) settles most positive cases immediately, and a small blocking
     set that kills all high degrees settles most negative ones.  The exact
-    fallback walks center subsets and decides leaf availability by Hall's
-    condition (``_pools_admit_disjoint_leaves``).
+    fallback is the centre walk that ``StarForest.occurs_with_edge`` also
+    runs, with no forced centre: it walks centre sets and decides leaf
+    availability by Hall's condition (``_pools_admit_disjoint_leaves``).
     """
     if copies < 1 or leaves < 1:
         raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {copies}x{leaves}")
@@ -323,20 +327,7 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
         return True
     if _star_hitting_certificate(rows, n, copies, leaves):
         return False
-    for centers in combinations(candidates, copies):
-        center_mask = 0
-        for c in centers:
-            center_mask |= 1 << c
-        pools = []
-        for c in centers:
-            pool = rows[c] & ~center_mask
-            if pool.bit_count() < leaves:
-                pools = None
-                break
-            pools.append(pool)
-        if pools is not None and _pools_admit_disjoint_leaves(pools, [leaves] * copies):
-            return True
-    return False
+    return _centre_walk(rows, candidates, copies, leaves, [], [])
 
 
 def _greedy_star_packing(rows: tuple[int, ...], candidates: list[int], copies: int, leaves: int) -> bool:
@@ -393,20 +384,32 @@ def _stars_with_forced_centre(rows: tuple[int, ...], copies: int, leaves: int, x
     off = ~(1 << x | 1 << y)
     if (rows[x] & off).bit_count() < leaves - 1:
         return False
-    candidates = [c for c, row in enumerate(rows) if off >> c & 1 and (row & off).bit_count() >= leaves]
-    demands = [leaves - 1] + [leaves] * (copies - 1)
-    for centers in combinations(candidates, copies - 1):
-        keep = off
-        for c in centers:
-            keep &= ~(1 << c)
-        pools = [rows[x] & keep]
-        for c in centers:
-            pool = rows[c] & keep
+    rows = [row & off for row in rows]
+    candidates = [c for c, row in enumerate(rows) if off >> c & 1 and row.bit_count() >= leaves]
+    return _centre_walk(rows, candidates, copies - 1, leaves, [rows[x]], [leaves - 1])
+
+
+def _centre_walk(
+    rows: Sequence[int], candidates: list[int], copies: int, leaves: int, pools: list[int], demands: list[int]
+) -> bool:
+    """Can ``copies`` centres drawn from ``candidates`` each take ``leaves``
+    leaves from their rows while the leading ``pools`` take their
+    ``demands``, all leaves distinct and none a centre?  The one walk over
+    centre sets; Hall's condition decides each set."""
+    demands = demands + [leaves] * copies
+    for centres in combinations(candidates, copies):
+        taken = 0
+        for c in centres:
+            taken |= 1 << c
+        off = ~taken
+        chosen = [pool & off for pool in pools]
+        for c in centres:
+            pool = rows[c] & off
             if pool.bit_count() < leaves:
                 break
-            pools.append(pool)
+            chosen.append(pool)
         else:
-            if _pools_admit_disjoint_leaves(pools, demands):
+            if _pools_admit_disjoint_leaves(chosen, demands):
                 return True
     return False
 
