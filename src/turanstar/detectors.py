@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Union
 
 from .graphs import Graph, bits, mask_of
 
@@ -390,7 +390,8 @@ def _stars_with_forced_centre(rows: tuple[int, ...], copies: int, leaves: int, x
 
 
 def _centre_walk(
-    rows: Sequence[int], candidates: list[int], copies: int, leaves: int, pools: list[int], demands: list[int]
+    rows: tuple[int, ...] | list[int], candidates: list[int], copies: int, leaves: int,
+    pools: list[int], demands: list[int],
 ) -> bool:
     """Can ``copies`` centres drawn from ``candidates`` each take ``leaves``
     leaves from their rows while the leading ``pools`` take their

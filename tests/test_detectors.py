@@ -139,8 +139,8 @@ def test_family_validation():
 
 
 def _dense_clique_inputs():
-    """Dense graphs with their sizes to ask: Turan graphs at their clique
-    number and one above, and the clique builders' outputs at every size."""
+    """Dense graphs with the clique sizes to ask: T(n, k) at sizes k and
+    k + 1, and the clique builders' outputs at every size up to 6."""
     for n in range(1, 15):
         for k in range(1, 6):
             yield turan_graph(n, k), (k, k + 1)
@@ -253,11 +253,11 @@ def _free_graphs(pattern):
 
 
 def _planted_star_forest_free(copies, leaves):
-    """Graphs free of ``copies`` S_leaves on c(l + 1) to 20 vertices, where
-    the stripped random graphs above are too small to hold a copy once an
-    edge is added: c - 1 disjoint S_l, one S_{l-1} and spare isolated
-    vertices, shuffled, then seeded extra edges, each kept only while the
-    literal reference finds no copy."""
+    """Graphs free of c = ``copies`` disjoint S_l, l = ``leaves``, on
+    c(l + 1) to 20 vertices, where the stripped random graphs above are too
+    small to hold a copy once an edge is added: c - 1 disjoint S_l, one
+    S_{l-1} and spare isolated vertices, shuffled, then seeded extra edges,
+    each kept only while the literal reference finds no copy."""
     rng = random.Random(131)
     for _ in range(6):
         n = rng.randrange(copies * (leaves + 1), 21)
