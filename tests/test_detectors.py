@@ -139,19 +139,18 @@ def test_family_validation():
 
 
 def _dense_clique_inputs():
-    """Dense graphs with the clique sizes to ask: T(n, k) at sizes k and
-    k + 1, and the clique builders' outputs at every size up to 6."""
+    """Dense graphs with their k, asked about K_k and K_{k+1}: T(n, k) and
+    the builders' outputs for K_{k+1}-free families."""
     for n in range(1, 15):
         for k in range(1, 6):
-            yield turan_graph(n, k), (k, k + 1)
-    for n in range(1, 15):
+            yield turan_graph(n, k), k
         for k in range(2, 6):
             for s in range(n + 1):
-                yield clique_matching_extremal(n, k, s), range(1, 7)
+                yield clique_matching_extremal(n, k, s), k
         for k in range(3, 6):
             for l in range(2, 5):
                 for s in range(n - (l - 1) ** 2 - 1):
-                    yield clique_star_forest_extremal(n, k, s, l), range(1, 7)
+                    yield clique_star_forest_extremal(n, k, s, l), k
 
 
 def test_clique_detector_random_cross_check():
@@ -163,8 +162,8 @@ def test_clique_detector_random_cross_check():
                 g.edges(),
                 r,
             )
-    for g, sizes in _dense_clique_inputs():
-        for r in sizes:
+    for g, k in _dense_clique_inputs():
+        for r in (k, k + 1):
             assert contains_clique(g, r) == ref_has_clique(g, r), (g.n, g.edges(), r)
 
 
