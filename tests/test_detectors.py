@@ -40,10 +40,13 @@ def test_contains_clique_fixed():
     assert not contains_clique(cycle(5), 3)
     assert contains_clique(cycle(3), 3)
     assert contains_clique(empty_graph(1), 1)
-    # the empty graph has clique number 0
-    assert not contains_clique(empty_graph(0), 1)
     with pytest.raises(ValueError):
         contains_clique(empty_graph(3), 0)
+
+
+def test_max_clique_size_fixed():
+    # the empty graph has clique number 0
+    assert not contains_clique(empty_graph(0), 1)
     # a clique as large as the clique number, and none one larger
     for g, omega in (
         (empty_graph(5), 1),
