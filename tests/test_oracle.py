@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import json
@@ -144,7 +145,17 @@ def test_all_graph_counts_match_oeis():
 
 @pytest.mark.parametrize(
     "spec",
-    ["clique:2", "clique:3", "clique:4", "starforest:2x2", "clique:3,matching:3", "clique:4,starforest:2x3", "clique:9"],
+    [
+        "clique:2",
+        "clique:3",
+        "clique:4",
+        "starforest:2x2",
+        "clique:3,matching:3",
+        "clique:4,starforest:2x3",
+        "clique:3,starforest:1x3",
+        "clique:4,starforest:1x4",
+        "clique:9",
+    ],
 )
 def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
     # a whole level, each parent carrying the generators its own search
@@ -412,6 +423,25 @@ def test_isolated_vertices_lead_the_canonical_code():
                 isolated = sum(1 for row in graph_from_code(8, code).rows if not row)
                 for n in range(9):
                     assert (code < 1 << n * (n - 1) // 2) == (isolated >= 8 - n), (spec, code, n)
+
+
+@pytest.mark.parametrize("spec,top", [
+    ("clique:3", 9),
+    ("clique:4,starforest:2x3", 9),
+    ("starforest:2x2", 10),
+    ("clique:3,matching:3", 9),
+])
+def test_stripped_codes_are_already_canonical(spec, top):
+    # extremal_records searches each stripped class again on n vertices;
+    # over whole levels the low C(n,2) bits of a padded class's code are
+    # already the canonical code of the class on n vertices
+    checked = 0
+    for _, codes, _ in _levels(top, ForbiddenFamily.parse(spec), jobs=1):
+        for n in range(top):
+            for code in codes[: bisect.bisect_left(codes, 1 << n * (n - 1) // 2)]:
+                assert canonical_code(graph_from_code(n, code)) == code, (spec, n, code)
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("spec,low", [
