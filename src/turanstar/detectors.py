@@ -9,17 +9,17 @@ contains none of them as a subgraph.  Three pattern kinds appear:
   center joined to ``leaves`` distinct leaves.
 
 Each pattern validates its own arguments, gives its text form through
-``spec()``, answers ``occurs_in(g)`` with its detector, and answers
-``occurs_with_edge(g, u, v)`` about g + uv for a g free of it.  Since g
-is free, a copy in g + uv must use uv, so cliques and star forests answer
-from g alone; only a matching builds g + uv.  Where ``has_edge_mask``
-holds, a pattern also answers for every v at once through
-``edge_mask(g, u)``: a clique always, a star forest of one copy.  One
-clique reach (``_clique_reach``) answers both questions, about g and about
-g + uv, for a clique, and one walk over star centre sets (``_centre_walk``)
-answers both for a star forest.  All detectors are exact.  The test
-suite cross-checks their verdicts against plain exhaustive search, and the
-matching detector also against networkx.
+``spec()`` and answers ``occurs_in(g)`` with its detector.  The oracle
+asks it about g + uv, for a g free of it, in one way: through
+``edge_mask(g, u)``, for every v at once, where ``has_edge_mask`` holds (a
+clique, a star forest of one copy), and otherwise through
+``occurs_with_edge(g, u, v)``.  A copy in g + uv must use uv, so a star
+forest answers from g alone; only a matching builds g + uv.  One clique
+reach (``_clique_reach``) answers both questions, about g and about
+g + uv, for a clique, and one walk over star centre sets
+(``_centre_walk``) answers both for a star forest.  All detectors are
+exact.  The test suite cross-checks their verdicts against plain
+exhaustive search, and the matching detector also against networkx.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ class Clique:
 
     def occurs_in(self, g: Graph) -> bool:
         return contains_clique(g, self.size)
-
-    def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
-        return bool(self.edge_mask(g, u) >> v & 1)
 
     def edge_mask(self, g: Graph, u: int) -> int:
         """Mask whose bit v, for each non-neighbour v of u other than u, is
@@ -140,7 +137,7 @@ _KIND_ORDER = tuple(_PATTERN_KINDS.values())
 
 @dataclass(frozen=True)
 class ForbiddenFamily:
-    """Non-empty tuple of patterns, kept in canonical sorted order."""
+    """Non-empty tuple of distinct patterns, kept in canonical sorted order."""
 
     patterns: tuple[Pattern, ...]
 
@@ -150,7 +147,7 @@ class ForbiddenFamily:
         for pat in self.patterns:
             if type(pat) not in _KIND_ORDER:
                 raise ValueError(f"unknown pattern {pat!r}")
-        ordered = sorted(self.patterns, key=lambda p: (_KIND_ORDER.index(type(p)), p))
+        ordered = sorted(set(self.patterns), key=lambda p: (_KIND_ORDER.index(type(p)), p))
         object.__setattr__(self, "patterns", tuple(ordered))
 
     def spec(self) -> str:
@@ -435,13 +432,6 @@ def _pools_admit_disjoint_leaves(pools: list[int], demands: list[int]) -> bool:
     return True
 
 
-def is_family_free(g: Graph, family: ForbiddenFamily, edge: tuple[int, int] | None = None) -> bool:
-    """True when g contains no pattern of the family.
-
-    With ``edge = (u, v)``, a non-edge of a family-free g, the question is
-    asked of g + uv, and each pattern answers it by ``occurs_with_edge``.
-    """
-    for pat in family.patterns:
-        if pat.occurs_in(g) if edge is None else pat.occurs_with_edge(g, *edge):
-            return False
-    return True
+def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
+    """True when g contains no pattern of the family."""
+    return not any(pat.occurs_in(g) for pat in family.patterns)

@@ -35,30 +35,30 @@ visits every isomorphism class exactly once.  Four cuts keep that cheap:
    copy) gives, for every vertex u of the degree window, the mask of
    vertices v for which g + uv holds the pattern (``edge_mask``); the walk
    covers only the candidate pairs, the window minus u's neighbours minus
-   those masks.  A clique's mask gathers the common neighbours of the
-   K_{size-2}'s in u's neighbourhood.  A one-copy star's is every vertex
-   when u has degree leaves - 1, and the vertices of that degree otherwise,
-   as g free caps every degree there.  The mask must be exact.  Whether
-   g + uv holds a pattern depends only on the isomorphism type of
-   (g, u, v), so an exact mask is the same on a whole orbit: the
-   candidates are a union of orbits, and every orbit left is walked from
-   the same first non-edge as over the whole window.  A mask that marked a
-   free pair could drop a whole orbit, and with it a class.  One that
-   missed blocked pairs unevenly could keep part of an orbit, so the walk
-   would start it from a later pair, and the rank tests, the children
-   searched and the generators each class keeps would change.  The other
-   patterns answer per pair.  A star forest of several copies answers from
-   g alone: uv must join a centre x to a leaf y, so it asks whether g - y
-   holds a star at x with one leaf fewer and the other copies, all
-   disjoint, by Hall's condition over the centre sets that hold x.  A
-   matching builds g + uv, the one pattern that still does.
+   those masks, and never asks these patterns again.  A clique's mask
+   gathers the common neighbours of the K_{size-2}'s in u's neighbourhood.
+   A one-copy star's is every vertex when u has degree leaves - 1, and the
+   vertices of that degree otherwise, as g free caps every degree there.
+   The mask must be exact.  Whether g + uv holds a pattern depends only on
+   the isomorphism type of (g, u, v), so an exact mask is the same on a
+   whole orbit: the candidates are a union of orbits, and every orbit left
+   is walked from the same first non-edge as over the whole window.  A mask
+   that marked a free pair could drop a whole orbit, and with it a class.
+   One that missed blocked pairs unevenly could keep part of an orbit, so
+   the walk would start it from a later pair, and the rank tests, the
+   children searched and the generators each class keeps would change.  The
+   other patterns are asked per pair, by ``occurs_with_edge``.  A star
+   forest of several copies answers from g alone: uv must join a centre x
+   to a leaf y, so it asks whether g - y holds a star at x with one leaf
+   fewer and the other copies, all disjoint, by Hall's condition over the
+   centre sets that hold x.  A matching builds g + uv.
 
 Per parent the screens run in this order: the degree window, the exact
-masks, the orbit walk, the rank test, the per-pair family check (which
-only matchings and star forests of several copies can still fail), and
-last the canonical search of g + uv, the only step that builds the child
-unless the family holds a matching.  The window's ``top`` comes from one
-pass over g's vertices: it is the largest degree d of a vertex with a
+masks, the orbit walk, the rank test, the per-pair check of the patterns
+without an exact mask (none for a family of cliques and one-copy stars),
+and last the canonical search of g + uv, the only step that builds the
+child unless the family holds a matching.  The window's ``top`` comes from
+one pass over g's vertices: it is the largest degree d of a vertex with a
 neighbour of degree d or more, the lower end of an edge with both ends of
 degree at least d.  The neighbour-degree sums are built for a parent only
 when one of its rank tests first ties uv on degrees, and serve its later
@@ -259,12 +259,13 @@ def _expand_codes(
     the same for the successors, plus the number of augmentations
     attempted, which counts every non-edge.  Only the first candidate pair
     of each orbit, in the degree window and outside every exact mask, and
-    only one that no edge of the child outranks, is checked and
-    canonicalized.
+    only one that no edge of the child outranks, is asked of the patterns
+    without a mask and canonicalized.
     """
     n, family_spec, parents = args
     family = ForbiddenFamily.parse(family_spec)
     masked = [pat for pat in family.patterns if pat.has_edge_mask]
+    paired = [pat for pat in family.patterns if not pat.has_edge_mask]
     out: dict[int, Generators] = {}
     visited = 0
     pairs = n * (n - 1) // 2
@@ -295,7 +296,7 @@ def _expand_codes(
                 blocked |= pat.edge_mask(g, u)
             candidates[u] = window & ~blocked
         for u, v in _orbit_representatives(g, generators, candidates):
-            if _outranked(rows, at_least, sums, u, v) or not is_family_free(g, family, (u, v)):
+            if _outranked(rows, at_least, sums, u, v) or any(pat.occurs_with_edge(g, u, v) for pat in paired):
                 continue
             child, child_generators = canonical_code_and_generators(g.add_edge(u, v))
             out.setdefault(child, child_generators)
