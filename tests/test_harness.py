@@ -168,6 +168,24 @@ def test_second_run_hits_cache(tmp_path):
     assert [r.as_dict() for r in second.rows] == [r.as_dict() for r in first.rows]
 
 
+def json_reports(output):
+    """The reports of a ``verify --format json`` run, one dict per suite."""
+    return [json.loads(blob) for blob in output.split("\n\n")]
+
+
+def test_verify_oracle_counters_are_pinned_cold_and_warm(tmp_path):
+    args = ["verify", "--format", "json", "--cache", str(tmp_path / "cache.jsonl")]
+    counters = []
+    for _ in range(2):  # cold, then warm over the same cache
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        reports = json_reports(result.output)
+        assert [r["suite"] for r in reports] == list(SUITE_NAMES)
+        counters.append([(r["fresh_oracle_runs"], r["graphs_visited"]) for r in reports])
+    assert counters[0] == [(0, 0), (11, 4336), (20, 7162), (0, 0), (36, 67483), (2, 7641)]
+    assert counters[1] == [(0, 0)] * len(SUITE_NAMES)
+
+
 def test_csv_outputs_byte_identical_apart_from_timestamp(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
     a = emit_report(run_suite("triangle-star-forest", cache=cache), "csv").decode()
