@@ -26,7 +26,7 @@ from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
 from .harness import (
     PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, boundary_sweep, emit_report, fetch_records,
-    run_suite,
+    run_suites,
 )
 
 
@@ -184,14 +184,11 @@ def _emit_many(reports, fmt, out):
 @click.pass_context
 def verify(ctx, suites, jobs, cache, fmt, out):
     """Run verification suites; exit 1 if any row mismatches."""
-    names = suites or SUITE_NAMES
     store = ResultCache(cache) if cache else None
-    reports = []
-    for name in names:
-        try:
-            reports.append(run_suite(name, jobs=jobs, cache=store))
-        except ValueError as err:
-            raise _usage(err)
+    try:
+        reports = run_suites(suites or SUITE_NAMES, jobs=jobs, cache=store)
+    except ValueError as err:
+        raise _usage(err)
     _emit_many(reports, fmt, out)
     if not all(report.ok() for report in reports):
         ctx.exit(1)

@@ -12,6 +12,11 @@ failure, so it is never reported as MISMATCH.
 Each problem (its parameters, forbidden family, closed form and candidate
 extremal constructions) is declared once in ``PROBLEMS``; the suites, the
 sweep and the CLI's ``formula`` command read that table.
+
+Each suite declares in ``_SUITES`` the oracle slices it reads.  A run of
+suites fetches each family once, in order of first appearance, over the
+union of the ns its slices read, so one enumeration runs per family; each
+fresh record is credited to the first suite, in run order, that reads it.
 """
 
 from __future__ import annotations
@@ -140,28 +145,22 @@ class ResultCache:
             handle.write(json.dumps(record.to_json_dict()) + "\n")
 
 
-@dataclass
-class _OracleMeter:
-    fresh_runs: int = 0
-    graphs_visited: int = 0
-
-
 def fetch_records(
     ns: Iterable[int],
     family: ForbiddenFamily,
     cache: ResultCache | None,
     jobs: int,
-    meter: _OracleMeter | None = None,
+    fresh: set[tuple[ForbiddenFamily, int]] | None = None,
 ) -> dict[int, ExtremalRecord]:
     """The record for each n in ns: cached, or derived from one fresh search.
 
     Every n is checked against the cap before any lookup, so a cache line
     never answers for an n the search would refuse.  Each n is looked up
     once; the misses come from one ``extremal_records`` enumeration at the
-    largest of them, are appended to the cache in ascending n and count as
-    one fresh run each.  Every record from that enumeration carries its
-    seconds as ``elapsed``.  A hit still reports its own lookup's time as
-    ``elapsed``, not the stored run's.
+    largest of them, are appended to the cache in ascending n and add
+    ``(family, n)`` to ``fresh``.  Every record from that enumeration
+    carries its seconds as ``elapsed``.  A hit still reports its own
+    lookup's time as ``elapsed``, not the stored run's.
     """
     wanted = sorted(set(ns))
     for n in wanted[:1] + wanted[-1:]:  # the cap is a range: its ends decide
@@ -177,28 +176,12 @@ def fetch_records(
                 continue
         misses.append(n)
     for n, record in extremal_records(misses, family, jobs).items():
-        if meter is not None:
-            meter.fresh_runs += 1
-            meter.graphs_visited += record.graphs_visited
+        if fresh is not None:
+            fresh.add((family, n))
         if cache is not None:
             cache.append(record)
         records[n] = record
     return dict(sorted(records.items()))
-
-
-def _finish(
-    suite: str, rows: list[SuiteRow], meter: _OracleMeter | None = None, notes: dict | None = None
-) -> SuiteReport:
-    meter = meter or _OracleMeter()
-    return SuiteReport(
-        suite=suite,
-        rows=rows,
-        timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-        version=TOOL_VERSION,
-        fresh_oracle_runs=meter.fresh_runs,
-        graphs_visited=meter.graphs_visited,
-        notes=dict(notes or {}),
-    )
 
 
 def _verdict(*checks: bool) -> str:
@@ -268,10 +251,14 @@ PROBLEMS = {
 }
 
 
+def _args(name: str, params: dict) -> list[int]:
+    return [params[p] for p in PROBLEMS[name].params]
+
+
 def _checked_row(name: str, n: int, record: ExtremalRecord | None = None, **params) -> SuiteRow:
     """A row that must agree: every candidate free, its best edge count equal to the formula."""
     problem = PROBLEMS[name]
-    args = [params[p] for p in problem.params]
+    args = _args(name, params)
     graphs = [build() for build in problem.builders(n, *args)]
     family = problem.family(*args)
     free = all(is_family_free(g, family) for g in graphs)
@@ -295,8 +282,7 @@ def _explored_row(
     name: str, n: int, record: ExtremalRecord, reason: str, construction: int | None = None, **params
 ) -> SuiteRow:
     """A row where search below the threshold may beat the formula: MATCH or SKIPPED(reason)."""
-    problem = PROBLEMS[name]
-    formula = problem.formula(n, *(params[p] for p in problem.params)).value
+    formula = PROBLEMS[name].formula(n, *_args(name, params)).value
     return SuiteRow(
         n=n,
         k=params.get("k"),
@@ -313,11 +299,12 @@ def _explored_row(
 # ---------------------------------------------------------------------------
 # suites
 #
-# Each suite's grid is fixed in its code, and the sizes it searches sit under
-# the enumeration cap; only the boundary sweep takes parameters.
+# A suite is its oracle slices, each (problem, params, ns), and a builder that
+# gets the slices with each ns replaced by its records and returns (rows,
+# notes).  Grids sit under the enumeration cap; only the sweep takes parameters.
 
 
-def _suite_regular_core(jobs: int, cache) -> SuiteReport:
+def _suite_regular_core(_) -> tuple[list[SuiteRow], dict]:
     rows = []
     for degree in range(1, 7):
         for n in range(degree * degree + 2, 60 + 1):
@@ -346,32 +333,17 @@ def _suite_regular_core(jobs: int, cache) -> SuiteReport:
                     status=_verdict(free, formula == g.edge_count),
                 )
             )
-    return _finish("regular-core", rows)
+    return rows, {}
 
 
-def _suite_star_turan(jobs: int, cache) -> SuiteReport:
-    meter = _OracleMeter()
+def _checked_suite(sliced) -> tuple[list[SuiteRow], dict]:
     rows = []
-    for degree in (1, 2):
-        family = PROBLEMS["star"].family(degree)
-        records = fetch_records(range(degree * degree + 2, 9 + 1), family, cache, jobs, meter)
-        for n, record in records.items():
-            rows.append(_checked_row("star", n, record, l=degree))
-    return _finish("star-turan", rows, meter)
+    for name, params, records in sliced:
+        rows += [_checked_row(name, n, record, **params) for n, record in records.items()]
+    return rows, {}
 
 
-def _suite_clique_matching(jobs: int, cache) -> SuiteReport:
-    meter = _OracleMeter()
-    rows = []
-    for k, s in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        family = PROBLEMS["clique-matching"].family(k, s)
-        records = fetch_records(range(2 * s + 1, 8 + 1), family, cache, jobs, meter)
-        for n, record in records.items():
-            rows.append(_checked_row("clique-matching", n, record, k=k, s=s))
-    return _finish("clique-matching", rows, meter)
-
-
-def _suite_clique_star_forest(jobs: int, cache) -> SuiteReport:
+def _suite_clique_star_forest(_) -> tuple[list[SuiteRow], dict]:
     rows = []
     for k in range(3, 6):
         for s in range(0, 4):
@@ -379,12 +351,10 @@ def _suite_clique_star_forest(jobs: int, cache) -> SuiteReport:
                 first = s + (l - 1) ** 2 + 2
                 for n in range(first, first + 10 + 1):
                     rows.append(_checked_row("clique-star-forest", n, k=k, s=s, l=l))
-    notes = {"oracle": f"skipped: grid sizes exceed the enumeration cap {ORACLE_MAX_N}"}
-    return _finish("clique-star-forest", rows, notes=notes)
+    return rows, {"oracle": f"skipped: grid sizes exceed the enumeration cap {ORACLE_MAX_N}"}
 
 
-def _suite_triangle_star_forest(jobs: int, cache) -> SuiteReport:
-    meter = _OracleMeter()
+def _suite_triangle_star_forest(sliced) -> tuple[list[SuiteRow], dict]:
     problem = PROBLEMS["triangle-star-forest"]
     rows = []
     for s in range(0, 5):
@@ -435,14 +405,114 @@ def _suite_triangle_star_forest(jobs: int, cache) -> SuiteReport:
                             ),
                         )
                     )
-    for s, l in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 2)):
-        bound = exploration_threshold(s, l)
+    for name, params, records in sliced:
+        bound = exploration_threshold(params["s"], params["l"])
         reason = f"divergence below unproven threshold, exploratory bound n>={bound}"
-        family = problem.family(s, l)
-        records = fetch_records(range(s + 2, 9 + 1), family, cache, jobs, meter)
         for n, record in records.items():
-            rows.append(_explored_row("triangle-star-forest", n, record, reason, k=2, s=s, l=l))
-    return _finish("triangle-star-forest", rows, meter)
+            rows.append(_explored_row(name, n, record, reason, **params))
+    return rows, {}
+
+
+def _sweep_slices(k: int = 2, s: int = 1, l: int = 2, n_max: int = ORACLE_MAX_N) -> tuple:
+    """The sweep's one slice: K_{k+1} plus (s+1)S_l at n = s + 2..n_max."""
+    if k < 2 or s < 0 or l < 1 or (k > 2 and l < 2):
+        raise ValueError(f"bad sweep parameters k={k}, s={s}, l={l}")
+    if n_max < s + 2:
+        raise ValueError(f"empty sweep: no n in s + 2 = {s + 2} .. n_max = {n_max}")
+    name = "triangle-star-forest" if k == 2 else "clique-star-forest"
+    return ((name, {"k": k, "s": s, "l": l}, range(s + 2, n_max + 1)),)
+
+
+def _sweep_rows(sliced) -> tuple[list[SuiteRow], dict]:
+    ((name, params, records),) = sliced
+    rows = []
+    agreement = None
+    for n, record in records.items():
+        candidates = []
+        for build in PROBLEMS[name].builders(n, *_args(name, params)):
+            try:
+                candidates.append(build().edge_count)
+            except (BelowRangeError, SwapSupplyError):
+                pass
+        row = _explored_row(
+            name, n, record, "pre-threshold divergence", max(candidates, default=None), **params
+        )
+        if row.status != MATCH:
+            agreement = None
+        elif agreement is None:
+            agreement = n
+        rows.append(row)
+    notes = {
+        "first_agreement_n": agreement,
+        "note": "agreement point is empirical; the sweep asserts nothing",
+    }
+    if params["k"] == 2:
+        notes["exploratory_threshold"] = exploration_threshold(params["s"], params["l"])
+    return rows, notes
+
+
+_SUITES = {
+    "regular-core": ((), _suite_regular_core),
+    "star-turan": (tuple(("star", {"l": l}, range(l * l + 2, 9 + 1)) for l in (1, 2)), _checked_suite),
+    "clique-matching": (
+        tuple(
+            ("clique-matching", {"k": k, "s": s}, range(2 * s + 1, 8 + 1))
+            for k, s in ((2, 1), (2, 2), (3, 1), (3, 2))
+        ),
+        _checked_suite,
+    ),
+    "clique-star-forest": ((), _suite_clique_star_forest),
+    "triangle-star-forest": (
+        tuple(
+            ("triangle-star-forest", {"k": 2, "s": s, "l": l}, range(s + 2, 9 + 1))
+            for s, l in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 2))
+        ),
+        _suite_triangle_star_forest,
+    ),
+    "boundary-sweep": (_sweep_slices(), _sweep_rows),
+}
+
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport]:
+    """One report per (name, slices, builder), in order; see the module docstring."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    wanted: dict[ForbiddenFamily, set[int]] = {}
+    for _, slices, _ in suites:
+        for name, params, ns in slices:
+            wanted.setdefault(PROBLEMS[name].family(*_args(name, params)), set()).update(ns)
+    fresh: set[tuple[ForbiddenFamily, int]] = set()
+    fetched = {fam: fetch_records(ns, fam, cache, jobs, fresh) for fam, ns in wanted.items()}
+    reports = []
+    for suite, slices, build in suites:
+        sliced, credited = [], []
+        for name, params, ns in slices:
+            family = PROBLEMS[name].family(*_args(name, params))
+            sliced.append((name, params, {n: fetched[family][n] for n in ns}))
+            credited += [fetched[family][n] for n in ns if (family, n) in fresh]
+            fresh -= {(family, n) for n in ns}
+        rows, notes = build(sliced)
+        now = _dt.datetime.now(_dt.timezone.utc).isoformat()
+        visited = sum(record.graphs_visited for record in credited)
+        reports.append(SuiteReport(suite, rows, now, TOOL_VERSION, len(credited), visited, notes))
+    return reports
+
+
+def run_suites(
+    names: Iterable[str], *, jobs: int = 1, cache: ResultCache | None = None
+) -> list[SuiteReport]:
+    """Run suites over their fixed grids, one report per name, each family enumerated once."""
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
+    return _run([(name, *_SUITES[name]) for name in names], jobs, cache)
+
+
+def run_suite(name: str, *, jobs: int = 1, cache: ResultCache | None = None) -> SuiteReport:
+    """Run one verification suite over its fixed grid and return its report."""
+    return run_suites((name,), jobs=jobs, cache=cache)[0]
 
 
 def boundary_sweep(
@@ -460,62 +530,7 @@ def boundary_sweep(
     where the two agree are SKIPPED, never MISMATCH; the first n from
     which they agree onward is noted, and the sweep asserts nothing.
     """
-    if k < 2 or s < 0 or l < 1 or (k > 2 and l < 2):
-        raise ValueError(f"bad sweep parameters k={k}, s={s}, l={l}")
-    if n_max < s + 2:
-        raise ValueError(f"empty sweep: no n in s + 2 = {s + 2} .. n_max = {n_max}")
-    meter = _OracleMeter()
-    name = "triangle-star-forest" if k == 2 else "clique-star-forest"
-    problem = PROBLEMS[name]
-    params = {"k": k, "s": s, "l": l}
-    args = [params[p] for p in problem.params]
-    family = problem.family(*args)
-    rows = []
-    agreement = None
-    records = fetch_records(range(s + 2, n_max + 1), family, cache, jobs, meter)
-    for n, record in records.items():
-        candidates = []
-        for build in problem.builders(n, *args):
-            try:
-                candidates.append(build().edge_count)
-            except (BelowRangeError, SwapSupplyError):
-                pass
-        row = _explored_row(
-            name, n, record, "pre-threshold divergence", max(candidates, default=None), **params
-        )
-        if row.status != MATCH:
-            agreement = None
-        elif agreement is None:
-            agreement = n
-        rows.append(row)
-    notes = {
-        "first_agreement_n": agreement,
-        "note": "agreement point is empirical; the sweep asserts nothing",
-    }
-    if k == 2:
-        notes["exploratory_threshold"] = exploration_threshold(s, l)
-    return _finish("boundary-sweep", rows, meter, notes)
-
-
-_SUITES = {
-    "regular-core": _suite_regular_core,
-    "star-turan": _suite_star_turan,
-    "clique-matching": _suite_clique_matching,
-    "clique-star-forest": _suite_clique_star_forest,
-    "triangle-star-forest": _suite_triangle_star_forest,
-    "boundary-sweep": lambda jobs, cache: boundary_sweep(jobs=jobs, cache=cache),
-}
-
-SUITE_NAMES = tuple(_SUITES)
-
-
-def run_suite(name: str, *, jobs: int = 1, cache: ResultCache | None = None) -> SuiteReport:
-    """Run one verification suite over its fixed grid and return its report."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    return _SUITES[name](jobs, cache)
+    return _run([("boundary-sweep", _sweep_slices(k, s, l, n_max), _sweep_rows)], jobs, cache)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,34 @@ def test_verify_oracle_counters_are_pinned_cold_and_warm(tmp_path):
     assert counters[1] == [(0, 0)] * len(SUITE_NAMES)
 
 
+def test_cold_verify_enumerates_each_family_once(tmp_path, monkeypatch):
+    runs = []
+    levels = oracle._levels
+
+    def counted_levels(n, family, jobs):
+        runs.append((family.spec(), n))
+        return levels(n, family, jobs)
+
+    monkeypatch.setattr(oracle, "_levels", counted_levels)
+    args = ["verify", "--format", "csv", "--cache", str(tmp_path / "cache.jsonl")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(runs) == len({spec for spec, _ in runs}) == 11
+    assert [n for spec, n in runs if spec == "clique:3,starforest:2x2"] == [11]
+
+
+def test_repeated_suite_reports_twice_and_searches_once():
+    result = CliRunner().invoke(
+        main, ["verify", "--suite", "star-turan", "--suite", "star-turan", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    first, second = json_reports(result.output)
+    assert first["suite"] == second["suite"] == "star-turan"
+    assert (first["fresh_oracle_runs"], first["graphs_visited"]) == (11, 4336)
+    assert (second["fresh_oracle_runs"], second["graphs_visited"]) == (0, 0)
+    assert first["rows"] == second["rows"]
+
+
 def test_csv_outputs_byte_identical_apart_from_timestamp(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
     a = emit_report(run_suite("triangle-star-forest", cache=cache), "csv").decode()
@@ -457,8 +485,8 @@ def test_partly_filled_cache_runs_one_enumeration_for_the_misses(tmp_path, monke
 
     monkeypatch.setattr(oracle, "_levels", counted_levels)
     monkeypatch.setattr(ResultCache, "lookup", counted_lookup)
-    meter = harness._OracleMeter()
-    records = fetch_records(range(3, 9), family, cache, jobs=1, meter=meter)
+    fresh = set()
+    records = fetch_records(range(3, 9), family, cache, jobs=1, fresh=fresh)
     assert sorted(lookups) == list(range(3, 9))
     assert sizes == [7]  # the largest miss; the hit at 8 is not searched again
     assert list(records) == list(range(3, 9))
@@ -468,8 +496,10 @@ def test_partly_filled_cache_runs_one_enumeration_for_the_misses(tmp_path, monke
     monkeypatch.setattr(oracle, "_levels", levels)
     separate = {n: brute_force_ex(n, family) for n in misses}
     assert {n: records[n] for n in misses} == separate
-    assert meter.fresh_runs == 4
-    assert meter.graphs_visited == sum(r.graphs_visited for r in separate.values())
+    assert fresh == {(family, n) for n in misses}
+    assert sum(records[n].graphs_visited for _, n in fresh) == sum(
+        r.graphs_visited for r in separate.values()
+    )
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["n"] for line in lines] == [8, 5, 3, 4, 6, 7]
     assert all(ResultCache(path).lookup(n, family) == records[n] for n in range(3, 9))
