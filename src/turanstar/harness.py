@@ -26,7 +26,7 @@ import io
 import json
 import logging
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -501,7 +501,7 @@ def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport
 
 
 def run_suites(
-    names: Iterable[str], *, jobs: int = 1, cache: ResultCache | None = None
+    names: Sequence[str], *, jobs: int = 1, cache: ResultCache | None = None
 ) -> list[SuiteReport]:
     """Run suites over their fixed grids, one report per name, each family enumerated once."""
     for name in names:
