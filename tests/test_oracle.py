@@ -238,6 +238,9 @@ def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
     ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 957),
     ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 709),
     ("starforest:2x2", "59487b4a8c4dc0fc03b4e81ca0403aefbc2e845f00dc68574b78db99e9fbf659", 153),
+    ("clique:3,matching:3", "c183315fd7284d80ac19192d0ae92939ca382130593d252a4cb1e41c3146cd83", 77),
+    ("clique:4,matching:3", "adc33ac0783139f0d171b8a7ae90a83396932353b0cde99dd360a1727d960a9c", 148),
+    ("matching:3", "910bd2e717c3b1055514df41489c98f67d0f8a7f3a6f69b149451e5ecb887173", 157),
 ])
 def test_star_forest_levels_are_pinned(monkeypatch, spec, digest, searched):
     # every level's (edge count, codes, augmentations) at n = 9, as the
