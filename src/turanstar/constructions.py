@@ -104,11 +104,12 @@ class BelowRangeError(ValueError):
     """
 
 
-class SwapSupplyError(ValueError):
+class SwapSupplyError(BelowRangeError):
     """The block engine ran out of eligible edges to reroute.
 
-    Cannot happen at or above the guaranteed thresholds; callers inside
-    the guaranteed range convert it to an assertion failure.
+    A refusal below the range like any other, so callers skip it as a
+    BelowRangeError.  Cannot happen at or above the guaranteed thresholds;
+    callers inside the guaranteed range convert it to an assertion failure.
     """
 
 

@@ -1,12 +1,12 @@
-"""Exact detectors for the forbidden patterns: cliques, matchings, star forests.
+"""Exact detectors for the forbidden patterns: cliques and star forests.
 
 A forbidden family is a list of patterns; a graph is family-free when it
-contains none of them as a subgraph.  Three pattern kinds appear:
+contains none of them as a subgraph.  Two pattern classes appear:
 
 * ``Clique(size)``: a complete graph on ``size`` vertices.
-* ``Matching(edges)``: ``edges`` pairwise disjoint edges.
 * ``StarForest(copies, leaves)``: ``copies`` vertex-disjoint stars, each a
-  center joined to ``leaves`` distinct leaves.
+  center joined to ``leaves`` distinct leaves; with one leaf, a matching
+  of ``copies`` edges, whose spec is ``matching:copies``.
 
 Each pattern validates its own arguments, gives its text form through
 ``spec()`` and answers ``occurs_in(g)`` with its detector.  The oracle
@@ -14,10 +14,11 @@ asks it about g + uv, for a g free of it, in one way: through
 ``edge_mask(g, u)``, for every v at once, where ``has_edge_mask`` holds (a
 clique, a star forest of one copy), and otherwise through
 ``occurs_with_edge(g, u, v)``.  A copy in g + uv must use uv, so a star
-forest answers from g alone; only a matching builds g + uv.  One clique
-reach (``_clique_reach``) answers both questions, about g and about
-g + uv, for a clique, and one walk over star centre sets
-(``_centre_walk``) answers both for a star forest.  All detectors are
+forest answers from g alone.  One clique reach (``_clique_reach``)
+answers both questions, about g and about g + uv, for a clique, and one
+walk over star centre sets (``_centre_walk``) answers both for a star
+forest, except that a matching in g is found by Edmonds' blossom
+algorithm, which is polynomial where the walk is not.  All detectors are
 exact.  The test suite cross-checks their verdicts against plain
 exhaustive search, and the matching detector also against networkx.
 """
@@ -62,25 +63,6 @@ class Clique:
 
 
 @dataclass(frozen=True, order=True)
-class Matching:
-    edges: int
-    has_edge_mask = False
-
-    def __post_init__(self) -> None:
-        if self.edges < 1:
-            raise ValueError(f"matching pattern needs edges >= 1, got {self.edges}")
-
-    def spec(self) -> str:
-        return f"matching:{self.edges}"
-
-    def occurs_in(self, g: Graph) -> bool:
-        return max_matching_size(g) >= self.edges
-
-    def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
-        return self.occurs_in(g.add_edge(u, v))
-
-
-@dataclass(frozen=True, order=True)
 class StarForest:
     """``copies`` vertex-disjoint S_leaves.  When g is free of it, a copy in
     g + uv uses uv as a centre-leaf edge xy, {x, y} = {u, v}; so g + uv
@@ -88,7 +70,9 @@ class StarForest:
     star at x with leaves - 1 leaves and copies - 1 further S_leaves, all
     vertex-disjoint.  That is decided over the centre sets that contain x,
     by Hall's condition with demand leaves - 1 for x and leaves for the
-    other centres.  With one copy, g free means every degree is at most
+    other centres.  With one leaf both orientations ask the same question,
+    whether g - u - v holds copies - 1 disjoint edges, so only one is
+    walked.  With one copy, g free means every degree is at most
     leaves - 1, and g + uv holds the star exactly when u or v has degree
     leaves - 1; ``edge_mask`` gives those v for one u at a time."""
 
@@ -104,6 +88,8 @@ class StarForest:
         return self.copies == 1
 
     def spec(self) -> str:
+        if self.leaves == 1:
+            return f"matching:{self.copies}"
         return f"starforest:{self.copies}x{self.leaves}"
 
     def occurs_in(self, g: Graph) -> bool:
@@ -111,7 +97,7 @@ class StarForest:
 
     def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
         return _stars_with_forced_centre(g.rows, self.copies, self.leaves, u, v) or (
-            _stars_with_forced_centre(g.rows, self.copies, self.leaves, v, u)
+            self.leaves > 1 and _stars_with_forced_centre(g.rows, self.copies, self.leaves, v, u)
         )
 
     def edge_mask(self, g: Graph, u: int) -> int:
@@ -127,12 +113,13 @@ class StarForest:
         return mask_of(v for v, row in enumerate(g.rows) if row.bit_count() >= need)
 
 
-Pattern = Union[Clique, Matching, StarForest]
+Pattern = Union[Clique, StarForest]
 
-# Spec kind -> pattern class.  Families list their patterns in this kind
-# order, and patterns of one kind by their arguments.
-_PATTERN_KINDS = {"clique": Clique, "matching": Matching, "starforest": StarForest}
-_KIND_ORDER = tuple(_PATTERN_KINDS.values())
+# Spec kind -> pattern maker.  Families list their patterns in this kind
+# order, so one-leaf star forests come first, and patterns of one kind by
+# their arguments.
+_PATTERN_KINDS = {"clique": Clique, "matching": lambda copies: StarForest(copies, 1), "starforest": StarForest}
+_KIND_ORDER = tuple(_PATTERN_KINDS)
 
 
 @dataclass(frozen=True)
@@ -145,9 +132,9 @@ class ForbiddenFamily:
         if not self.patterns:
             raise ValueError("forbidden family must list at least one pattern")
         for pat in self.patterns:
-            if type(pat) not in _KIND_ORDER:
+            if not isinstance(pat, (Clique, StarForest)):
                 raise ValueError(f"unknown pattern {pat!r}")
-        ordered = sorted(set(self.patterns), key=lambda p: (_KIND_ORDER.index(type(p)), p))
+        ordered = sorted(set(self.patterns), key=lambda p: (_KIND_ORDER.index(p.spec().partition(":")[0]), p))
         object.__setattr__(self, "patterns", tuple(ordered))
 
     def spec(self) -> str:
@@ -156,7 +143,8 @@ class ForbiddenFamily:
 
     @staticmethod
     def parse(text: str) -> "ForbiddenFamily":
-        """Parse ``clique:R | matching:S | starforest:CxL`` joined by commas."""
+        """Parse ``clique:R | matching:S | starforest:CxL`` joined by commas;
+        ``matching:S`` is ``starforest:Sx1``."""
         pats: list[Pattern] = []
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -165,16 +153,15 @@ class ForbiddenFamily:
             kind, sep, arg = chunk.partition(":")
             if not sep:
                 raise ValueError(f"bad pattern {chunk!r}, expected kind:args")
-            cls = _PATTERN_KINDS.get(kind)
-            if cls is None:
+            make = _PATTERN_KINDS.get(kind)
+            if make is None:
                 raise ValueError(f"unknown pattern kind {kind!r}")
             try:
-                args = list(map(int, arg.split("x")))
-                if len(args) != len(cls.__match_args__):
-                    raise ValueError
-            except ValueError:
+                pats.append(make(*map(int, arg.split("x"))))
+            except TypeError:  # the wrong number of arguments
                 raise ValueError(f"bad pattern {chunk!r}") from None
-            pats.append(cls(*args))
+            except ValueError as err:
+                raise ValueError(f"bad pattern {chunk!r}: {err}") from None
         return ForbiddenFamily(tuple(pats))
 
 
@@ -303,15 +290,19 @@ def max_matching_size(g: Graph) -> int:
 def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
     """True when g has ``copies`` vertex-disjoint stars with ``leaves`` leaves.
 
-    A greedy packing attempt (high-degree centers first, lowest-index
-    leaves) settles most positive cases immediately, and a small blocking
-    set that kills all high degrees settles most negative ones.  The exact
-    fallback is the centre walk that ``StarForest.occurs_with_edge`` also
-    runs, with no forced centre: it walks centre sets and decides leaf
-    availability by Hall's condition (``_pools_admit_disjoint_leaves``).
+    One-leaf stars are a matching, found by ``max_matching_size``.  For
+    more leaves, a greedy packing attempt (high-degree centers first,
+    lowest-index leaves) settles most positive cases immediately, and a
+    small blocking set that kills all high degrees settles most negative
+    ones.  The exact fallback is the centre walk that
+    ``StarForest.occurs_with_edge`` also runs, with no forced centre: it
+    walks centre sets and decides leaf availability by Hall's condition
+    (``_pools_admit_disjoint_leaves``).
     """
     if copies < 1 or leaves < 1:
         raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {copies}x{leaves}")
+    if leaves == 1:
+        return max_matching_size(g) >= copies
     n = g.n
     if copies * (leaves + 1) > n:
         return False

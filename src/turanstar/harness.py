@@ -32,7 +32,6 @@ from pathlib import Path
 
 from .constructions import (
     BelowRangeError,
-    SwapSupplyError,
     clique_matching_extremal,
     clique_star_forest_extremal,
     complete_bipartite,
@@ -42,7 +41,7 @@ from .constructions import (
     turan_graph,
 )
 from .canonical import are_isomorphic
-from .detectors import Clique, ForbiddenFamily, Matching, StarForest, is_family_free
+from .detectors import Clique, ForbiddenFamily, StarForest, is_family_free
 from .formulas import (
     FormulaResult,
     ex_clique_matching,
@@ -188,6 +187,14 @@ def _verdict(*checks: bool) -> str:
     return MATCH if all(checks) else MISMATCH
 
 
+def _built(build: Callable[[], Graph]) -> Graph | None:
+    """The builder's graph, or None where it refuses below its guaranteed range."""
+    try:
+        return build()
+    except BelowRangeError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # problems
 
@@ -204,7 +211,8 @@ class Problem:
     ``builders`` take ``(n, *params)``.  ``builders`` returns thunks for the
     candidate extremal graphs, and every candidate it returns applies at
     that ``(n, params)``: below a construction's guaranteed range the
-    thunk may still refuse with BelowRangeError or SwapSupplyError.
+    thunk may still refuse with BelowRangeError, which ``_built`` turns
+    into None.
     """
 
     params: tuple[str, ...]
@@ -224,7 +232,7 @@ PROBLEMS = {
     ),
     "clique-matching": Problem(
         params=("k", "s"),
-        family=lambda k, s: ForbiddenFamily((Clique(k + 1), Matching(s + 1))),
+        family=lambda k, s: _clique_star_family(k, s, 1),
         formula=lambda n, k, s: ex_clique_matching(n, k, s),
         # compact core vs split join
         builders=lambda n, k, s: (
@@ -362,16 +370,9 @@ def _suite_triangle_star_forest(sliced) -> tuple[list[SuiteRow], dict]:
             for n in range(s + 1, 40 + 1):
                 family = problem.family(s, l)
                 e1, e2 = extremal_family_edges(n, s, l)
-                # Below the guaranteed range the builders may refuse; rows
-                # exist only where the construction actually comes out.
-                try:
-                    g1 = joined_regular_extremal(n, s, l)
-                except (BelowRangeError, SwapSupplyError):
-                    g1 = None
-                try:
-                    g2 = joined_capped_extremal(n, s, l)
-                except (BelowRangeError, SwapSupplyError):
-                    g2 = None
+                # rows exist only where the construction actually comes out
+                g1 = _built(lambda: joined_regular_extremal(n, s, l))
+                g2 = _built(lambda: joined_capped_extremal(n, s, l))
                 formula = problem.formula(n, s, l).value
                 even = (n - s) % 2 == 0
                 iso_ok = True
@@ -428,15 +429,9 @@ def _sweep_rows(sliced) -> tuple[list[SuiteRow], dict]:
     rows = []
     agreement = None
     for n, record in records.items():
-        candidates = []
-        for build in PROBLEMS[name].builders(n, *_args(name, params)):
-            try:
-                candidates.append(build().edge_count)
-            except (BelowRangeError, SwapSupplyError):
-                pass
-        row = _explored_row(
-            name, n, record, "pre-threshold divergence", max(candidates, default=None), **params
-        )
+        built = [_built(build) for build in PROBLEMS[name].builders(n, *_args(name, params))]
+        construction = max((g.edge_count for g in built if g is not None), default=None)
+        row = _explored_row(name, n, record, "pre-threshold divergence", construction, **params)
         if row.status != MATCH:
             agreement = None
         elif agreement is None:

@@ -51,16 +51,17 @@ visits every isomorphism class exactly once.  Four cuts keep that cheap:
    forest of several copies answers from g alone: uv must join a centre x
    to a leaf y, so it asks whether g - y holds a star at x with one leaf
    fewer and the other copies, all disjoint, by Hall's condition over the
-   centre sets that hold x.  A matching builds g + uv.
+   centre sets that hold x.  A matching is a star forest of one-leaf
+   stars, and there both orientations ask whether g - u - v holds the
+   other copies, so one is walked.
 
 Per parent the screens run in this order: the degree window, the exact
 masks, the orbit walk, the rank test, the per-pair check of the patterns
 without an exact mask (none for a family of cliques and one-copy stars),
 and last the canonical search of g + uv, the only step that builds the
-child unless the family holds a matching.  The window's ``top`` comes from
-one pass over g's vertices: it is the largest degree d of a vertex with a
-neighbour of degree d or more, the lower end of an edge with both ends of
-degree at least d.  The neighbour-degree sums are built for a parent only
+child.  The window's ``top`` comes from one pass over g's vertices: it is
+the largest degree d of a vertex with a neighbour of degree d or more, the
+lower end of an edge with both ends of degree at least d.  The neighbour-degree sums are built for a parent only
 when one of its rank tests first ties uv on degrees, and serve its later
 rank tests; at n = 10, 7,507 of the 12,172 triangle-free parents ever
 need them.
@@ -78,13 +79,13 @@ appears only at output, in the sorted canonical strings of
 ``ExtremalRecord.extremal_graphs``.
 
 One enumeration serves every n up to the n it runs at.  No pattern has an
-isolated vertex (a clique has two or more vertices, a matching one or more
-edges, every star one or more leaves), so a graph H on n vertices is free
-exactly when H plus N - n isolated vertices is, and padding is a bijection
-from the classes on n vertices onto the classes on N vertices with at least
-N - n isolated vertices.  The canonical search puts the isolated vertices
-first: refinement orders the degree-0 cell first, and individualizing keeps
-it in front.  So a class on N vertices has at least N - n isolated vertices
+isolated vertex (a clique has two or more vertices, every star one or more
+leaves), so a graph H on n vertices is free exactly when H plus N - n
+isolated vertices is, and padding is a bijection from the classes on n
+vertices onto the classes on N vertices with at least N - n isolated
+vertices.  The canonical search puts the isolated vertices first:
+refinement orders the degree-0 cell first, and individualizing keeps it
+in front.  So a class on N vertices has at least N - n isolated vertices
 exactly when its code is below 2^C(n,2), and since each level's codes are
 sorted those classes are a prefix of the level, found by bisection, with no
 class decoded.  Their low C(n,2) bits are the adjacency of the n vertices

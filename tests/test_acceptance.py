@@ -20,7 +20,6 @@ from _reference import (
 from turanstar import (
     Clique,
     ForbiddenFamily,
-    Matching,
     StarForest,
     are_isomorphic,
     brute_force_ex,
@@ -65,7 +64,7 @@ def test_criterion_01_star_turan_values(capsys):
 def test_criterion_02_clique_matching_values(capsys):
     failures = []
     for k, s in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        family = ForbiddenFamily((Clique(k + 1), Matching(s + 1)))
+        family = ForbiddenFamily((Clique(k + 1), StarForest(s + 1, 1)))
         for n in range(2 * s + 1, 9):
             got = brute_force_ex(n, family).ex_value
             want = max(turan_edges(2 * s + 1, k), turan_edges(s, k - 1) + s * (n - s))
@@ -76,7 +75,7 @@ def test_criterion_02_clique_matching_values(capsys):
 
 def test_criterion_03_unique_extremal_class(capsys):
     failures = []
-    winners = enumerate_extremal(5, ForbiddenFamily((Clique(3), Matching(2))))
+    winners = enumerate_extremal(5, ForbiddenFamily((Clique(3), StarForest(2, 1))))
     if len(winners) != 1:
         failures.append(("class count", len(winners)))
     elif not are_isomorphic(winners[0], complete_bipartite(1, 4)):

@@ -5,7 +5,6 @@ import pytest
 from turanstar import (
     Clique,
     ForbiddenFamily,
-    Matching,
     PartitionCertificate,
     StarForest,
     SwapSupplyError,
@@ -202,7 +201,7 @@ def test_clique_matching_examples():
     assert clique_matching_extremal(5, 2, 1).edge_count == 4
     assert are_isomorphic(clique_matching_extremal(5, 2, 1), complete_bipartite(1, 4))
     assert clique_matching_extremal(7, 3, 2).edge_count == 11
-    fam = ForbiddenFamily((Clique(4), Matching(3)))
+    fam = ForbiddenFamily((Clique(4), StarForest(3, 1)))
     assert is_family_free(clique_matching_extremal(7, 3, 2), fam)
     with pytest.raises(ValueError):
         clique_matching_extremal(5, 1, 1)

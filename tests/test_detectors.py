@@ -6,7 +6,6 @@ import pytest
 from turanstar import (
     Clique,
     ForbiddenFamily,
-    Matching,
     StarForest,
     build_graph,
     clique_matching_extremal,
@@ -104,7 +103,7 @@ def test_star_forest_shared_neighbor_pool():
 
 
 def test_family_free_fixed():
-    fam = ForbiddenFamily((Clique(3), Matching(2)))
+    fam = ForbiddenFamily((Clique(3), StarForest(2, 1)))
     assert is_family_free(complete_bipartite(1, 6), fam)
     assert not is_family_free(cycle(6), fam)
     assert not is_family_free(cycle(3), fam)
@@ -115,14 +114,14 @@ def test_family_free_fixed():
 
 
 def test_family_spec_round_trip():
-    fam = ForbiddenFamily((StarForest(2, 3), Clique(4), Matching(2)))
+    fam = ForbiddenFamily((StarForest(2, 3), Clique(4), StarForest(2, 1)))
     text = fam.spec()
     assert text == "clique:4,matching:2,starforest:2x3"
     assert ForbiddenFamily.parse(text) == fam
     assert ForbiddenFamily.parse("clique:3") == ForbiddenFamily((Clique(3),))
     twice = ForbiddenFamily.parse("clique:3,clique:3")
     assert twice == ForbiddenFamily.parse("clique:3") and twice.spec() == "clique:3"
-    for pat in (Clique(4), Matching(2), StarForest(2, 3)):
+    for pat in (Clique(4), StarForest(2, 1), StarForest(2, 3)):
         assert ForbiddenFamily.parse(pat.spec()) == ForbiddenFamily((pat,))
     with pytest.raises(ValueError):
         ForbiddenFamily.parse("clique")
@@ -132,13 +131,23 @@ def test_family_spec_round_trip():
         ForbiddenFamily.parse("starforest:2")
     with pytest.raises(ValueError):
         ForbiddenFamily(())
+    # a matching is the one-leaf star forest: both specs give one pattern,
+    # which prints as a matching and sorts ahead of the other star forests
+    assert ForbiddenFamily.parse("starforest:3x1") == ForbiddenFamily.parse("matching:3")
+    assert ForbiddenFamily.parse("starforest:3x1").spec() == "matching:3"
+    assert ForbiddenFamily.parse("matching:3").spec() == "matching:3"
+    both = ForbiddenFamily.parse("clique:3,matching:2,starforest:2x1")
+    assert both.patterns == (Clique(3), StarForest(2, 1)) and both.spec() == "clique:3,matching:2"
+    assert ForbiddenFamily.parse("matching:2,starforest:1x3").spec() == "matching:2,starforest:1x3"
+    with pytest.raises(ValueError, match="matching:0"):
+        ForbiddenFamily.parse("matching:0")
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
         ForbiddenFamily((Clique(1),))
     with pytest.raises(ValueError):
-        ForbiddenFamily((Matching(0),))
+        ForbiddenFamily((StarForest(1, 0),))
     with pytest.raises(ValueError):
         ForbiddenFamily((StarForest(0, 2),))
 
@@ -191,6 +200,8 @@ def test_matching_above_dp_cutoff():
         ng.add_nodes_from(range(g.n))
         want = len(nx.max_weight_matching(ng, maxcardinality=True))
         assert max_matching_size(g) == want
+        # the one-leaf star forest asks the same question, at nu and one past it
+        assert StarForest(want, 1).occurs_in(g) and not StarForest(want + 1, 1).occurs_in(g)
 
 
 def test_star_forest_detector_random_cross_check():
@@ -207,10 +218,10 @@ def test_star_forest_detector_random_cross_check():
 def test_family_free_random_cross_check():
     rng = random.Random(113)
     families = [
-        ForbiddenFamily((Clique(3), Matching(2))),
+        ForbiddenFamily((Clique(3), StarForest(2, 1))),
         ForbiddenFamily((Clique(3), StarForest(2, 2))),
         ForbiddenFamily((Clique(4), StarForest(1, 3))),
-        ForbiddenFamily((Matching(3),)),
+        ForbiddenFamily((StarForest(3, 1),)),
         ForbiddenFamily((StarForest(3, 2),)),
     ]
     for _ in range(200):
@@ -223,7 +234,6 @@ def test_family_free_random_cross_check():
 
 EDGE_LOCAL_PATTERNS = (
     [Clique(r) for r in range(2, 6)]
-    + [Matching(s) for s in range(1, 5)]
     + [StarForest(c, l) for c in range(1, 5) for l in range(1, 5)]
 )
 
@@ -233,8 +243,6 @@ def _occurs_with_the_edge(pattern, g, u, v):
     h = g.add_edge(u, v)
     if isinstance(pattern, Clique):
         return ref_has_clique(h, pattern.size)
-    if isinstance(pattern, Matching):
-        return ref_max_matching(h) >= pattern.edges
     return ref_has_star_forest(h, pattern.copies, pattern.leaves)
 
 

@@ -14,6 +14,7 @@ from turanstar import (
     brute_force_ex,
     graph6_decode,
     run_suite,
+    run_suites,
 )
 from turanstar import ORACLE_MAX_N, harness, oracle
 from turanstar.cli import main
@@ -97,6 +98,9 @@ def test_below_range_refusals_have_their_own_type():
         clique_star_forest_extremal(3, 3, 1, 2)
     with pytest.raises(BelowRangeError, match=r"degree\^2 \+ 2"):
         regular_triangle_free(5, 2)
+    # a block engine short of swap edges refuses in the same vocabulary
+    with pytest.raises(BelowRangeError, match="half the vertex count"):
+        joined_regular_extremal(9, 4, 4)
 
 
 @pytest.mark.parametrize(
@@ -166,6 +170,19 @@ def test_second_run_hits_cache(tmp_path):
     assert second.graphs_visited == 0
     # cached rows carry the same numbers
     assert [r.as_dict() for r in second.rows] == [r.as_dict() for r in first.rows]
+
+
+def test_one_leaf_sweep_reads_the_matching_suites_records(tmp_path):
+    # K3 plus 2S_1 is K3 plus a 2-edge matching: one family, one cache key
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(path)
+    run_suites(("clique-matching",), cache=cache)
+    lines = path.read_text().count("\n")
+    sweep = boundary_sweep(2, 1, 1, 8, cache=cache)
+    assert (sweep.fresh_oracle_runs, sweep.graphs_visited) == (0, 0)
+    assert path.read_text().count("\n") == lines
+    family = fam("clique:3,matching:2")
+    assert [row.oracle for row in sweep.rows] == [brute_force_ex(n, family).ex_value for n in range(3, 9)]
 
 
 def json_reports(output):

@@ -16,7 +16,6 @@ from turanstar import (
     CompleteBipartiteDescriptor,
     ExtremalRecord,
     ForbiddenFamily,
-    Matching,
     RegularJoinDescriptor,
     StarForest,
     are_isomorphic,
@@ -98,11 +97,11 @@ def test_brute_force_matches_precomputed_table():
 
 def test_brute_force_agrees_with_reference_at_small_n():
     families = [
-        ForbiddenFamily((Clique(3), Matching(2))),
+        ForbiddenFamily((Clique(3), StarForest(2, 1))),
         ForbiddenFamily((Clique(3), StarForest(2, 2))),
         ForbiddenFamily((Clique(4),)),
         ForbiddenFamily((StarForest(1, 2),)),
-        ForbiddenFamily((Matching(3),)),
+        ForbiddenFamily((StarForest(3, 1),)),
     ]
     for fam in families:
         for n in range(1, 6):
@@ -322,7 +321,7 @@ def to_nx(g):
 
 
 def test_free_graph_enumeration_is_isomorph_free():
-    fam = ForbiddenFamily((Clique(3), Matching(3)))
+    fam = ForbiddenFamily((Clique(3), StarForest(3, 1)))
     graphs = list(enumerate_free_graphs(6, fam))
     for g in graphs:
         assert ref_is_free(g, fam)
@@ -333,7 +332,7 @@ def test_free_graph_enumeration_is_isomorph_free():
 
 
 def test_uniqueness_spot_check():
-    classes = enumerate_extremal(5, ForbiddenFamily((Clique(3), Matching(2))))
+    classes = enumerate_extremal(5, ForbiddenFamily((Clique(3), StarForest(2, 1))))
     assert len(classes) == 1
     assert are_isomorphic(classes[0], complete_bipartite(1, 4))
 
@@ -342,7 +341,7 @@ def test_extremal_enumeration_examples():
     classes = enumerate_extremal(5, K3)
     assert len(classes) == 1
     assert are_isomorphic(classes[0], complete_bipartite(2, 3))
-    classes = enumerate_extremal(3, ForbiddenFamily((Matching(2),)))
+    classes = enumerate_extremal(3, ForbiddenFamily((StarForest(2, 1),)))
     assert len(classes) == 1
     assert are_isomorphic(classes[0], turan_graph(3, 3))
     rec = brute_force_ex(2, ForbiddenFamily((Clique(2),)))
@@ -374,7 +373,7 @@ def test_records_are_deterministic_across_runs_and_workers():
 
 
 def test_record_round_trips_through_json():
-    rec = brute_force_ex(5, ForbiddenFamily((Clique(3), Matching(2))))
+    rec = brute_force_ex(5, ForbiddenFamily((Clique(3), StarForest(2, 1))))
     blob = rec.to_json_dict()
     back = ExtremalRecord.from_json_dict(blob)
     assert back == rec
@@ -397,8 +396,8 @@ def test_visited_counter_is_positive_and_stable():
 
 PATTERNS = (
     Clique(2), Clique(3), Clique(4),
-    Matching(1), Matching(2), Matching(3),
-    StarForest(1, 1), StarForest(1, 3), StarForest(2, 2), StarForest(3, 2),
+    StarForest(1, 1), StarForest(2, 1), StarForest(3, 1),
+    StarForest(1, 3), StarForest(2, 2), StarForest(3, 2),
 )
 
 
