@@ -135,7 +135,6 @@ def test_family_spec_round_trip():
     # which prints as a matching and sorts ahead of the other star forests
     assert ForbiddenFamily.parse("starforest:3x1") == ForbiddenFamily.parse("matching:3")
     assert ForbiddenFamily.parse("starforest:3x1").spec() == "matching:3"
-    assert ForbiddenFamily.parse("matching:3").spec() == "matching:3"
     both = ForbiddenFamily.parse("clique:3,matching:2,starforest:2x1")
     assert both.patterns == (Clique(3), StarForest(2, 1)) and both.spec() == "clique:3,matching:2"
     assert ForbiddenFamily.parse("matching:2,starforest:1x3").spec() == "matching:2,starforest:1x3"
