@@ -231,17 +231,22 @@ def test_family_free_random_cross_check():
                 assert pat.occurs_in(g) == (not ref_is_free(g, ForbiddenFamily((pat,))))
 
 
-EDGE_LOCAL_PATTERNS = (
-    [Clique(r) for r in range(2, 6)]
-    + [StarForest(c, l) for c in range(1, 5) for l in range(1, 5)]
+# matching:S and starforest:Sx1 parse to one pattern; the first spelling is
+# checked against the matching reference, the second against the star forest one
+EDGE_LOCAL_SPECS = (
+    [f"clique:{r}" for r in range(2, 6)]
+    + [f"matching:{s}" for s in range(1, 5)]
+    + [f"starforest:{c}x{l}" for c in range(1, 5) for l in range(1, 5)]
 )
 
 
-def _occurs_with_the_edge(pattern, g, u, v):
+def _occurs_with_the_edge(pattern, g, u, v, as_matching=False):
     """The verdict about g + uv, from the literal references."""
     h = g.add_edge(u, v)
     if isinstance(pattern, Clique):
         return ref_has_clique(h, pattern.size)
+    if as_matching:
+        return ref_max_matching(h) >= pattern.copies
     return ref_has_star_forest(h, pattern.copies, pattern.leaves)
 
 
@@ -289,14 +294,16 @@ def _planted_star_forest_free(copies, leaves):
         yield g
 
 
-@pytest.mark.parametrize("pattern", EDGE_LOCAL_PATTERNS, ids=lambda p: p.spec())
-def test_edge_local_answer_matches_adding_the_edge(pattern):
+@pytest.mark.parametrize("spec", EDGE_LOCAL_SPECS)
+def test_edge_local_answer_matches_adding_the_edge(spec):
+    (pattern,) = ForbiddenFamily.parse(spec).patterns
+    as_matching = spec.startswith("matching:")
     positives = 0
     for g in _free_graphs(pattern):
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if not g.has_edge(u, v):
-                    want = _occurs_with_the_edge(pattern, g, u, v)
+                    want = _occurs_with_the_edge(pattern, g, u, v, as_matching)
                     if isinstance(pattern, Clique):  # a clique answers only by its mask
                         got = bool(pattern.edge_mask(g, u) >> v & 1)
                     else:
