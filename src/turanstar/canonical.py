@@ -57,6 +57,10 @@ from .graph6 import graph6_encode
 from .graphs import Graph, bits
 
 CANONICAL_MAX_N = 16
+# Names the labeling this module computes.  Bump it with any change that
+# moves a canonical code, so strings stored under another labeling are
+# never read as canonical.
+LABELLING_VERSION = 1
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:

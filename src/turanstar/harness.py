@@ -40,7 +40,7 @@ from .constructions import (
     regular_triangle_free,
     turan_graph,
 )
-from .canonical import are_isomorphic
+from .canonical import LABELLING_VERSION, are_isomorphic
 from .detectors import Clique, ForbiddenFamily, StarForest, is_family_free
 from .formulas import (
     FormulaResult,
@@ -111,7 +111,9 @@ class SuiteReport:
 class ResultCache:
     """Append-only JSON-lines store of search results, keyed by (n, family).
 
-    Corrupt lines are reported with their line number and skipped; the
+    Each line carries the ``LABELLING_VERSION`` of the canonical labeling
+    behind its graph6 strings.  Corrupt lines, and lines with another
+    version or none, are reported with their line number and skipped; the
     first entry for a key wins so a reread always returns what a previous
     lookup saw.
     """
@@ -129,9 +131,13 @@ class ResultCache:
                 if not line:
                     continue
                 try:
-                    record = ExtremalRecord.from_json_dict(json.loads(line))
+                    data = json.loads(line)
+                    record = ExtremalRecord.from_json_dict(data)
                 except (ValueError, KeyError, TypeError) as err:
                     log.warning("skipping corrupt cache line %d: %s", lineno, err)
+                    continue
+                if data.get("labelling") != LABELLING_VERSION:
+                    log.warning("skipping cache line %d: labelling version %r", lineno, data.get("labelling"))
                     continue
                 self._entries.setdefault((record.n, record.family.spec()), record)
 
@@ -141,7 +147,7 @@ class ResultCache:
     def append(self, record: ExtremalRecord) -> None:
         self._entries.setdefault((record.n, record.family.spec()), record)
         with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_json_dict()) + "\n")
+            handle.write(json.dumps({**record.to_json_dict(), "labelling": LABELLING_VERSION}) + "\n")
 
 
 def fetch_records(

@@ -83,17 +83,27 @@ isolated vertex (a clique has two or more vertices, every star one or more
 leaves), so a graph H on n vertices is free exactly when H plus N - n
 isolated vertices is, and padding is a bijection from the classes on n
 vertices onto the classes on N vertices with at least N - n isolated
-vertices.  The canonical search puts the isolated vertices first:
-refinement orders the degree-0 cell first, and individualizing keeps it
-in front.  So a class on N vertices has at least N - n isolated vertices
-exactly when its code is below 2^C(n,2), and since each level's codes are
-sorted those classes are a prefix of the level, found by bisection, with no
-class decoded.  Their low C(n,2) bits are the adjacency of the n vertices
-left once the padding is stripped.  For each n, ex is the top level with
-such a class, and the visit count is the sum of C(n,2) - e over them, as a
-run at n expands each of its classes exactly once and tries every non-edge.
-Only the extremal classes of an n below N are searched again, on n
-vertices, to give the graph6 strings a run at n would give.
+vertices.  The padded canonical code equals the class's canonical code on n
+vertices, as an integer:
+
+- The root buckets the vertices by degree in ascending order, so the
+  degree-0 cell comes first.
+- Its vertices are open twins, so refinement never splits that cell.  As a
+  splitter, it or any part of it adds the same zero count to every
+  signature, so it never reorders another cell's split.
+- The search individualizes the first non-singleton cell, and twin pruning
+  allows one branch there.  So the isolated vertices take the first
+  positions of every leaf, and their pairs are the code's leading zero
+  bits.  With N - n of them stripped, every other cell, twin class and
+  leaf code, read as an integer, stays the same, so the same leaf wins.
+
+So a class on N vertices has at least N - n isolated vertices exactly when
+its code is below 2^C(n,2), and since each level's codes are sorted those
+classes are a prefix of the level, found by bisection, with no class
+decoded.  For each n, ex is the top level with such a class, its extremal
+graphs are the codes of that prefix decoded on n vertices, and the visit
+count is the sum of C(n,2) - e over them, as a run at n expands each of its
+classes exactly once and tries every non-edge.
 
 Membership in a join family is checked by edge count, then by a search over
 splits into five parts: two core parts, each free to face either side of the
@@ -112,7 +122,6 @@ from typing import Iterator
 from .canonical import (
     are_isomorphic,
     canonical_code_and_generators,
-    canonical_form,
     graph_from_code,
 )
 from .detectors import ForbiddenFamily, contains_clique, is_family_free
@@ -382,7 +391,7 @@ def extremal_records(
         counted += tried
         for n in wanted:
             # classes with at least top - n isolated vertices: a sorted prefix
-            held = len(codes) if n == top else bisect_left(codes, 1 << pairs[n])
+            held = bisect_left(codes, 1 << pairs[n])
             if held:
                 best[n] = level, codes[:held]
                 visited[n] += held * (pairs[n] - level)
@@ -390,19 +399,13 @@ def extremal_records(
         raise AssertionError("empty graph should always be family-free")
     if visited[top] != counted:
         raise AssertionError(f"{counted} augmentations tried, {visited[top]} non-edges in the classes")
-    graphs = {}
-    for n, (level, codes) in best.items():
-        if n == top:
-            graphs[n] = sorted(graph6_encode(graph_from_code(n, c)) for c in codes)
-        else:  # strip the padding, then search again on n vertices
-            graphs[n] = sorted(canonical_form(graph_from_code(n, c)) for c in codes)
     elapsed = time.perf_counter() - start
     return {
         n: ExtremalRecord(
             n=n,
             family=family,
             ex_value=best[n][0],
-            extremal_graphs=tuple(graphs[n]),
+            extremal_graphs=tuple(sorted(graph6_encode(graph_from_code(n, c)) for c in best[n][1])),
             graphs_visited=visited[n],
             elapsed=elapsed,
         )

@@ -17,6 +17,7 @@ from turanstar import (
     run_suites,
 )
 from turanstar import ORACLE_MAX_N, harness, oracle
+from turanstar.canonical import LABELLING_VERSION
 from turanstar.cli import main
 from turanstar.constructions import (
     capped_bipartite,
@@ -43,6 +44,11 @@ VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" 
 
 def fam(spec):
     return ForbiddenFamily.parse(spec)
+
+
+def cache_line(record, **changes):
+    """A cache line for the record as ``ResultCache.append`` writes it, with changes."""
+    return json.dumps({**record.to_json_dict(), "labelling": LABELLING_VERSION, **changes})
 
 
 def strip_ts(text):
@@ -143,8 +149,7 @@ def test_cache_round_trip(tmp_path):
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     rec = brute_force_ex(4, fam("clique:3"))
-    good = json.dumps(rec.to_json_dict())
-    path.write_text("this is not json\n" + good + "\n{\"n\": 3}\n")
+    path.write_text("this is not json\n" + cache_line(rec) + "\n{\"n\": 3}\n")
     with caplog.at_level("WARNING"):
         cache = ResultCache(path)
     assert cache.lookup(4, fam("clique:3")) == rec
@@ -154,11 +159,36 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
 def test_cache_first_entry_wins(tmp_path):
     path = tmp_path / "cache.jsonl"
     rec = brute_force_ex(4, fam("clique:3"))
-    fake = dict(rec.to_json_dict())
-    fake["ex_value"] = 99
-    path.write_text(json.dumps(rec.to_json_dict()) + "\n" + json.dumps(fake) + "\n")
+    path.write_text(cache_line(rec) + "\n" + cache_line(rec, ex_value=99) + "\n")
     cache = ResultCache(path)
     assert cache.lookup(4, fam("clique:3")).ex_value == rec.ex_value
+
+
+def test_cache_lines_of_another_labelling_are_misses(tmp_path, caplog):
+    # graph6 strings stored under another labelling are not canonical here
+    path = tmp_path / "cache.jsonl"
+    family = fam("clique:3")
+    records = {n: brute_force_ex(n, family) for n in (4, 5, 6)}
+    untagged = json.dumps(records[4].to_json_dict())
+    path.write_text(
+        untagged + "\n"
+        + cache_line(records[5], labelling=LABELLING_VERSION + 1) + "\n"
+        + cache_line(records[6]) + "\n"
+    )
+    with caplog.at_level("WARNING"):
+        cache = ResultCache(path)
+    assert cache.lookup(4, family) is None
+    assert cache.lookup(5, family) is None
+    assert cache.lookup(6, family) == records[6]
+    assert caplog.messages == [
+        "skipping cache line 1: labelling version None",
+        f"skipping cache line 2: labelling version {LABELLING_VERSION + 1}",
+    ]
+    # a miss is searched again and appended with the current tag, which then hits
+    assert fetch_records((4, 5, 6), family, cache, jobs=1) == records
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(line["n"], line["labelling"]) for line in lines[3:]] == [(4, LABELLING_VERSION), (5, LABELLING_VERSION)]
+    assert all(ResultCache(path).lookup(n, family) == records[n] for n in (4, 5, 6))
 
 
 def test_second_run_hits_cache(tmp_path):
@@ -532,8 +562,7 @@ def test_cli_oracle_rejects_oversized():
 def test_cli_oracle_checks_cap_before_cache(tmp_path, n):
     # a planted line must not answer for an n the search refuses
     path = tmp_path / "c.jsonl"
-    planted = brute_force_ex(5, fam("clique:3")).to_json_dict()
-    path.write_text(json.dumps(dict(planted, n=n)) + "\n")
+    path.write_text(cache_line(brute_force_ex(5, fam("clique:3")), n=n) + "\n")
     assert ResultCache(path).lookup(n, fam("clique:3")) is not None
     args = ["oracle", "--n", str(n), "--family", "clique:3", "--cache", str(path)]
     result = CliRunner().invoke(main, args)

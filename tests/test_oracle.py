@@ -134,12 +134,70 @@ def test_triangle_free_counts_match_oeis():
     assert [per_level[e] for e in range(max(per_level) + 1)] == levels
 
 
-def test_all_graph_counts_match_oeis():
+@pytest.fixture(scope="module")
+def all_classes_n8():
+    """Every class on 8 vertices, as {edge count: sorted canonical codes}: K9 fits in none."""
+    return {level: codes for level, codes, _ in _levels(8, ForbiddenFamily((Clique(9),)), jobs=1) if codes}
+
+
+def test_all_graph_counts_match_oeis(all_classes_n8):
     # OEIS A000088: graphs on n unlabeled vertices; K9 fits in none of them
-    want = [1, 2, 4, 11, 34, 156, 1044]
+    want = [1, 2, 4, 11, 34, 156, 1044, 12346]
     fam = ForbiddenFamily((Clique(9),))
     got = [sum(1 for _ in enumerate_free_graphs(n, fam)) for n in range(1, 8)]
+    got.append(sum(len(codes) for codes in all_classes_n8.values()))
     assert got == want
+
+
+@pytest.mark.parametrize("spec", [
+    "clique:4",
+    "matching:3",
+    "starforest:2x2",
+    "starforest:1x4",
+    "clique:4,starforest:2x3",
+    "clique:4,matching:3",
+])
+def test_free_classes_at_n8_are_all_classes_filtered_by_the_reference(all_classes_n8, spec):
+    # the F-free classes on 8 vertices are the classes of all graphs on 8
+    # vertices that are F-free: filtering the OEIS-checked set with the
+    # literal detectors gives each level's codes without the oracle's screens
+    family = ForbiddenFamily.parse(spec)
+    want = {}
+    for level, codes in all_classes_n8.items():
+        kept = tuple(code for code in codes if ref_is_free(graph_from_code(8, code), family))
+        if kept:
+            want[level] = kept
+    assert {level: codes for level, codes, _ in _levels(8, family, jobs=1) if codes} == want
+
+
+def path_cycle_counts(n_max, shortest_cycle):
+    """counts[n][e]: classes on n vertices with e edges whose components are
+    paths and cycles of length at least shortest_cycle, the graphs of maximum
+    degree 2 without shorter cycles.  These are the coefficients of x^n y^e in
+    the product of 1 / (1 - x^k y^(k-1)) over the paths P_k, k >= 1, and of
+    1 / (1 - x^k y^k) over the cycles C_k, k >= shortest_cycle."""
+    counts = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    counts[0][0] = 1
+    components = [(k, k - 1) for k in range(1, n_max + 1)] + [(k, k) for k in range(shortest_cycle, n_max + 1)]
+    for size, edges in components:
+        for n in range(size, n_max + 1):
+            for e in range(edges, n + 1):
+                counts[n][e] += counts[n - size][e - edges]
+    return counts
+
+
+@pytest.mark.parametrize("spec,shortest_cycle,classes", [
+    ("starforest:1x3", 3, 156),
+    ("clique:3,starforest:1x3", 4, 110),
+])
+def test_max_degree_two_levels_match_the_generating_function(spec, shortest_cycle, classes):
+    # no K_{1,3} means maximum degree 2: a disjoint union of paths and cycles
+    family = ForbiddenFamily.parse(spec)
+    counts = path_cycle_counts(ORACLE_MAX_N, shortest_cycle)
+    for n in range(1, ORACLE_MAX_N + 1):
+        got = [len(codes) for _, codes, _ in _levels(n, family, jobs=1) if codes]
+        assert got == counts[n][: len(got)] and sum(got) == sum(counts[n]), n
+    assert sum(got) == classes
 
 
 @pytest.mark.parametrize(
@@ -434,9 +492,9 @@ def test_isolated_vertices_lead_the_canonical_code():
     ("clique:3,matching:3", 9),
 ])
 def test_stripped_codes_are_already_canonical(spec, top):
-    # extremal_records searches each stripped class again on n vertices;
-    # over whole levels the low C(n,2) bits of a padded class's code are
-    # already the canonical code of the class on n vertices
+    # the oracle docstring proves that a padded class's code is the class's
+    # canonical code on n vertices, and extremal_records decodes the
+    # stripped codes without a second search; check that over whole levels
     checked = 0
     for _, codes, _ in _levels(top, ForbiddenFamily.parse(spec), jobs=1):
         for n in range(top):
@@ -446,18 +504,25 @@ def test_stripped_codes_are_already_canonical(spec, top):
     assert checked
 
 
-@pytest.mark.parametrize("spec,low", [
-    ("clique:3", 3),
-    ("clique:3,starforest:2x3", 3),
-    ("starforest:1x3", 0),
-    ("clique:4,matching:3", 5),
-    ("clique:3,matching:2", 1),
-])
-def test_shared_records_equal_separate_runs(spec, low):
+SHARED_RUNS = [
+    ("clique:3", 3, 9),
+    ("clique:3,starforest:2x3", 3, 9),
+    ("starforest:1x3", 0, 9),
+    ("clique:4,matching:3", 5, 9),
+    ("clique:3,matching:2", 1, 9),
+    # the boundary sweep's family, padded by up to eight vertices as verify runs it
+    ("clique:3,starforest:2x2", 3, ORACLE_MAX_N),
+]
+
+
+@pytest.mark.parametrize("spec,low,high", SHARED_RUNS, ids=[f"{spec}-{low}" for spec, low, _ in SHARED_RUNS])
+def test_shared_records_equal_separate_runs(spec, low, high):
+    # a separate run decodes the codes of an enumeration at its own n; the
+    # shared run decodes, for every n below the top, the top's padded codes
     family = ForbiddenFamily.parse(spec)
-    separate = {n: brute_force_ex(n, family) for n in range(low, 10)}
+    separate = {n: brute_force_ex(n, family) for n in range(low, high + 1)}
     for jobs in (1, 2):
-        shared = extremal_records(range(low, 10), family, jobs=jobs)
+        shared = extremal_records(range(low, high + 1), family, jobs=jobs)
         assert list(shared) == list(separate), jobs
         assert shared == separate, jobs
         assert len({record.elapsed for record in shared.values()}) == 1, jobs
