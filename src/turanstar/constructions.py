@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, bits, disjoint_union, empty_graph, join, mask_of
+from .graphs import Graph, VertexSet, bits, check_vertex_count, disjoint_union, empty_graph, join, mask_of
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def turan_graph(n: int, k: int) -> Graph:
     """
     if k < 0 or (k == 0 and n > 0):
         raise ValueError(f"turan_graph needs k >= 1 when n > 0, got n={n}, k={k}")
+    check_vertex_count(n)
     if n == 0:
         return empty_graph(0)
     part_masks = [0] * k
@@ -90,6 +91,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise ValueError(f"part sizes must be non-negative, got {a}, {b}")
     n = a + b
+    check_vertex_count(n)
     a_mask = (1 << a) - 1
     b_mask = ((1 << b) - 1) << a
     rows = tuple(b_mask if v < a else a_mask for v in range(n))
@@ -99,17 +101,11 @@ def complete_bipartite(a: int, b: int) -> Graph:
 class BelowRangeError(ValueError):
     """A builder refuses parameters below the range where it is proven to build.
 
-    Suites that scan below that range skip such a size; any other
-    ValueError from a builder is a bug and propagates.
-    """
-
-
-class SwapSupplyError(BelowRangeError):
-    """The block engine ran out of eligible edges to reroute.
-
-    A refusal below the range like any other, so callers skip it as a
-    BelowRangeError.  Cannot happen at or above the guaranteed thresholds;
-    callers inside the guaranteed range convert it to an assertion failure.
+    Raised by the range checks and by the block engine when it runs out of
+    edges to reroute below its guaranteed range; inside that range an
+    engine failure is an AssertionError.  Suites that scan below the range
+    skip such a size; any other ValueError from a builder is a bug and
+    propagates.
     """
 
 
@@ -136,7 +132,7 @@ def _pick_swap_edge(
                 if rows[y] >> y_partner & 1:
                     continue
                 return x, y
-    raise SwapSupplyError("no eligible swap edge at these parameters")
+    raise BelowRangeError("no eligible swap edge at these parameters")
 
 
 def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
@@ -146,6 +142,7 @@ def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
     floor(degree/2) block edges and reaches degree 2*floor(degree/2);
     otherwise it stays as built, including possibly isolated.
     """
+    check_vertex_count(total)
     half = total // 2
     rows = [0] * total
 
@@ -163,7 +160,7 @@ def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
     if degree == 0:
         return rows
     if degree > total - half:
-        raise SwapSupplyError("degree exceeds the larger side of the split")
+        raise BelowRangeError("degree exceeds the larger side of the split")
     q, rem = divmod(half, degree)
     if q == 0:
         # Degree exceeds the first side; only reachable for odd totals with
@@ -171,7 +168,7 @@ def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
         # the degree on the first side only.  That cannot satisfy the
         # almost-regular contract once the spare needs rerouting.
         if reroute_spare and half > 0:
-            raise SwapSupplyError("degree too close to half the vertex count")
+            raise BelowRangeError("degree too close to half the vertex count")
         for x in range(half):
             for j in range(degree):
                 put(x, half + j)
@@ -190,7 +187,7 @@ def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
         spare = total - 1
         swaps = degree // 2
         if swaps > q:
-            raise SwapSupplyError("not enough blocks to feed the spare vertex")
+            raise BelowRangeError("not enough blocks to feed the spare vertex")
         for i in range(swaps):
             x, y = _pick_swap_edge(rows, range(i, i + 1), degree, half, spare, spare)
             cut(x, y)
@@ -205,17 +202,37 @@ def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
     return rows
 
 
-def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
-    """Run the block engine without the guaranteed-range check.
+def near_regular(g: Graph, rest: VertexSet, degree: int) -> bool:
+    """Every degree inside ``rest`` is ``degree``, bar one short by one when
+    degree * |rest| is odd?  The promise of ``regular_triangle_free``,
+    without its triangle-freeness."""
+    short = 0
+    for v in bits(rest):
+        d = (g.rows[v] & rest).bit_count()
+        if not degree - 1 <= d <= degree:
+            return False
+        short += d < degree
+    return short == degree * rest.bit_count() % 2
 
-    Raises SwapSupplyError when the engine cannot place the required
-    swaps at this size; succeeds for many n below degree**2 + 2.
+
+def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
+    """Run the block engine at any n, below the guaranteed range too.
+
+    Raises BelowRangeError when the engine cannot place the required swaps
+    below n = degree**2 + 2, where it still succeeds for many n; at or
+    above it, where the engine is proven to build, such a failure is a bug
+    and raises AssertionError.
     """
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    rows = _blocked_engine(n, degree, reroute_spare=(n % 2 == 1))
+    try:
+        rows = _blocked_engine(n, degree, reroute_spare=(n % 2 == 1))
+    except BelowRangeError as exc:
+        if n < degree * degree + 2:
+            raise
+        raise AssertionError(f"swap supply failed inside guaranteed range: {exc}") from exc
     g = Graph(n, tuple(rows))
     half = n // 2
     cert = PartitionCertificate(
@@ -223,11 +240,7 @@ def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
         side_b=((1 << (n - half)) - 1) << half,
         exceptional=n - 1 if n % 2 else None,
     )
-    expected_deficient = 1 if (degree * n) % 2 else 0
-    degs = sorted(g.degree(v) for v in range(n))
-    assert degs[expected_deficient:] == [degree] * (n - expected_deficient)
-    if expected_deficient:
-        assert degs[0] == degree - 1
+    assert near_regular(g, (1 << n) - 1, degree)
     assert cert.holds_for(g)
     return g, cert
 
@@ -244,10 +257,18 @@ def regular_triangle_free(n: int, degree: int) -> tuple[Graph, PartitionCertific
         raise ValueError(f"degree must be non-negative, got {degree}")
     if n < degree * degree + 2:
         raise BelowRangeError(f"need n >= degree^2 + 2, got n={n}, degree={degree}")
-    try:
-        return _attempt_regular(n, degree)
-    except SwapSupplyError as exc:  # pragma: no cover - in-range failure is a bug
-        raise AssertionError(f"swap supply failed inside guaranteed range: {exc}")
+    return _attempt_regular(n, degree)
+
+
+def capped_sides(g: Graph, s_side: VertexSet, t_side: VertexSet, degree: int) -> bool:
+    """Every T vertex of degree exactly ``degree`` inside S | T, every S vertex
+    at most?  The promise of ``capped_bipartite``, without its bipartiteness."""
+    rest = s_side | t_side
+    for v in bits(rest):
+        d = (g.rows[v] & rest).bit_count()
+        if d > degree or d < degree and t_side >> v & 1:
+            return False
+    return True
 
 
 def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
@@ -274,8 +295,7 @@ def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
         s_mask, t_mask = first, second
     else:
         s_mask, t_mask = second, first
-    assert all(g.degree(v) == degree for v in bits(t_mask))
-    assert all(g.degree(v) <= degree for v in bits(s_mask))
+    assert capped_sides(g, s_mask, t_mask, degree)
     assert g.edge_count == degree * (m // 2)
     return g, s_mask, t_mask
 
@@ -309,7 +329,7 @@ def joined_regular_extremal(n: int, s: int, l: int) -> Graph:
     ceil(s/2)*floor(s/2) + s*floor((n-s)/2) + floor((l-1)(n-s)/2) edges.
 
     Guaranteed to build when n - s >= (l-1)**2 + 2; smaller sizes are
-    attempted and raise SwapSupplyError if the engine cannot route the
+    attempted and raise BelowRangeError if the engine cannot route the
     degree-fixing swaps there.
     """
     if s < 0:

@@ -21,6 +21,13 @@ MAX_VERTICES = 1 << 16
 VertexSet = int
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= MAX_VERTICES; builders call it
+    before they allocate any rows."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} out of range")
+
+
 def mask_of(vertices: Iterable[int]) -> VertexSet:
     """Bitmask with one bit set per listed vertex."""
     m = 0
@@ -110,8 +117,7 @@ class Graph:
 
     def validate(self) -> None:
         """Raise ValueError unless rows form a loop-free symmetric adjacency."""
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} out of range")
+        check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise ValueError("row count does not match n")
         full = (1 << self.n) - 1
@@ -133,8 +139,7 @@ def _check_pair(n: int, u: int, v: int) -> None:
 
 
 def empty_graph(n: int) -> Graph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} out of range")
+    check_vertex_count(n)
     return Graph(n, (0,) * n)
 
 
@@ -144,8 +149,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Duplicate edges collapse; loops and out-of-range endpoints raise
     ValueError.
     """
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} out of range")
+    check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         _check_pair(n, u, v)

@@ -37,6 +37,7 @@ from .constructions import (
     complete_bipartite,
     joined_capped_extremal,
     joined_regular_extremal,
+    near_regular,
     regular_triangle_free,
     turan_graph,
 )
@@ -112,10 +113,10 @@ class ResultCache:
     """Append-only JSON-lines store of search results, keyed by (n, family).
 
     Each line carries the ``LABELLING_VERSION`` of the canonical labeling
-    behind its graph6 strings.  Corrupt lines, and lines with another
-    version or none, are reported with their line number and skipped; the
-    first entry for a key wins so a reread always returns what a previous
-    lookup saw.
+    behind its graph6 strings.  Corrupt lines, non-UTF-8 bytes included,
+    and lines with another version or none, are reported with their line
+    number and skipped; the first entry for a key wins so a reread always
+    returns what a previous lookup saw.
     """
 
     def __init__(self, path: str | Path):
@@ -125,13 +126,13 @@ class ResultCache:
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    data = json.loads(line)
+                    data = json.loads(line.decode("utf-8"))
                     record = ExtremalRecord.from_json_dict(data)
                 except (ValueError, KeyError, TypeError) as err:
                     log.warning("skipping corrupt cache line %d: %s", lineno, err)
@@ -323,13 +324,8 @@ def _suite_regular_core(_) -> tuple[list[SuiteRow], dict]:
     for degree in range(1, 7):
         for n in range(degree * degree + 2, 60 + 1):
             g, cert = regular_triangle_free(n, degree)
-            degs = sorted(g.degree(v) for v in range(n))
-            if degree * n % 2:
-                deg_ok = degs == [degree - 1] + [degree] * (n - 1)
-            else:
-                deg_ok = degs == [degree] * n
             free = (
-                deg_ok
+                near_regular(g, (1 << n) - 1, degree)
                 and cert.holds_for(g)
                 and is_family_free(g, ForbiddenFamily((Clique(3),)))
             )

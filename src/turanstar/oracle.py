@@ -61,10 +61,10 @@ without an exact mask (none for a family of cliques and one-copy stars),
 and last the canonical search of g + uv, the only step that builds the
 child.  The window's ``top`` comes from one pass over g's vertices: it is
 the largest degree d of a vertex with a neighbour of degree d or more, the
-lower end of an edge with both ends of degree at least d.  The neighbour-degree sums are built for a parent only
-when one of its rank tests first ties uv on degrees, and serve its later
-rank tests; at n = 10, 7,507 of the 12,172 triangle-free parents ever
-need them.
+lower end of an edge with both ends of degree at least d.  The
+neighbour-degree sums are built for a parent only when one of its rank
+tests first ties uv on degrees, and serve its later rank tests; at
+n = 10, 7,507 of the 12,172 triangle-free parents ever need them.
 
 A level is a set of classes, so the filter only thins how often one class
 is found, never which classes are found.  The visit counter still counts
@@ -128,7 +128,7 @@ from .detectors import ForbiddenFamily, contains_clique, is_family_free
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph, induced_subgraph
-from .constructions import complete_bipartite
+from .constructions import capped_sides, complete_bipartite, near_regular
 
 ORACLE_MAX_N = 11
 
@@ -260,7 +260,7 @@ def _outranked(
 
 
 def _expand_codes(
-    args: tuple[int, str, list[tuple[int, Generators]]],
+    args: tuple[int, ForbiddenFamily, list[tuple[int, Generators]]],
 ) -> tuple[dict[int, Generators], int]:
     """Worker: augment each graph by one edge, keep free results.
 
@@ -272,8 +272,7 @@ def _expand_codes(
     only one that no edge of the child outranks, is asked of the patterns
     without a mask and canonicalized.
     """
-    n, family_spec, parents = args
-    family = ForbiddenFamily.parse(family_spec)
+    n, family, parents = args
     masked = [pat for pat in family.patterns if pat.has_edge_mask]
     paired = [pat for pat in family.patterns if not pat.has_edge_mask]
     out: dict[int, Generators] = {}
@@ -322,27 +321,22 @@ def _levels(
         return
     parents = [canonical_code_and_generators(seed)]
     yield 0, (parents[0][0],), 0
-    spec = family.spec()
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip its import
 
         pool = ProcessPoolExecutor(max_workers=jobs)
+    run = map if pool is None else pool.map
     try:
         level = 0
         while parents:
             level += 1
-            if pool is None:
-                found, visited = _expand_codes((n, spec, parents))
-            else:
-                chunks = [parents[i :: jobs] for i in range(jobs)]
-                found = {}
-                visited = 0
-                for part, seen in pool.map(
-                    _expand_codes, [(n, spec, c) for c in chunks if c]
-                ):
-                    found.update(part)
-                    visited += seen
+            chunks = [(n, family, parents[i::jobs]) for i in range(min(jobs, len(parents)))]
+            found: dict[int, Generators] = {}
+            visited = 0
+            for part, seen in run(_expand_codes, chunks):
+                found = part | found  # the first chunk's generators win, as within a chunk
+                visited += seen
             parents = sorted(found.items())
             # an empty level still reports the attempts that proved it empty
             yield level, tuple(code for code, _ in parents), visited
@@ -504,24 +498,8 @@ def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iter
 
 
 def _near_regular(g: Graph, rest: int, degree: int) -> bool:
-    """Triangle-free, every degree in the rest `degree`, bar one short if the sum is odd?"""
-    short = 0
-    for v in bits(rest):
-        d = (g.rows[v] & rest).bit_count()
-        if not degree - 1 <= d <= degree:
-            return False
-        short += d < degree
-    return short == degree * rest.bit_count() % 2 and not contains_clique(induced_subgraph(g, rest), 3)
-
-
-def _capped_sides(g: Graph, s_side: int, t_side: int, degree: int) -> bool:
-    """Every T vertex of degree exactly `degree` in the rest, every S vertex at most?"""
-    rest = s_side | t_side
-    for v in bits(rest):
-        d = (g.rows[v] & rest).bit_count()
-        if d > degree or d < degree and t_side >> v & 1:
-            return False
-    return True
+    """Triangle-free and ``near_regular`` on the rest?"""
+    return near_regular(g, rest, degree) and not contains_clique(induced_subgraph(g, rest), 3)
 
 
 def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
@@ -562,9 +540,9 @@ def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
     # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges
     if g.edge_count == e2:
         splits = _join_splits(g, (*core, half + odd, half, 0), bipartite_rest=True)
-        if any(_capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
+        if any(capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
             return True
     if g.edge_count == e2 - s % 2 * odd:
         splits = _join_splits(g, (*core, half, half + odd, 0), bipartite_rest=True)
-        return any(_capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
+        return any(capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
     return False

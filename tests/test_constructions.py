@@ -3,11 +3,11 @@ import random
 import pytest
 
 from turanstar import (
+    BelowRangeError,
     Clique,
     ForbiddenFamily,
     PartitionCertificate,
     StarForest,
-    SwapSupplyError,
     are_isomorphic,
     capped_bipartite,
     clique_matching_extremal,
@@ -22,6 +22,7 @@ from turanstar import (
     turan_edges,
     turan_graph,
 )
+from turanstar.graphs import MAX_VERTICES
 
 
 def test_turan_graph_edge_counts():
@@ -53,6 +54,18 @@ def test_complete_bipartite():
     assert g.edge_count == 10
     assert g.degree(0) == 5 and g.degree(6) == 2
     assert complete_bipartite(0, 4).edge_count == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_bipartite(MAX_VERTICES, 1),
+    lambda: turan_graph(MAX_VERTICES + 1, 2),
+    lambda: regular_triangle_free(MAX_VERTICES + 1, 1),
+    lambda: capped_bipartite(MAX_VERTICES + 1, 2),
+], ids=["complete_bipartite", "turan_graph", "regular_triangle_free", "capped_bipartite"])
+def test_builders_refuse_past_the_vertex_ceiling_before_allocating(build):
+    with pytest.raises(ValueError, match="out of range") as refusal:
+        build()
+    assert not isinstance(refusal.value, BelowRangeError)
 
 
 def test_regular_builder_examples():
@@ -236,5 +249,5 @@ def test_sub_threshold_attempts():
     # with the dedicated error; 9 vertices at degree 3 builds, 5 at 3 cannot
     g = joined_regular_extremal(12, 3, 4)
     assert g.edge_count == extremal_family_edges(12, 3, 4)[0]
-    with pytest.raises(SwapSupplyError):
+    with pytest.raises(BelowRangeError):
         joined_regular_extremal(9, 4, 4)

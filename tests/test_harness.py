@@ -16,7 +16,7 @@ from turanstar import (
     run_suite,
     run_suites,
 )
-from turanstar import ORACLE_MAX_N, harness, oracle
+from turanstar import ORACLE_MAX_N, constructions, harness, oracle
 from turanstar.canonical import LABELLING_VERSION
 from turanstar.cli import main
 from turanstar.constructions import (
@@ -126,6 +126,17 @@ def test_builder_bug_is_not_read_as_below_range(monkeypatch, suite, builder):
         run_suite(suite)
 
 
+def test_engine_failure_in_range_is_not_read_as_below_range(monkeypatch):
+    # m = 7 >= (l-1)^2 + 2 rest vertices at l = 3 need one spare swap, which
+    # the engine is proven to find; failing to is a bug, not a refusal
+    def exhausted(*args):
+        raise BelowRangeError("no eligible swap edge at these parameters")
+
+    monkeypatch.setattr(constructions, "_pick_swap_edge", exhausted)
+    with pytest.raises(AssertionError, match="inside guaranteed range"):
+        harness._built(lambda: joined_regular_extremal(8, 1, 3))
+
+
 def test_triangle_suite_reports_sub_threshold_pair(tmp_path):
     # the (12,3,4) point: formula uses the capped form, both builds present
     report = run_suite("triangle-star-forest")
@@ -154,6 +165,20 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
         cache = ResultCache(path)
     assert cache.lookup(4, fam("clique:3")) == rec
     assert sum("corrupt cache line" in msg for msg in caplog.messages) == 2
+
+
+def test_cache_skips_non_utf8_lines(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    records = {n: brute_force_ex(n, fam("clique:3")) for n in (4, 5)}
+    path.write_bytes(
+        cache_line(records[4]).encode() + b"\n"
+        + b'\xff{"n": 3}\n'
+        + cache_line(records[5]).encode() + b"\n"
+    )
+    with caplog.at_level("WARNING"):
+        cache = ResultCache(path)
+    assert all(cache.lookup(n, fam("clique:3")) == records[n] for n in (4, 5))
+    assert len(caplog.messages) == 1 and caplog.messages[0].startswith("skipping corrupt cache line 2:")
 
 
 def test_cache_first_entry_wins(tmp_path):
