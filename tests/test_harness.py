@@ -36,7 +36,7 @@ from turanstar.formulas import (
     ex_triangle_star_forest,
 )
 from turanstar.graph6 import graph6_encode
-from turanstar.harness import CSV_SCHEMA, MATCH, emit_report, fetch_records
+from turanstar.harness import CSV_SCHEMA, MATCH, SuiteReport, SuiteRow, emit_report, fetch_records, skipped
 
 
 VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify.csv"
@@ -319,6 +319,95 @@ def test_emit_report_json_and_table(tmp_path):
     assert "rows:" in table and "status: ok" in table
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
+
+
+def test_emit_report_bytes_are_pinned():
+    # one empty cell, both booleans, a SKIPPED reason holding a comma, a
+    # MISMATCH, two notes and a fixed timestamp; rows go in unsorted
+    report = SuiteReport(
+        suite="pinned",
+        rows=[
+            SuiteRow(n=10, k=3, s=0, l=2, formula=12, construction=11, oracle=12, free=False, status="MISMATCH"),
+            SuiteRow(n=4, k=2, s=1, l=None, formula=5, construction=5, oracle=5, free=True, status=MATCH),
+            SuiteRow(
+                n=7, k=2, s=1, l=3, formula=9, construction=9, oracle=10, free=True,
+                status=skipped("divergence below unproven threshold, exploratory bound n>=8"),
+            ),
+        ],
+        timestamp="2026-01-01T00:00:00+00:00",
+        version="0.1.0",
+        fresh_oracle_runs=2,
+        graphs_visited=31,
+        notes={"oracle": "skipped: pinned", "first_agreement_n": 8},
+    )
+    assert emit_report(report, "csv").decode() == """\
+# turanstar-report schema=v1
+# suite: pinned
+# version: 0.1.0
+# first_agreement_n: 8
+# oracle: skipped: pinned
+# timestamp: 2026-01-01T00:00:00+00:00
+n,k,s,l,formula,construction,oracle,free,status
+4,2,1,,5,5,5,true,MATCH
+7,2,1,3,9,9,10,true,SKIPPED(divergence below unproven threshold, exploratory bound n>=8)
+10,3,0,2,12,11,12,false,MISMATCH
+"""
+    assert emit_report(report, "table").decode() == """\
+suite pinned (version 0.1.0)
+n   k  s  l  formula  construction  oracle  free   status
+4   2  1     5        5             5       true   MATCH
+7   2  1  3  9        9             10      true   SKIPPED(divergence below unproven threshold, exploratory bound n>=8)
+10  3  0  2  12       11            12      false  MISMATCH
+rows: 3  status: MISMATCH PRESENT
+"""
+    assert emit_report(report, "json").decode() == """\
+{
+  "suite": "pinned",
+  "version": "0.1.0",
+  "timestamp": "2026-01-01T00:00:00+00:00",
+  "notes": {
+    "oracle": "skipped: pinned",
+    "first_agreement_n": 8
+  },
+  "fresh_oracle_runs": 2,
+  "graphs_visited": 31,
+  "rows": [
+    {
+      "n": 4,
+      "k": 2,
+      "s": 1,
+      "l": null,
+      "formula": 5,
+      "construction": 5,
+      "oracle": 5,
+      "free": true,
+      "status": "MATCH"
+    },
+    {
+      "n": 7,
+      "k": 2,
+      "s": 1,
+      "l": 3,
+      "formula": 9,
+      "construction": 9,
+      "oracle": 10,
+      "free": true,
+      "status": "SKIPPED(divergence below unproven threshold, exploratory bound n>=8)"
+    },
+    {
+      "n": 10,
+      "k": 3,
+      "s": 0,
+      "l": 2,
+      "formula": 12,
+      "construction": 11,
+      "oracle": 12,
+      "free": false,
+      "status": "MISMATCH"
+    }
+  ]
+}
+"""
 
 
 def test_report_sorted_rows_are_stable():
