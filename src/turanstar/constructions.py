@@ -76,9 +76,7 @@ def turan_graph(n: int, k: int) -> Graph:
     if k < 0 or (k == 0 and n > 0):
         raise ValueError(f"turan_graph needs k >= 1 when n > 0, got n={n}, k={k}")
     check_vertex_count(n)
-    if n == 0:
-        return empty_graph(0)
-    part_masks = [0] * k
+    part_masks = [0] * min(k, n)  # parts past the n-th stay empty
     for v in range(n):
         part_masks[v % k] |= 1 << v
     full = (1 << n) - 1

@@ -160,16 +160,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g and h side by side; h's vertices are shifted up by g.n."""
-    if g.n + h.n > MAX_VERTICES:
-        raise ValueError("union exceeds the vertex ceiling")
+    check_vertex_count(g.n + h.n)
     rows = list(g.rows) + [r << g.n for r in h.rows]
     return Graph(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
-    if g.n + h.n > MAX_VERTICES:
-        raise ValueError("join exceeds the vertex ceiling")
+    check_vertex_count(g.n + h.n)
     g_mask = (1 << g.n) - 1
     h_mask = ((1 << h.n) - 1) << g.n
     rows = [r | h_mask for r in g.rows]

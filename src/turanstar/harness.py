@@ -27,7 +27,7 @@ import json
 import logging
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .constructions import (
@@ -56,7 +56,6 @@ from .graphs import Graph, disjoint_union, empty_graph
 from .oracle import ORACLE_MAX_N, ExtremalRecord, _check_cap, extremal_records
 
 TOOL_VERSION = "0.1.0"
-CSV_SCHEMA = "n,k,s,l,formula,construction,oracle,free,status"
 _ISO_CHECK_MAX_N = 14
 
 log = logging.getLogger("turanstar.harness")
@@ -71,6 +70,8 @@ def skipped(reason: str) -> str:
 
 @dataclass(frozen=True)
 class SuiteRow:
+    """One report row; its fields, in order, are the CSV and table columns."""
+
     n: int
     k: int | None
     s: int | None
@@ -90,6 +91,9 @@ class SuiteRow:
     def as_dict(self) -> dict:
         # dataclasses.asdict would deep-copy each scalar and double emission time
         return dict(vars(self))
+
+
+CSV_SCHEMA = ",".join(f.name for f in fields(SuiteRow))
 
 
 @dataclass
@@ -270,7 +274,21 @@ def _args(name: str, params: dict) -> list[int]:
     return [params[p] for p in PROBLEMS[name].params]
 
 
-def _checked_row(name: str, n: int, record: ExtremalRecord | None = None, **params) -> SuiteRow:
+def _row(
+    n: int,
+    params: dict,
+    formula: int | None,
+    construction: int | None,
+    oracle: int | None,
+    free: bool | None,
+    status: str,
+) -> SuiteRow:
+    """The one place a row is made: the suite's params label its k, s and l columns."""
+    k, s, l = params.get("k"), params.get("s"), params.get("l")
+    return SuiteRow(n, k, s, l, formula, construction, oracle, free, status)
+
+
+def _checked_row(name: str, n: int, params: dict, record: ExtremalRecord | None = None) -> SuiteRow:
     """A row that must agree: every candidate free, its best edge count equal to the formula."""
     problem = PROBLEMS[name]
     args = _args(name, params)
@@ -280,35 +298,17 @@ def _checked_row(name: str, n: int, record: ExtremalRecord | None = None, **para
     construction = max(g.edge_count for g in graphs)
     formula = problem.formula(n, *args).value
     oracle = None if record is None else record.ex_value
-    return SuiteRow(
-        n=n,
-        k=params.get("k"),
-        s=params.get("s"),
-        l=params.get("l"),
-        formula=formula,
-        construction=construction,
-        oracle=oracle,
-        free=free,
-        status=_verdict(free, formula == construction, oracle is None or oracle == formula),
-    )
+    status = _verdict(free, formula == construction, oracle is None or oracle == formula)
+    return _row(n, params, formula, construction, oracle, free, status)
 
 
 def _explored_row(
-    name: str, n: int, record: ExtremalRecord, reason: str, construction: int | None = None, **params
+    name: str, n: int, params: dict, record: ExtremalRecord, reason: str, construction: int | None = None
 ) -> SuiteRow:
     """A row where search below the threshold may beat the formula: MATCH or SKIPPED(reason)."""
     formula = PROBLEMS[name].formula(n, *_args(name, params)).value
-    return SuiteRow(
-        n=n,
-        k=params.get("k"),
-        s=params.get("s"),
-        l=params.get("l"),
-        formula=formula,
-        construction=construction,
-        oracle=record.ex_value,
-        free=None,
-        status=MATCH if record.ex_value == formula else skipped(reason),
-    )
+    status = MATCH if record.ex_value == formula else skipped(reason)
+    return _row(n, params, formula, construction, record.ex_value, None, status)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +330,15 @@ def _suite_regular_core(_) -> tuple[list[SuiteRow], dict]:
                 and is_family_free(g, ForbiddenFamily((Clique(3),)))
             )
             formula = ex_star(n, degree).value
-            rows.append(
-                SuiteRow(
-                    n=n,
-                    k=None,
-                    s=None,
-                    l=degree,
-                    formula=formula,
-                    construction=g.edge_count,
-                    oracle=None,
-                    free=free,
-                    status=_verdict(free, formula == g.edge_count),
-                )
-            )
+            status = _verdict(free, formula == g.edge_count)
+            rows.append(_row(n, {"l": degree}, formula, g.edge_count, None, free, status))
     return rows, {}
 
 
 def _checked_suite(sliced) -> tuple[list[SuiteRow], dict]:
     rows = []
     for name, params, records in sliced:
-        rows += [_checked_row(name, n, record, **params) for n, record in records.items()]
+        rows += [_checked_row(name, n, params, record) for n, record in records.items()]
     return rows, {}
 
 
@@ -360,7 +349,7 @@ def _suite_clique_star_forest(_) -> tuple[list[SuiteRow], dict]:
             for l in range(2, 5):
                 first = s + (l - 1) ** 2 + 2
                 for n in range(first, first + 10 + 1):
-                    rows.append(_checked_row("clique-star-forest", n, k=k, s=s, l=l))
+                    rows.append(_checked_row("clique-star-forest", n, {"k": k, "s": s, "l": l}))
     return rows, {"oracle": f"skipped: grid sizes exceed the enumeration cap {ORACLE_MAX_N}"}
 
 
@@ -369,6 +358,7 @@ def _suite_triangle_star_forest(sliced) -> tuple[list[SuiteRow], dict]:
     rows = []
     for s in range(0, 5):
         for l in range(2, 6):
+            params = {"k": 2, "s": s, "l": l}
             for n in range(s + 1, 40 + 1):
                 family = problem.family(s, l)
                 e1, e2 = extremal_family_edges(n, s, l)
@@ -393,26 +383,13 @@ def _suite_triangle_star_forest(sliced) -> tuple[list[SuiteRow], dict]:
                     built.append((complete_bipartite(s, n - s), True, True))
                 for g, count_ok, carries in built:
                     free = is_family_free(g, family)
-                    rows.append(
-                        SuiteRow(
-                            n=n,
-                            k=2,
-                            s=s,
-                            l=l,
-                            formula=formula,
-                            construction=g.edge_count,
-                            oracle=None,
-                            free=free,
-                            status=_verdict(
-                                free, count_ok, (not carries) or formula == g.edge_count
-                            ),
-                        )
-                    )
+                    status = _verdict(free, count_ok, (not carries) or formula == g.edge_count)
+                    rows.append(_row(n, params, formula, g.edge_count, None, free, status))
     for name, params, records in sliced:
         bound = exploration_threshold(params["s"], params["l"])
         reason = f"divergence below unproven threshold, exploratory bound n>={bound}"
         for n, record in records.items():
-            rows.append(_explored_row(name, n, record, reason, **params))
+            rows.append(_explored_row(name, n, params, record, reason))
     return rows, {}
 
 
@@ -433,7 +410,7 @@ def _sweep_rows(sliced) -> tuple[list[SuiteRow], dict]:
     for n, record in records.items():
         built = [_built(build) for build in PROBLEMS[name].builders(n, *_args(name, params))]
         construction = max((g.edge_count for g in built if g is not None), default=None)
-        row = _explored_row(name, n, record, "pre-threshold divergence", construction, **params)
+        row = _explored_row(name, n, params, record, "pre-threshold divergence", construction)
         if row.status != MATCH:
             agreement = None
         elif agreement is None:
@@ -545,21 +522,6 @@ def _cell(value) -> str:
 def emit_report(report: SuiteReport, fmt: str = "csv") -> bytes:
     """Serialize a report; row order is deterministic."""
     rows = report.sorted_rows()
-    if fmt == "csv":
-        out = io.StringIO()
-        out.write("# turanstar-report schema=v1\n")
-        out.write(f"# suite: {report.suite}\n")
-        out.write(f"# version: {report.version}\n")
-        for key in sorted(report.notes):
-            out.write(f"# {key}: {report.notes[key]}\n")
-        out.write(f"# timestamp: {report.timestamp}\n")
-        out.write(CSV_SCHEMA + "\n")
-        for row in rows:
-            d = row.as_dict()
-            out.write(
-                ",".join(_cell(d[col]) for col in CSV_SCHEMA.split(",")) + "\n"
-            )
-        return out.getvalue().encode()
     if fmt == "json":
         payload = {
             "suite": report.suite,
@@ -571,15 +533,23 @@ def emit_report(report: SuiteReport, fmt: str = "csv") -> bytes:
             "rows": [row.as_dict() for row in rows],
         }
         return (json.dumps(payload, indent=2) + "\n").encode()
+    grid = [CSV_SCHEMA.split(",")] + [[_cell(v) for v in vars(row).values()] for row in rows]
+    if fmt == "csv":
+        out = io.StringIO()
+        out.write("# turanstar-report schema=v1\n")
+        out.write(f"# suite: {report.suite}\n")
+        out.write(f"# version: {report.version}\n")
+        for key in sorted(report.notes):
+            out.write(f"# {key}: {report.notes[key]}\n")
+        out.write(f"# timestamp: {report.timestamp}\n")
+        for line in grid:
+            out.write(",".join(line) + "\n")
+        return out.getvalue().encode()
     if fmt == "table":
-        headers = CSV_SCHEMA.split(",")
-        table = [headers] + [
-            [_cell(d[col]) for col in headers] for d in map(SuiteRow.as_dict, rows)
-        ]
-        widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
+        widths = [max(map(len, column)) for column in zip(*grid)]
         out = io.StringIO()
         out.write(f"suite {report.suite} (version {report.version})\n")
-        for line in table:
+        for line in grid:
             out.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
         summary = "ok" if report.ok() else "MISMATCH PRESENT"
         out.write(f"rows: {len(rows)}  status: {summary}\n")

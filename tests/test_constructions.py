@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,7 @@ from turanstar import (
     turan_edges,
     turan_graph,
 )
-from turanstar.graphs import MAX_VERTICES
+from turanstar.graphs import MAX_VERTICES, disjoint_union, empty_graph, join
 
 
 def test_turan_graph_edge_counts():
@@ -49,6 +50,18 @@ def test_turan_graph_rejects_zero_parts():
     assert turan_graph(0, 0).n == 0
 
 
+def test_turan_graph_allocates_no_parts_past_the_nth():
+    # the CLI passes --k through unchecked; parts past the n-th are empty
+    tracemalloc.start()
+    try:
+        g = turan_graph(4, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g == turan_graph(4, 4)
+    assert peak < 1 << 20
+
+
 def test_complete_bipartite():
     g = complete_bipartite(2, 5)
     assert g.edge_count == 10
@@ -61,7 +74,9 @@ def test_complete_bipartite():
     lambda: turan_graph(MAX_VERTICES + 1, 2),
     lambda: regular_triangle_free(MAX_VERTICES + 1, 1),
     lambda: capped_bipartite(MAX_VERTICES + 1, 2),
-], ids=["complete_bipartite", "turan_graph", "regular_triangle_free", "capped_bipartite"])
+    lambda: join(empty_graph(MAX_VERTICES), empty_graph(1)),
+    lambda: disjoint_union(empty_graph(MAX_VERTICES), empty_graph(1)),
+], ids=["complete_bipartite", "turan_graph", "regular_triangle_free", "capped_bipartite", "join", "disjoint_union"])
 def test_builders_refuse_past_the_vertex_ceiling_before_allocating(build):
     with pytest.raises(ValueError, match="out of range") as refusal:
         build()

@@ -49,6 +49,7 @@ from _reference import (
     ref_ex,
     ref_expand_codes,
     ref_family_membership,
+    ref_has_star_forest,
     ref_is_free,
     ref_outranked,
 )
@@ -168,6 +169,33 @@ def test_free_classes_at_n8_are_all_classes_filtered_by_the_reference(all_classe
         if kept:
             want[level] = kept
     assert {level: codes for level, codes, _ in _levels(8, family, jobs=1) if codes} == want
+
+
+@pytest.fixture(scope="module")
+def triangle_free_classes_n10():
+    """Every triangle-free class on 10 vertices, as {edge count: sorted canonical codes}."""
+    return {level: codes for level, codes, _ in _levels(10, K3, jobs=1) if codes}
+
+
+@pytest.mark.parametrize("spec", [
+    "clique:3,starforest:2x3",
+    "clique:3,starforest:3x2",
+    "clique:3,starforest:1x4",
+    "clique:3,matching:3",
+])
+def test_free_classes_at_n10_are_triangle_free_classes_filtered_by_the_reference(triangle_free_classes_n10, spec):
+    # every class of the OEIS-checked triangle-free set at n = 10 is already
+    # triangle-free, so the literal star-forest search alone does the filtering
+    family = ForbiddenFamily.parse(spec)
+    (star,) = (pat for pat in family.patterns if isinstance(pat, StarForest))
+    want = {}
+    for level, codes in triangle_free_classes_n10.items():
+        kept = tuple(
+            code for code in codes if not ref_has_star_forest(graph_from_code(10, code), star.copies, star.leaves)
+        )
+        if kept:
+            want[level] = kept
+    assert {level: codes for level, codes, _ in _levels(10, family, jobs=1) if codes} == want
 
 
 def path_cycle_counts(n_max, shortest_cycle):
