@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -209,6 +211,23 @@ def test_joined_builders_track_closed_forms():
                     and n <= 14
                 ):
                     assert are_isomorphic(g1, g2)
+
+
+def test_joined_builders_are_pinned():
+    # the exact rows each joined builder gives, or its refusal, over every
+    # core and rest parity, empty core parts, and rests below and inside the
+    # guaranteed range
+    digest, built = hashlib.sha256(), 0
+    for n, s, l in itertools.product(range(45), range(8), range(1, 7)):
+        for build in (joined_regular_extremal, joined_capped_extremal):
+            try:
+                text = repr(build(n, s, l).rows)
+                built += 1
+            except ValueError as err:
+                text = f"{type(err).__name__}: {err}"
+            digest.update(text.encode() + b"\n")
+    assert built == 3472
+    assert digest.hexdigest() == "046106bbacead114132e96cc80b02a0f1e05f430785ff85bb43597582ba2e1ee"
 
 
 def test_joined_builders_are_family_free():
