@@ -42,6 +42,15 @@ def _need(names: tuple[str, ...], **values) -> list:
     return [values[name] for name in names]
 
 
+def _write(data: bytes, out) -> None:
+    """Write to the --out file, or to stdout without one."""
+    if out:
+        with open(out, "wb") as handle:
+            handle.write(data)
+    else:
+        click.echo(data, nl=False)
+
+
 @click.group()
 @click.version_option(version=TOOL_VERSION, prog_name="turanstar")
 def main():
@@ -79,15 +88,8 @@ def construct(builder, n, k, s, l, fmt, out):
         g = build(n, *_need(options, k=k, s=s, l=l))
     except ValueError as err:
         raise _usage(err)
-    if fmt == "graph6":
-        text = graph6_encode(g) + "\n"
-    else:
-        text = to_edge_list_json(g) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        click.echo(text, nl=False)
+    text = graph6_encode(g) if fmt == "graph6" else to_edge_list_json(g)
+    _write(f"{text}\n".encode(), out)
 
 
 def _parse_family(spec: str) -> ForbiddenFamily:
@@ -165,16 +167,6 @@ def oracle(n, family, jobs, cache):
     click.echo(json.dumps(record.to_json_dict()))
 
 
-def _emit_many(reports, fmt, out):
-    blobs = [emit_report(report, fmt) for report in reports]
-    data = b"\n".join(blobs)
-    if out:
-        with open(out, "wb") as handle:
-            handle.write(data)
-    else:
-        click.echo(data, nl=False)
-
-
 @main.command()
 @click.option("--suite", "suites", multiple=True, type=click.Choice(SUITE_NAMES))
 @click.option("--jobs", type=int, default=1)
@@ -189,7 +181,7 @@ def verify(ctx, suites, jobs, cache, fmt, out):
         reports = run_suites(suites or SUITE_NAMES, jobs=jobs, cache=store)
     except ValueError as err:
         raise _usage(err)
-    _emit_many(reports, fmt, out)
+    _write(b"\n".join(emit_report(report, fmt) for report in reports), out)
     if not all(report.ok() for report in reports):
         ctx.exit(1)
 
@@ -215,7 +207,7 @@ def sweep(ctx, jobs, cache, fmt, out, **params):
         report = boundary_sweep(**given, jobs=jobs, cache=store)
     except ValueError as err:
         raise _usage(err)
-    _emit_many([report], fmt, out)
+    _write(emit_report(report, fmt), out)
     if not report.ok():
         ctx.exit(1)
 

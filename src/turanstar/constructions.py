@@ -23,13 +23,29 @@ the remainder vertices up to full degree by deterministic edge swaps:
 Every edge mutation asserts simplicity and checks that no common neighbor
 exists before an addition, so a violated bound fails loudly instead of
 emitting a wrong graph.
+
+The triangle case's join families are laid out once, in ``_JOIN_RULE``: a
+two-part core T_2(s) whose larger part is joined completely to one side of
+the rest and whose smaller part to the other.  ``_sidewise_join`` builds
+that layout for both ``joined_*`` builders, and ``family_membership``
+recognises it: after an edge-count check it searches the splits into five
+parts, two core parts, each free to face either side of the rest, those two
+sides and a leftover vertex.  The families hold many non-isomorphic graphs,
+so comparing with one builder output would be wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graphs import Graph, VertexSet, bits, check_vertex_count, disjoint_union, empty_graph, join, mask_of
+from .canonical import are_isomorphic
+from .detectors import contains_clique
+from .formulas import extremal_family_edges
+from .graphs import (
+    Graph, VertexSet, bits, check_vertex_count, disjoint_union, empty_graph, induced_subgraph, join, mask_of,
+    respects_bipartition,
+)
 
 
 @dataclass(frozen=True)
@@ -46,25 +62,16 @@ class PartitionCertificate:
     exceptional: int | None
 
     def holds_for(self, g: Graph) -> bool:
-        full = (1 << g.n) - 1
-        if self.side_a & self.side_b or (self.side_a | self.side_b) != full:
-            return False
         if self.side_a.bit_count() != g.n // 2:
             return False
         if (g.n % 2 == 1) != (self.exceptional is not None):
             return False
-        keep_b = self.side_b
         if self.exceptional is not None:
             if not self.side_b >> self.exceptional & 1:
                 return False
-            keep_b &= ~(1 << self.exceptional)
-        for v in bits(self.side_a):
-            if g.rows[v] & self.side_a:
-                return False
-        for v in bits(keep_b):
-            if g.rows[v] & keep_b:
-                return False
-        return True
+            bit = 1 << self.exceptional
+            g = Graph(g.n, tuple(0 if v == self.exceptional else row & ~bit for v, row in enumerate(g.rows)))
+        return respects_bipartition(g, self.side_a, self.side_b)
 
 
 def turan_graph(n: int, k: int) -> Graph:
@@ -88,12 +95,8 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the a-side on vertices 0..a-1."""
     if a < 0 or b < 0:
         raise ValueError(f"part sizes must be non-negative, got {a}, {b}")
-    n = a + b
-    check_vertex_count(n)
-    a_mask = (1 << a) - 1
-    b_mask = ((1 << b) - 1) << a
-    rows = tuple(b_mask if v < a else a_mask for v in range(n))
-    return Graph(n, rows)
+    check_vertex_count(a + b)  # names the whole order, as every builder does
+    return join(empty_graph(a), empty_graph(b))
 
 
 class BelowRangeError(ValueError):
@@ -221,10 +224,6 @@ def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
     above it, where the engine is proven to build, such a failure is a bug
     and raises AssertionError.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
     try:
         rows = _blocked_engine(n, degree, reroute_spare=(n % 2 == 1))
     except BelowRangeError as exc:
@@ -298,22 +297,35 @@ def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
     return g, s_mask, t_mask
 
 
-def _with_cross_edges(g: Graph, pairs: list[tuple[VertexSet, VertexSet]]) -> Graph:
+# Parts of a join-family member, rows and columns in this order: core parts
+# A (the larger) and B, the rest's sides X and Y joined to A and to B, and a
+# leftover E of at most one vertex.  Entry [p][q]: p and q completely joined
+# (1), with no edges between them (0), or unconstrained (None).  X and Y are
+# independent in a capped rest, which is bipartite between them.  A regular
+# rest need only be triangle-free, so there X (Y) is independent only because
+# A (B) is completely joined to it, and is unconstrained when A (B) is empty.
+_JOIN_RULE = (
+    (0, 1, 1,    0,    0),     # A
+    (1, 0, 0,    1,    0),     # B
+    (1, 0, 0,    None, None),  # X
+    (0, 1, None, 0,    None),  # Y
+    (0, 0, None, None, None),  # E
+)
+
+
+def _sidewise_join(s: int, rest: Graph, x_side: VertexSet, y_side: VertexSet) -> Graph:
+    """Core parts A on the even labels of 0..s-1 and B on the odd ones, over
+    ``rest`` shifted up by s, with every pair of parts that ``_JOIN_RULE``
+    marks 1 joined completely; the rest vertices outside both sides are E.
+    A and B joined make the core T_2(s)."""
+    g = disjoint_union(empty_graph(s), rest)
+    parts = (mask_of(range(0, s, 2)), mask_of(range(1, s, 2)), x_side << s, y_side << s)
     rows = list(g.rows)
-    for a_mask, b_mask in pairs:
-        assert a_mask & b_mask == 0
-        for v in bits(a_mask):
-            rows[v] |= b_mask
-        for w in bits(b_mask):
-            rows[w] |= a_mask
+    for part, rule in zip(parts, _JOIN_RULE):
+        joined = sum(other for other, r in zip(parts, rule) if r == 1)  # disjoint masks: sum is union
+        for v in bits(part):
+            rows[v] |= joined
     return Graph(g.n, tuple(rows))
-
-
-def _balanced_pair_parts(s: int) -> tuple[VertexSet, VertexSet]:
-    """Part masks of the two-part Turan graph: evens first, odds second."""
-    big = mask_of(range(0, s, 2))
-    small = mask_of(range(1, s, 2))
-    return big, small
 
 
 def joined_regular_extremal(n: int, s: int, l: int) -> Graph:
@@ -337,14 +349,11 @@ def joined_regular_extremal(n: int, s: int, l: int) -> Graph:
     m = n - s
     if m < 0:
         raise ValueError(f"need n >= s, got n={n}, s={s}")
-    core, cert = _attempt_regular(m, l - 1)
-    g = disjoint_union(turan_graph(s, 2), core)
-    big, small = _balanced_pair_parts(s)
-    side_a = cert.side_a << s
-    side_b = cert.side_b << s
+    rest, cert = _attempt_regular(m, l - 1)
+    y_side = cert.side_b
     if cert.exceptional is not None:
-        side_b &= ~(1 << (cert.exceptional + s))
-    return _with_cross_edges(g, [(big, side_a), (small, side_b)])
+        y_side &= ~(1 << cert.exceptional)
+    return _sidewise_join(s, rest, cert.side_a, y_side)
 
 
 def joined_capped_extremal(n: int, s: int, l: int) -> Graph:
@@ -357,11 +366,8 @@ def joined_capped_extremal(n: int, s: int, l: int) -> Graph:
     """
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
-    m = n - s
-    core, s_mask, t_mask = capped_bipartite(m, l)
-    g = disjoint_union(turan_graph(s, 2), core)
-    big, small = _balanced_pair_parts(s)
-    return _with_cross_edges(g, [(big, s_mask << s), (small, t_mask << s)])
+    rest, s_side, t_side = capped_bipartite(n - s, l)
+    return _sidewise_join(s, rest, s_side, t_side)
 
 
 def clique_matching_extremal(n: int, k: int, s: int) -> Graph:
@@ -394,3 +400,117 @@ def clique_star_forest_extremal(n: int, k: int, s: int, l: int) -> Graph:
         raise BelowRangeError(f"need n - s >= (l-1)^2 + 2, got n={n}, s={s}, l={l}")
     core, _ = regular_triangle_free(m, l - 1)
     return join(turan_graph(s, k - 2), core)
+
+
+# ---------------------------------------------------------------------------
+# structural membership in the extremal families
+
+
+@dataclass(frozen=True)
+class CompleteBipartiteDescriptor:
+    """K_{s, n-s}."""
+
+    s: int
+
+
+@dataclass(frozen=True)
+class RegularJoinDescriptor:
+    """Two-part core over a triangle-free (l-1)-regular rest, joined sidewise."""
+
+    s: int
+    l: int
+
+
+@dataclass(frozen=True)
+class CappedJoinDescriptor:
+    """Two-part core over the capped bipartite rest, joined sidewise."""
+
+    s: int
+    l: int
+
+
+FamilyDescriptor = CompleteBipartiteDescriptor | RegularJoinDescriptor | CappedJoinDescriptor
+
+_MEMBERSHIP_MAX_N = 16
+
+
+def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iterator[tuple[int, ...]]:
+    """Part masks of every split of g into parts of `sizes` that obeys _JOIN_RULE,
+    placing vertices by descending degree, then index, so the core comes first.
+    Unless the rest is bipartite, X (Y) may hold edges when A (B) is empty."""
+    rules = [list(rule) for rule in _JOIN_RULE]
+    if not bipartite_rest:
+        for core, side in ((0, 2), (1, 3)):
+            if not sizes[core]:
+                rules[side][side] = None
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    masks = [0] * len(sizes)
+
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(order):
+            yield tuple(masks)
+            return
+        bit, row = 1 << order[i], g.rows[order[i]]
+        for part, rule in enumerate(rules):
+            if masks[part].bit_count() == sizes[part]:
+                continue
+            for placed, r in zip(masks, rule):
+                if r == 1 and placed & ~row or r == 0 and placed & row:
+                    break
+            else:
+                masks[part] |= bit
+                yield from place(i + 1)
+                masks[part] ^= bit
+
+    yield from place(0)
+
+
+def _near_regular(g: Graph, rest: int, degree: int) -> bool:
+    """Triangle-free and ``near_regular`` on the rest?"""
+    return near_regular(g, rest, degree) and not contains_clique(induced_subgraph(g, rest), 3)
+
+
+def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
+    """Structural membership test against an extremal family.
+
+    K_{s,n-s} is compared by isomorphism.  A join-family member splits into
+    the five parts of ``_JOIN_RULE``, |A| = ceil(s/2) and |B| = floor(s/2).
+    Regular join: X and Y have floor(m/2) of the m = n - s rest vertices,
+    E the odd one, and the rest is triangle-free and near-(l-1)-regular;
+    X (Y) is independent only when A (B) is nonempty, so s = 0 asks for no
+    bipartite rest.
+    Capped join: no E; X and Y are, in either order, S (ceil(m/2) vertices
+    of rest degree <= l-1) and T (floor(m/2), degree l-1).  After an edge-
+    count check every split is searched: either core part may face either side.
+    """
+    if g.n > _MEMBERSHIP_MAX_N:
+        raise ValueError(f"membership search capped at n = {_MEMBERSHIP_MAX_N}, got {g.n}")
+    if isinstance(descriptor, CompleteBipartiteDescriptor):
+        s = descriptor.s
+        if not 0 <= s <= g.n:
+            return False
+        return are_isomorphic(g, complete_bipartite(s, g.n - s))
+    if not isinstance(descriptor, (RegularJoinDescriptor, CappedJoinDescriptor)):
+        raise TypeError(f"unknown descriptor {descriptor!r}")
+    s, l = descriptor.s, descriptor.l
+    if s < 0 or l < 1 or g.n < s:
+        return False
+    core = ((s + 1) // 2, s // 2)
+    half, odd = divmod(g.n - s, 2)
+    e1, e2 = extremal_family_edges(g.n, s, l)
+    if isinstance(descriptor, RegularJoinDescriptor):
+        if g.edge_count != e1:
+            return False
+        if s == 0:  # every split puts the whole graph in the rest
+            return _near_regular(g, (1 << g.n) - 1, l - 1)
+        splits = _join_splits(g, (*core, half, half, odd), bipartite_rest=False)
+        return any(_near_regular(g, x | y | e, l - 1) for _, _, x, y, e in splits)
+    # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges
+    if g.edge_count == e2:
+        splits = _join_splits(g, (*core, half + odd, half, 0), bipartite_rest=True)
+        if any(capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
+            return True
+    if g.edge_count == e2 - s % 2 * odd:
+        splits = _join_splits(g, (*core, half, half + odd, 0), bipartite_rest=True)
+        return any(capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
+    return False

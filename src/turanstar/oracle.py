@@ -105,10 +105,8 @@ graphs are the codes of that prefix decoded on n vertices, and the visit
 count is the sum of C(n,2) - e over them, as a run at n expands each of its
 classes exactly once and tries every non-edge.
 
-Membership in a join family is checked by edge count, then by a search over
-splits into five parts: two core parts, each free to face either side of the
-rest, those two sides and a leftover vertex.  The families hold many
-non-isomorphic graphs, so comparing with one builder output would be wrong.
+Whether a class lies in one of the paper's join families is asked of
+``constructions.family_membership``, next to the builders of those families.
 """
 
 from __future__ import annotations
@@ -119,16 +117,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import (
-    are_isomorphic,
-    canonical_code_and_generators,
-    graph_from_code,
-)
-from .detectors import ForbiddenFamily, contains_clique, is_family_free
-from .formulas import extremal_family_edges
+from .canonical import canonical_code_and_generators, graph_from_code
+from .detectors import ForbiddenFamily, is_family_free
 from .graph6 import graph6_decode, graph6_encode
-from .graphs import Graph, bits, empty_graph, induced_subgraph
-from .constructions import capped_sides, complete_bipartite, near_regular
+from .graphs import Graph, bits, empty_graph
 
 ORACLE_MAX_N = 11
 
@@ -416,133 +408,3 @@ def enumerate_extremal(n: int, family: ForbiddenFamily, jobs: int = 1) -> list[G
     """The extremal graphs themselves, decoded."""
     record = brute_force_ex(n, family, jobs=jobs)
     return [graph6_decode(code) for code in record.extremal_graphs]
-
-
-# ---------------------------------------------------------------------------
-# structural membership in the extremal families
-
-
-@dataclass(frozen=True)
-class CompleteBipartiteDescriptor:
-    """K_{s, n-s}."""
-
-    s: int
-
-
-@dataclass(frozen=True)
-class RegularJoinDescriptor:
-    """Two-part core over a triangle-free (l-1)-regular rest, joined sidewise."""
-
-    s: int
-    l: int
-
-
-@dataclass(frozen=True)
-class CappedJoinDescriptor:
-    """Two-part core over the capped bipartite rest, joined sidewise."""
-
-    s: int
-    l: int
-
-
-FamilyDescriptor = CompleteBipartiteDescriptor | RegularJoinDescriptor | CappedJoinDescriptor
-
-_MEMBERSHIP_MAX_N = 16
-
-
-# Parts of a join-family member, rows and columns in this order: core parts
-# A (the larger) and B, the rest's sides X and Y joined to A and to B, and a
-# leftover E of at most one vertex.  Entry [p][q]: p and q completely joined
-# (1), with no edges between them (0), or unconstrained (None).  X and Y are
-# independent in a capped rest, which is bipartite between them.  A regular
-# rest need only be triangle-free, so there X (Y) is independent only because
-# A (B) is completely joined to it, and is unconstrained when A (B) is empty.
-_JOIN_RULE = (
-    (0, 1, 1,    0,    0),     # A
-    (1, 0, 0,    1,    0),     # B
-    (1, 0, 0,    None, None),  # X
-    (0, 1, None, 0,    None),  # Y
-    (0, 0, None, None, None),  # E
-)
-
-
-def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iterator[tuple[int, ...]]:
-    """Part masks of every split of g into parts of `sizes` that obeys _JOIN_RULE,
-    placing vertices by descending degree, then index, so the core comes first.
-    Unless the rest is bipartite, X (Y) may hold edges when A (B) is empty."""
-    rules = [list(rule) for rule in _JOIN_RULE]
-    if not bipartite_rest:
-        for core, side in ((0, 2), (1, 3)):
-            if not sizes[core]:
-                rules[side][side] = None
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    masks = [0] * len(sizes)
-
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
-            yield tuple(masks)
-            return
-        bit, row = 1 << order[i], g.rows[order[i]]
-        for part, rule in enumerate(rules):
-            if masks[part].bit_count() == sizes[part]:
-                continue
-            for placed, r in zip(masks, rule):
-                if r == 1 and placed & ~row or r == 0 and placed & row:
-                    break
-            else:
-                masks[part] |= bit
-                yield from place(i + 1)
-                masks[part] ^= bit
-
-    yield from place(0)
-
-
-def _near_regular(g: Graph, rest: int, degree: int) -> bool:
-    """Triangle-free and ``near_regular`` on the rest?"""
-    return near_regular(g, rest, degree) and not contains_clique(induced_subgraph(g, rest), 3)
-
-
-def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
-    """Structural membership test against an extremal family.
-
-    K_{s,n-s} is compared by isomorphism.  A join-family member splits into
-    the five parts of ``_JOIN_RULE``, |A| = ceil(s/2) and |B| = floor(s/2).
-    Regular join: X and Y have floor(m/2) of the m = n - s rest vertices,
-    E the odd one, and the rest is triangle-free and near-(l-1)-regular;
-    X (Y) is independent only when A (B) is nonempty, so s = 0 asks for no
-    bipartite rest.
-    Capped join: no E; X and Y are, in either order, S (ceil(m/2) vertices
-    of rest degree <= l-1) and T (floor(m/2), degree l-1).  After an edge-
-    count check every split is searched: either core part may face either side.
-    """
-    if g.n > _MEMBERSHIP_MAX_N:
-        raise ValueError(f"membership search capped at n = {_MEMBERSHIP_MAX_N}, got {g.n}")
-    if isinstance(descriptor, CompleteBipartiteDescriptor):
-        s = descriptor.s
-        if not 0 <= s <= g.n:
-            return False
-        return are_isomorphic(g, complete_bipartite(s, g.n - s))
-    if not isinstance(descriptor, (RegularJoinDescriptor, CappedJoinDescriptor)):
-        raise TypeError(f"unknown descriptor {descriptor!r}")
-    s, l = descriptor.s, descriptor.l
-    if s < 0 or l < 1 or g.n < s:
-        return False
-    core = ((s + 1) // 2, s // 2)
-    half, odd = divmod(g.n - s, 2)
-    e1, e2 = extremal_family_edges(g.n, s, l)
-    if isinstance(descriptor, RegularJoinDescriptor):
-        if g.edge_count != e1:
-            return False
-        if s == 0:  # every split puts the whole graph in the rest
-            return _near_regular(g, (1 << g.n) - 1, l - 1)
-        splits = _join_splits(g, (*core, half, half, odd), bipartite_rest=False)
-        return any(_near_regular(g, x | y | e, l - 1) for _, _, x, y, e in splits)
-    # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges
-    if g.edge_count == e2:
-        splits = _join_splits(g, (*core, half + odd, half, 0), bipartite_rest=True)
-        if any(capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
-            return True
-    if g.edge_count == e2 - s % 2 * odd:
-        splits = _join_splits(g, (*core, half, half + odd, 0), bipartite_rest=True)
-        return any(capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
-    return False

@@ -40,7 +40,7 @@ from turanstar import (
     turan_graph,
 )
 
-from turanstar import oracle
+from turanstar import constructions, oracle
 from turanstar.canonical import canonical_code_and_generators
 from turanstar.oracle import _expand_codes, _levels
 
@@ -703,8 +703,8 @@ def test_membership_without_core_checks_the_whole_graph_once(monkeypatch):
     g = joined_regular_extremal(16, 0, 4).remove_edge(0, 10).add_edge(0, 1)
     assert g.edge_count == 24 and ref_is_free(g, K3)
     calls = []
-    near_regular = oracle._near_regular
-    monkeypatch.setattr(oracle, "_near_regular", lambda *args: calls.append(args) or near_regular(*args))
+    near_regular = constructions._near_regular
+    monkeypatch.setattr(constructions, "_near_regular", lambda *args: calls.append(args) or near_regular(*args))
     assert not family_membership(g, RegularJoinDescriptor(0, 4))
     assert family_membership(petersen(), RegularJoinDescriptor(0, 4))
     assert len(calls) == 2
