@@ -135,6 +135,15 @@ def test_triangle_free_counts_match_oeis():
     assert [per_level[e] for e in range(max(per_level) + 1)] == levels
 
 
+def test_top_levels_without_a_4_leaf_star_are_the_cubic_graphs():
+    # OEIS A005638: 1, 2, 6 and 21 cubic graphs, connected or not, on 4, 6,
+    # 8 and 10 vertices; on a regular graph the degree root is one cell, so
+    # these classes lean hardest on the canonical search's refinement
+    records = extremal_records((4, 6, 8, 10), ForbiddenFamily.parse("starforest:1x4"))
+    got = [(n, r.ex_value, len(r.extremal_graphs)) for n, r in records.items()]
+    assert got == [(4, 6, 1), (6, 9, 2), (8, 12, 6), (10, 15, 21)]
+
+
 @pytest.fixture(scope="module")
 def all_classes_n8():
     """Every class on 8 vertices, as {edge count: sorted canonical codes}: K9 fits in none."""
@@ -726,12 +735,16 @@ def test_membership_regular_rest_side_without_core_part_may_hold_edges():
         assert family_membership(h, RegularJoinDescriptor(1, 5)) == member
 
 
-def test_every_extremal_class_without_core_is_a_regular_join_member():
-    # K3 and one 4-leaf star, i.e. triangle-free with maximum degree 3: the
-    # closed form holds from n = (l-1)^2 + 2 = 11, and every class must be a member
-    record = brute_force_ex(11, ForbiddenFamily.parse("clique:3,starforest:1x4"))
-    assert (record.ex_value, len(record.extremal_graphs)) == (16, 23)
-    assert all(family_membership(graph6_decode(c), RegularJoinDescriptor(0, 4)) for c in record.extremal_graphs)
+@pytest.mark.parametrize("l,classes_at_11", [(2, 1), (3, 3), (4, 23)])
+def test_every_extremal_class_without_core_is_a_regular_join_member(l, classes_at_11):
+    # K3 and one l-leaf star, i.e. triangle-free with maximum degree l - 1:
+    # the closed form holds from n = (l-1)^2 + 2, and from there every class
+    # must be a member
+    records = extremal_records(range((l - 1) ** 2 + 2, 12), ForbiddenFamily.parse(f"clique:3,starforest:1x{l}"))
+    for n, record in records.items():
+        for code in record.extremal_graphs:
+            assert family_membership(graph6_decode(code), RegularJoinDescriptor(0, l)), (n, code)
+    assert len(records[11].extremal_graphs) == classes_at_11
 
 
 def test_membership_odd_rest_leftover_is_searched():
