@@ -1,12 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 when everything checked is MATCH or SKIPPED, 1 when any
-verification row is MISMATCH, 2 for usage errors.
+verification row is MISMATCH, 2 for usage errors.  A ``ValueError`` from
+the library is a usage error: every command converts it in one place,
+``_Command.invoke``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -30,8 +33,18 @@ from .harness import (
 )
 
 
-def _usage(err: Exception) -> click.UsageError:
-    return click.UsageError(str(err))
+class _Command(click.Command):
+    """A command that reports a library ``ValueError`` as a usage error, with its usage line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            raise click.UsageError(str(err), ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _need(names: tuple[str, ...], **values) -> list:
@@ -51,7 +64,28 @@ def _write(data: bytes, out) -> None:
         click.echo(data, nl=False)
 
 
-@click.group()
+def _in_existing_dir(ctx, param, path):
+    """A --cache or --out path, refused before any work when its directory is missing."""
+    folder = os.path.dirname(path or "") or "."
+    if not os.path.isdir(folder):
+        raise click.BadParameter(f"directory {folder!r} does not exist")
+    return path
+
+
+def _params(f):
+    """The problem parameters --k, --s and --l, each optional."""
+    for name in "lsk":  # applied innermost first, so they list k, s, l
+        f = click.option(f"--{name}", type=int)(f)
+    return f
+
+
+_jobs = click.option("--jobs", type=int, default=1)
+_cache = click.option("--cache", type=click.Path(dir_okay=False), callback=_in_existing_dir)
+_out = click.option("--out", type=click.Path(dir_okay=False, writable=True), callback=_in_existing_dir)
+_report = click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]), default="table")
+
+
+@click.group(cls=_Group)
 @click.version_option(version=TOOL_VERSION, prog_name="turanstar")
 def main():
     """Extremal graphs avoiding a clique and a star forest: build, check, count."""
@@ -76,27 +110,15 @@ _BUILDERS = {
 @main.command()
 @click.option("--builder", type=click.Choice(list(_BUILDERS)), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=None)
-@click.option("--s", type=int, default=None)
-@click.option("--l", type=int, default=None)
+@_params
 @click.option("--format", "fmt", type=click.Choice(["graph6", "json"]), default="graph6")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_out
 def construct(builder, n, k, s, l, fmt, out):
     """Build one named graph and print it."""
     options, build = _BUILDERS[builder]
-    try:
-        g = build(n, *_need(options, k=k, s=s, l=l))
-    except ValueError as err:
-        raise _usage(err)
+    g = build(n, *_need(options, k=k, s=s, l=l))
     text = graph6_encode(g) if fmt == "graph6" else to_edge_list_json(g)
     _write(f"{text}\n".encode(), out)
-
-
-def _parse_family(spec: str) -> ForbiddenFamily:
-    try:
-        return ForbiddenFamily.parse(spec)
-    except ValueError as err:
-        raise _usage(err)
 
 
 @main.command()
@@ -106,7 +128,7 @@ def _parse_family(spec: str) -> ForbiddenFamily:
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def detect(family, g6, infile, fmt):
     """Report which forbidden patterns occur in each input graph."""
-    fam = _parse_family(family)
+    fam = ForbiddenFamily.parse(family)
     codes = list(g6)
     if infile:
         with open(infile, encoding="utf-8") as handle:
@@ -117,10 +139,7 @@ def detect(family, g6, infile, fmt):
         raise click.UsageError("no input graphs; pass --g6, --in, or pipe graph6 lines")
     results = []
     for code in codes:
-        try:
-            g = graph6_decode(code)
-        except ValueError as err:
-            raise _usage(err)
+        g = graph6_decode(code)
         found = [pat.spec() for pat in fam.patterns if pat.occurs_in(g)]
         results.append({"graph": code, "found": found})
     if fmt == "json":
@@ -134,67 +153,54 @@ def detect(family, g6, infile, fmt):
 @main.command()
 @click.option("--which", type=click.Choice((*PROBLEMS, "family-pair")), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=None)
-@click.option("--s", type=int, default=None)
-@click.option("--l", type=int, default=None)
+@_params
 def formula(which, n, k, s, l):
     """Evaluate a closed form; prints JSON with value, validity, source."""
-    try:
-        if which == "family-pair":
-            e1, e2 = extremal_family_edges(n, *_need(("s", "l"), s=s, l=l))
-            click.echo(json.dumps({"regular_join": e1, "capped_join": e2}))
-            return
-        problem = PROBLEMS[which]
-        result = problem.formula(n, *_need(problem.params, k=k, s=s, l=l))
-    except ValueError as err:
-        raise _usage(err)
+    if which == "family-pair":
+        e1, e2 = extremal_family_edges(n, *_need(("s", "l"), s=s, l=l))
+        click.echo(json.dumps({"regular_join": e1, "capped_join": e2}))
+        return
+    problem = PROBLEMS[which]
+    result = problem.formula(n, *_need(problem.params, k=k, s=s, l=l))
     click.echo(json.dumps(result.as_dict()))
 
 
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--family", required=True)
-@click.option("--jobs", type=int, default=1)
-@click.option("--cache", type=click.Path(dir_okay=False), default=None)
+@_jobs
+@_cache
 def oracle(n, family, jobs, cache):
     """Exhaustively compute the extremal number and graphs for a family."""
-    fam = _parse_family(family)
+    fam = ForbiddenFamily.parse(family)
     store = ResultCache(cache) if cache else None
-    try:
-        record = fetch_records((n,), fam, store, jobs)[n]
-    except ValueError as err:
-        raise _usage(err)
+    record = fetch_records((n,), fam, store, jobs)[n]
     click.echo(json.dumps(record.to_json_dict()))
 
 
 @main.command()
 @click.option("--suite", "suites", multiple=True, type=click.Choice(SUITE_NAMES))
-@click.option("--jobs", type=int, default=1)
-@click.option("--cache", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]), default="table")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_jobs
+@_cache
+@_report
+@_out
 @click.pass_context
 def verify(ctx, suites, jobs, cache, fmt, out):
     """Run verification suites; exit 1 if any row mismatches."""
     store = ResultCache(cache) if cache else None
-    try:
-        reports = run_suites(suites or SUITE_NAMES, jobs=jobs, cache=store)
-    except ValueError as err:
-        raise _usage(err)
+    reports = run_suites(suites or SUITE_NAMES, jobs=jobs, cache=store)
     _write(b"\n".join(emit_report(report, fmt) for report in reports), out)
     if not all(report.ok() for report in reports):
         ctx.exit(1)
 
 
 @main.command()
-@click.option("--k", type=int, default=None)
-@click.option("--s", type=int, default=None)
-@click.option("--l", type=int, default=None)
+@_params
 @click.option("--n-max", type=int, default=None)
-@click.option("--jobs", type=int, default=1)
-@click.option("--cache", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]), default="table")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
+@_jobs
+@_cache
+@_report
+@_out
 @click.pass_context
 def sweep(ctx, jobs, cache, fmt, out, **params):
     """Tabulate exhaustive counts against the closed form as n grows.
@@ -203,10 +209,7 @@ def sweep(ctx, jobs, cache, fmt, out, **params):
     """
     given = {name: value for name, value in params.items() if value is not None}
     store = ResultCache(cache) if cache else None
-    try:
-        report = boundary_sweep(**given, jobs=jobs, cache=store)
-    except ValueError as err:
-        raise _usage(err)
+    report = boundary_sweep(**given, jobs=jobs, cache=store)
     _write(emit_report(report, fmt), out)
     if not report.ok():
         ctx.exit(1)

@@ -720,9 +720,60 @@ def test_cli_sweep_defaults_are_the_suites():
 def test_empty_sweep_is_a_usage_error():
     with pytest.raises(ValueError, match="empty sweep"):
         boundary_sweep(s=10)
-    result = CliRunner().invoke(main, ["sweep", "--s", "10"])
+    result = CliRunner().invoke(main, ["sweep", "--s", "10"], prog_name="turanstar")
     assert result.exit_code == 2
-    assert "empty sweep" in result.output
+    assert result.output == (
+        "Usage: turanstar sweep [OPTIONS]\n"
+        "Try 'turanstar sweep --help' for help.\n"
+        "\n"
+        "Error: empty sweep: no n in s + 2 = 12 .. n_max = 11\n"
+    )
+
+
+def test_graph_past_the_graph6_cap_is_a_usage_error_and_json_prints_it():
+    args = ["construct", "--builder", "turan", "--n", "100", "--k", "3"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "Error: short-form graph6 caps at 62 vertices, got 100\n" in result.output
+    result = CliRunner().invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["n"] == 100
+
+
+def test_detect_on_a_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"\xff\xfe")
+    result = CliRunner().invoke(main, ["detect", "--family", "clique:3", "--in", str(path)])
+    assert result.exit_code == 2
+    assert "Usage: " in result.output and "can't decode byte 0xff" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--n", "6", "--family", "clique:3", "--cache"],
+    ["verify", "--suite", "star-turan", "--cache"],
+    ["verify", "--suite", "star-turan", "--out"],
+    ["sweep", "--n-max", "6", "--cache"],
+    ["sweep", "--n-max", "6", "--out"],
+    ["construct", "--builder", "turan", "--n", "7", "--k", "3", "--out"],
+], ids=lambda args: f"{args[0]}{args[-1]}")
+def test_output_path_in_a_missing_directory_is_refused_before_any_search(tmp_path, monkeypatch, args):
+    def refuse(*_):
+        raise AssertionError("searched before the path check")
+
+    monkeypatch.setattr(oracle, "_levels", refuse)
+    path = tmp_path / "missing" / "file"
+    result = CliRunner().invoke(main, [*args, str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"directory {str(path.parent)!r} does not exist" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_path_in_the_working_directory_is_accepted(tmp_path):
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, ["oracle", "--n", "5", "--family", "clique:3", "--cache", "c.jsonl"])
+        assert result.exit_code == 0, result.output
+        assert Path("c.jsonl").exists()
 
 
 def test_cli_sweep_clique_star_forest():
