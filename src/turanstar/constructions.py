@@ -67,7 +67,7 @@ class PartitionCertificate:
         if (g.n % 2 == 1) != (self.exceptional is not None):
             return False
         if self.exceptional is not None:
-            if not self.side_b >> self.exceptional & 1:
+            if self.exceptional < 0 or not self.side_b >> self.exceptional & 1:
                 return False
             bit = 1 << self.exceptional
             g = Graph(g.n, tuple(0 if v == self.exceptional else row & ~bit for v, row in enumerate(g.rows)))
