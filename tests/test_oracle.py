@@ -142,6 +142,10 @@ def test_top_levels_without_a_4_leaf_star_are_the_cubic_graphs():
     records = extremal_records((4, 6, 8, 10), ForbiddenFamily.parse("starforest:1x4"))
     got = [(n, r.ex_value, len(r.extremal_graphs)) for n, r in records.items()]
     assert got == [(4, 6, 1), (6, 9, 2), (8, 12, 6), (10, 15, 21)]
+    # OEIS A014371: 1, 2 and 6 triangle-free cubic graphs on 6, 8 and 10 vertices
+    records = extremal_records((6, 8, 10), ForbiddenFamily.parse("clique:3,starforest:1x4"))
+    got = [(n, r.ex_value, len(r.extremal_graphs)) for n, r in records.items()]
+    assert got == [(6, 9, 1), (8, 12, 2), (10, 15, 6)]
 
 
 @pytest.fixture(scope="module")
