@@ -17,18 +17,21 @@ isomorphic.  The labeling is found the classical way:
    vertices gives, and refines from there against every bucket but the
    last.  So the isolated vertices take the first positions of every
    labeling, and the exhaustive search relies on it to read them off a
-   code.  If the root partition is discrete, its labeling is the only
-   leaf and the search returns it at once, with no generators: twins swap
-   under an automorphism, which keeps their degrees and so every root
-   cell, so a discrete root has no twins to report.  A cell is an int
-   vertex mask, its vertices taken in ascending order; every cell of an
+   code.  If the root partition is discrete, its labeling is the walk's
+   only leaf.  Twins swap under an automorphism, which keeps their degrees
+   and so every root cell, so a discrete root has no twins, and it reports
+   none: twin classes are found when the walk first branches.  A cell is an
+   int vertex mask, its vertices taken in ascending order; every cell of an
    ordered partition refined from the ascending root lists its vertices
    in that order anyway, so masks change no code and no labeling.
 2. While some cell has two or more vertices, individualize each candidate
    vertex of the first such cell in ascending order and recurse.  Every
-   discrete partition reached encodes one adjacency bit string: the upper
-   triangle row by row, first bit most significant.  The minimum over all
-   of them is the canonical code.
+   discrete partition reached is a leaf, which encodes one adjacency bit
+   string: the upper triangle row by row, first bit most significant.  The
+   minimum over all of them is the canonical code.  One recursive walk,
+   whose first call refines the root, does steps 1 to 4 over one explicit
+   state: the least code, its labeling, the recorded automorphisms and the
+   twin classes.
 3. Twins, two vertices whose neighborhoods agree apart from each other,
    swap under an automorphism that fixes every other vertex, and so the
    current prefix.  Only the first vertex of each twin class in a cell is
@@ -150,86 +153,74 @@ def _twin_classes(rows: tuple[int, ...]) -> list[int]:
 def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
     """Least code, a labeling (position -> original vertex) attaining it,
     and automorphisms of g that generate the orbits the search pruned."""
-    n = g.n
-    rows = g.rows
-
-    def encode(perm: tuple[int, ...]) -> int:
-        code = 0
-        for i in range(n - 1):
-            ri = rows[perm[i]]
-            for w in perm[i + 1 :]:
-                code = code << 1 | (ri >> w & 1)
-        return code
-
     # a first pass against the one cell of all vertices would split it into
     # these buckets and refine on against every bucket but the last
-    buckets = [0] * n
-    for v, row in enumerate(rows):
+    buckets = [0] * g.n
+    for v, row in enumerate(g.rows):
         buckets[row.bit_count()] |= 1 << v
     root = [cell for cell in buckets if cell]
-    root = _refine(rows, root, root[:-1])
-    if len(root) == n:
-        # twins swap under an automorphism, so they share every cell of the
-        # root: a discrete root has neither twins nor a second leaf
-        perm = tuple([c.bit_length() - 1 for c in root])
-        return encode(perm), perm, []
-    twin = _twin_classes(rows)
-    best_code: int | None = None
-    best_perm: tuple[int, ...] = tuple(range(n))
-    autos: list[tuple[int, ...]] = []
-
-    def skippable(v: int, branched: list[int], prefix: list[int]) -> bool:
-        for sigma in autos:
-            if any(sigma[p] != p for p in prefix):
-                continue
-            for w in branched:
-                if sigma[w] == v:
-                    return True
-        return False
-
-    def walk(cells: list[int], prefix: list[int], splitters: list[int]) -> None:
-        nonlocal best_code, best_perm
-        cells = _refine(rows, cells, splitters)
-        split_at = next((i for i, c in enumerate(cells) if c & c - 1), None)
-        if split_at is None:
-            perm = tuple([c.bit_length() - 1 for c in cells])
-            code = encode(perm)
-            if best_code is None or code < best_code:
-                best_code = code
-                best_perm = perm
-            elif code == best_code:
-                sigma = [0] * n
-                inverse = [0] * n
-                for a, b in zip(best_perm, perm):
-                    sigma[a] = b
-                    inverse[b] = a
-                autos.append(tuple(sigma))
-                autos.append(tuple(inverse))
-            return
-        cell = cells[split_at]
-        branched: list[int] = []
-        twins_seen = 0  # mask of the twin classes already branched on or skipped
-        for v in bits(cell):
-            if twins_seen >> twin[v] & 1:
-                continue
-            twins_seen |= 1 << twin[v]
-            if autos and skippable(v, branched, prefix):
-                continue
-            branched.append(v)
-            child = cells[:split_at] + [1 << v, cell ^ 1 << v] + cells[split_at + 1 :]
-            prefix.append(v)
-            walk(child, prefix, [1 << v])
-            prefix.pop()
-
-    walk(root, [], [])
+    # the least code, a labeling attaining it, the recorded automorphisms,
+    # and the twin classes, which stay empty unless the walk branches
+    state: list = [None, (), [], []]
+    _walk(g.rows, root, root[:-1], [], state)
+    code, perm, autos, twin = state
     # twin swaps are automorphisms the search skipped without recording
-    swaps = []
     for v, w in enumerate(twin):
         if w != v:
-            sigma = list(range(n))
+            sigma = list(range(g.n))
             sigma[v], sigma[w] = w, v
-            swaps.append(tuple(sigma))
-    return best_code, best_perm, autos + swaps
+            autos.append(tuple(sigma))
+    return code, perm, autos
+
+
+def _walk(
+    rows: tuple[int, ...], cells: list[int], splitters: list[int], prefix: list[int], state: list
+) -> None:
+    """Refine, then either record the leaf or branch on the first non-singleton cell."""
+    cells = _refine(rows, cells, splitters)
+    split_at = next((i for i, c in enumerate(cells) if c & c - 1), None)
+    if split_at is None:
+        _leaf(rows, tuple([c.bit_length() - 1 for c in cells]), state)
+        return
+    autos, twin = state[2], state[3]
+    if not twin:  # the first branch, at the root
+        twin = state[3] = _twin_classes(rows)
+    cell = cells[split_at]
+    branched: list[int] = []
+    twins_seen = 0  # mask of the twin classes already branched on or skipped
+    for v in bits(cell):
+        if twins_seen >> twin[v] & 1:
+            continue
+        twins_seen |= 1 << twin[v]
+        if autos and _skippable(v, branched, prefix, autos):
+            continue
+        branched.append(v)
+        child = cells[:split_at] + [1 << v, cell ^ 1 << v] + cells[split_at + 1 :]
+        prefix.append(v)
+        _walk(rows, child, [1 << v], prefix, state)
+        prefix.pop()
+
+
+def _leaf(rows: tuple[int, ...], perm: tuple[int, ...], state: list) -> None:
+    """Encode a discrete partition's labeling and compare it with the best so far."""
+    code = 0
+    for i in range(len(perm) - 1):
+        ri = rows[perm[i]]
+        for w in perm[i + 1 :]:
+            code = code << 1 | (ri >> w & 1)
+    if state[0] is None or code < state[0]:
+        state[0], state[1] = code, perm
+    elif code == state[0]:
+        sigma, inverse = [0] * len(perm), [0] * len(perm)
+        for a, b in zip(state[1], perm):
+            sigma[a] = b
+            inverse[b] = a
+        state[2] += (tuple(sigma), tuple(inverse))
+
+
+def _skippable(v: int, branched: list[int], prefix: list[int], autos: list[tuple[int, ...]]) -> bool:
+    """Whether a recorded automorphism fixing the prefix maps a branched vertex onto v."""
+    return any(sigma[w] == v for sigma in autos if all(sigma[p] == p for p in prefix) for w in branched)
 
 
 def _checked_search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:

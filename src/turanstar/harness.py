@@ -17,6 +17,9 @@ Each suite declares in ``_SUITES`` the oracle slices it reads.  A run of
 suites fetches each family once, in order of first appearance, over the
 union of the ns its slices read, so one enumeration runs per family; each
 fresh record is credited to the first suite, in run order, that reads it.
+Every parameter is checked before any row is built, so a ``ValueError``
+while a suite builds its rows is a bug and is raised as an
+``AssertionError`` that names the suite.
 """
 
 from __future__ import annotations
@@ -465,7 +468,10 @@ def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport
             sliced.append((name, params, {n: fetched[family][n] for n in ns}))
             credited += [fetched[family][n] for n in ns if (family, n) in fresh]
             fresh -= {(family, n) for n in ns}
-        rows, notes = build(sliced)
+        try:
+            rows, notes = build(sliced)
+        except ValueError as exc:
+            raise AssertionError(f"suite {suite} failed to build its rows: {exc}") from exc
         now = _dt.datetime.now(_dt.timezone.utc).isoformat()
         visited = sum(record.graphs_visited for record in credited)
         reports.append(SuiteReport(suite, rows, now, TOOL_VERSION, len(credited), visited, notes))

@@ -111,6 +111,7 @@ Whether a class lies in one of the paper's join families is asked of
 
 from __future__ import annotations
 
+import os
 import time
 from bisect import bisect_left
 from collections.abc import Iterable
@@ -317,7 +318,9 @@ def _levels(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip its import
 
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        # under fork every worker starts at the first submit, so start no more
+        # than there are CPUs; the levels still split into jobs chunks
+        pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
     run = map if pool is None else pool.map
     try:
         level = 0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -385,3 +386,18 @@ def test_search_output_is_pinned(monkeypatch):
     assert _digest(repr(canonical_code_and_generators(g)) for g in graphs) == (
         "f46aa122195ddefb941ac26cfa1ec1613d9a34a21fadbb400c671801c5b85818"
     )
+
+
+def test_search_leaves_no_cyclic_garbage(monkeypatch):
+    # the search builds no self-referencing closure, so with the collector
+    # off nothing it drops waits for a cyclic collection
+    searched, _ = _searched_corpus(monkeypatch)
+    assert len(searched) == 429
+    gc.collect()
+    gc.disable()
+    try:
+        for g in searched:
+            canonical._search(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

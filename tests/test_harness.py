@@ -122,8 +122,34 @@ def test_builder_bug_is_not_read_as_below_range(monkeypatch, suite, builder):
         raise ValueError("builder bug")
 
     monkeypatch.setattr(harness, builder, broken)
-    with pytest.raises(ValueError, match="builder bug"):
+    with pytest.raises(AssertionError, match=f"suite {suite} .*builder bug"):
         run_suite(suite)
+
+
+def test_builder_bug_in_verify_is_a_crash_not_a_usage_error(monkeypatch):
+    # a ValueError while the rows are built is the program's fault: exit 1
+    # with the traceback's AssertionError, and no usage line
+    def broken(*args):
+        raise ValueError("builder bug")
+
+    monkeypatch.setattr(harness, "joined_regular_extremal", broken)
+    result = CliRunner().invoke(main, ["verify", "--suite", "triangle-star-forest"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, AssertionError)
+    assert "builder bug" in str(result.exception)
+    assert "Usage:" not in result.output
+
+
+@pytest.mark.parametrize("args, error", [
+    (["sweep", "--n-max", "12"], "enumeration capped at n = 11"),
+    (["verify", "--suite", "no-such-suite"], "Invalid value for '--suite'"),
+])
+def test_bad_suite_parameters_stay_usage_errors(args, error):
+    # each is refused before any row is built; test_empty_sweep_is_a_usage_error
+    # covers sweep --s 10
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output and f"Error: {error}" in result.output
 
 
 def test_engine_failure_in_range_is_not_read_as_below_range(monkeypatch):

@@ -1,7 +1,9 @@
 import bisect
+import concurrent.futures
 import hashlib
 import itertools
 import json
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -413,6 +415,31 @@ def test_records_agree_across_worker_counts_at_n8():
     two = brute_force_ex(8, K3, jobs=2)
     assert one == two
     assert one.ex_value == 16 and one.extremal_graphs == (canonical_form(complete_bipartite(4, 4)),)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_starts_no_more_workers_than_cpus(monkeypatch, cpus, workers):
+    # under fork a pool starts all its workers at the first submit, so a huge
+    # --jobs must not become as many processes; the levels still split into
+    # jobs chunks, so the record cannot move.  The fake pool maps in-process.
+    asked, chunks = [], []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, parts):
+            chunks.append(len(parts))
+            return map(fn, parts)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert brute_force_ex(8, K3, jobs=10_000) == brute_force_ex(8, K3, jobs=1)
+    assert asked == [workers]
+    assert max(chunks) > 50
 
 
 def to_nx(g):
