@@ -444,25 +444,28 @@ def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iter
             if not sizes[core]:
                 rules[side][side] = None
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    masks = [0] * len(sizes)
+    return _place(g.rows, order, rules, sizes, [0] * len(sizes), 0)
 
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
-            yield tuple(masks)
-            return
-        bit, row = 1 << order[i], g.rows[order[i]]
-        for part, rule in enumerate(rules):
-            if masks[part].bit_count() == sizes[part]:
-                continue
-            for placed, r in zip(masks, rule):
-                if r == 1 and placed & ~row or r == 0 and placed & row:
-                    break
-            else:
-                masks[part] |= bit
-                yield from place(i + 1)
-                masks[part] ^= bit
 
-    yield from place(0)
+def _place(
+    rows: tuple[int, ...], order: list[int], rules: list[list], sizes: tuple[int, ...], masks: list[int], i: int
+) -> Iterator[tuple[int, ...]]:
+    """Every way to put ``order[i:]`` into the parts ``masks``, each part
+    filled to its size and every placed pair obeying ``rules``."""
+    if i == len(order):
+        yield tuple(masks)
+        return
+    bit, row = 1 << order[i], rows[order[i]]
+    for part, rule in enumerate(rules):
+        if masks[part].bit_count() == sizes[part]:
+            continue
+        for placed, r in zip(masks, rule):
+            if r == 1 and placed & ~row or r == 0 and placed & row:
+                break
+        else:
+            masks[part] |= bit
+            yield from _place(rows, order, rules, sizes, masks, i + 1)
+            masks[part] ^= bit
 
 
 def _near_regular(g: Graph, rest: int, degree: int) -> bool:

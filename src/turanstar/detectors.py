@@ -18,8 +18,9 @@ forest answers from g alone.  One clique reach (``_clique_reach``)
 answers both questions, about g and about g + uv, for a clique, and one
 walk over star centre sets (``_centre_walk``) answers both for a star
 forest, except that a matching in g is found by Edmonds' blossom
-algorithm, which is polynomial where the walk is not.  All detectors are
-exact.  The test suite cross-checks their verdicts against plain
+algorithm, which is polynomial where the walk is not: one alternating
+tree per unmatched root, with no matching built before it.  All
+detectors are exact.  The test suite cross-checks their verdicts against plain
 exhaustive search, and the matching detector also against networkx.
 """
 
@@ -204,87 +205,80 @@ def _clique_reach(rows: tuple[int, ...], within: int, common: int, size: int) ->
 def max_matching_size(g: Graph) -> int:
     """Maximum matching size, exact for every input.
 
-    Augmenting paths with blossom contraction (Edmonds, 1965).
+    Edmonds' blossom algorithm (1965): from each vertex still unmatched,
+    in index order, ``_augment`` grows one alternating tree and flips the
+    augmenting path it finds.  A root that finds none never gains one
+    later, so one tree per root suffices, and no matching is built first.
     """
-    n = g.n
-    adj = [list(bits(r)) for r in g.rows]
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-    p = [-1] * n
+    match = [-1] * g.n
+    for root in range(g.n):
+        if match[root] == -1:
+            _augment(g.rows, match, root)
+    return (g.n - match.count(-1)) // 2
+
+
+def _augment(rows: tuple[int, ...], match: list[int], root: int) -> None:
+    """Grow one alternating tree from the unmatched ``root``.  If it reaches
+    an unmatched vertex, flip the path to it in ``match``.
+    ``parent[v]`` is v's tree predecessor, ``base[v]`` the base of the
+    contracted blossom that holds v, and ``used`` the mask of the vertices
+    queued as even ones."""
+    n = len(rows)
+    parent = [-1] * n
     base = list(range(n))
+    used = 1 << root
+    queue = [root]
+    for v in queue:  # the loop reaches what it appends
+        for to in bits(rows[v]):
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                cur = _lca(match, parent, base, v, to)
+                blossom = _mark(match, parent, base, cur, v, to) | _mark(match, parent, base, cur, to, v)
+                for i in range(n):
+                    if blossom >> base[i] & 1:
+                        base[i] = cur
+                        if not used >> i & 1:
+                            used |= 1 << i
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    while to != -1:  # flip the path back to the root
+                        prev = parent[to]
+                        nxt = match[prev]
+                        match[to] = prev
+                        match[prev] = to
+                        to = nxt
+                    return
+                used |= 1 << match[to]
+                queue.append(match[to])
 
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
 
-    def find_path(root: int) -> int:
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = lca(v, to)
-                    in_blossom = [False] * n
+def _lca(match: list[int], parent: list[int], base: list[int], a: int, b: int) -> int:
+    """Base of the blossom that the edge ab closes: the first base on b's
+    path to the root that is also on a's."""
+    a = base[a]
+    seen = 1 << a
+    while match[a] != -1:
+        a = base[parent[match[a]]]
+        seen |= 1 << a
+    b = base[b]
+    while not seen >> b & 1:
+        b = base[parent[match[b]]]
+    return b
 
-                    def mark(x: int, child: int) -> None:
-                        while base[x] != cur:
-                            in_blossom[base[x]] = True
-                            in_blossom[base[match[x]]] = True
-                            p[x] = child
-                            child = match[x]
-                            x = p[match[x]]
 
-                    mark(v, to)
-                    mark(to, v)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        return to
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return -1
-
-    for v in range(n):
-        if match[v] == -1:
-            leaf = find_path(v)
-            while leaf != -1:
-                prev = p[leaf]
-                nxt = match[prev]
-                match[leaf] = prev
-                match[prev] = leaf
-                leaf = nxt
-    return sum(1 for v in match if v != -1) // 2
+def _mark(match: list[int], parent: list[int], base: list[int], cur: int, x: int, child: int) -> int:
+    """Point the tree path from x down to the blossom base ``cur`` through
+    ``child``, and return the mask of the bases it passes."""
+    blossom = 0
+    while base[x] != cur:
+        blossom |= 1 << base[x] | 1 << base[match[x]]
+        parent[x] = child
+        child = match[x]
+        x = parent[child]
+    return blossom
 
 
 def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:

@@ -147,12 +147,20 @@ class ExtremalRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtremalRecord":
+        """Raises ValueError unless the counts are JSON integers, the family
+        a string and the graphs a list of strings."""
+        for key, kind in (("n", int), ("family", str), ("ex_value", int), ("graphs_visited", int)):
+            if type(data[key]) is not kind:  # a bool is an int to isinstance
+                raise ValueError(f"{key} is not of type {kind.__name__}: {data[key]!r}")
+        graphs = data["extremal_graphs"]
+        if type(graphs) is not list or not all(type(code) is str for code in graphs):
+            raise ValueError(f"extremal_graphs is not a list of strings: {graphs!r}")
         return cls(
-            n=int(data["n"]),
+            n=data["n"],
             family=ForbiddenFamily.parse(data["family"]),
-            ex_value=int(data["ex_value"]),
-            extremal_graphs=tuple(data["extremal_graphs"]),
-            graphs_visited=int(data["graphs_visited"]),
+            ex_value=data["ex_value"],
+            extremal_graphs=tuple(graphs),
+            graphs_visited=data["graphs_visited"],
             elapsed=float(data["elapsed"]),
         )
 

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from turanstar import (
     CANONICAL_MAX_N,
+    CappedJoinDescriptor,
     Clique,
     ForbiddenFamily,
     Graph,
+    RegularJoinDescriptor,
     are_isomorphic,
     bits,
     build_graph,
@@ -22,9 +24,11 @@ from turanstar import (
     canonical_form,
     canonical_graph,
     empty_graph,
+    family_membership,
     graph6_decode,
     graph6_encode,
     graph_from_code,
+    joined_regular_extremal,
     mask_of,
     turan_graph,
 )
@@ -398,6 +402,22 @@ def test_search_leaves_no_cyclic_garbage(monkeypatch):
     try:
         for g in searched:
             canonical._search(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_family_membership_leaves_no_cyclic_garbage():
+    # the join-split search recurses through a module-level generator, not
+    # a closure that refers to itself
+    graphs = [joined_regular_extremal(n, s, 3) for n in range(8, 15) for s in range(1, 4)]
+    descriptors = (RegularJoinDescriptor(2, 3), CappedJoinDescriptor(2, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            for descriptor in descriptors:
+                family_membership(g, descriptor)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -194,6 +194,13 @@ def test_matching_above_dp_cutoff():
     samples = [random_graph(rng, rng.randrange(14, 18), 0.3) for _ in range(30)]
     rng_small = random.Random(108)
     samples += [random_graph(rng_small, rng_small.randrange(9, 14), 0.3) for _ in range(30)]
+    # sparse graphs up to the graph6 cap, where maximum matchings leave
+    # vertices out and blossoms occur
+    rng_sparse = random.Random(110)
+    for _ in range(30):
+        n = rng_sparse.randrange(30, 63)
+        samples.append(random_graph(rng_sparse, n, rng_sparse.uniform(1, 3) / n))
+    samples += [turan_graph(61, 3), complete_bipartite(31, 31)]
     for g in samples:
         ng = nx.Graph(g.edges())
         ng.add_nodes_from(range(g.n))

@@ -193,6 +193,32 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert sum("corrupt cache line" in msg for msg in caplog.messages) == 2
 
 
+@pytest.mark.parametrize(
+    "forged, reason",
+    [
+        ({"extremal_graphs": "Cr"}, "extremal_graphs is not a list of strings: 'Cr'"),
+        ({"extremal_graphs": [3]}, "extremal_graphs is not a list of strings: [3]"),
+        ({"n": True}, "n is not of type int: True"),
+        ({"n": 4.0}, "n is not of type int: 4.0"),
+        ({"ex_value": "2"}, "ex_value is not of type int: '2'"),
+        ({"graphs_visited": None}, "graphs_visited is not of type int: None"),
+        ({"family": 3}, "family is not of type str: 3"),
+    ],
+    ids=["string-graphs", "int-graphs", "bool-n", "float-n", "string-ex-value", "null-visited", "int-family"],
+)
+def test_cache_skips_lines_of_the_wrong_json_types(tmp_path, caplog, forged, reason):
+    # a string would read as the tuple of its characters, a bool as 0 or 1,
+    # and a family that is no string would crash the parser
+    path = tmp_path / "cache.jsonl"
+    records = {n: brute_force_ex(n, fam("clique:3")) for n in (4, 5)}
+    path.write_text(cache_line(records[4], **forged) + "\n" + cache_line(records[5]) + "\n")
+    with caplog.at_level("WARNING"):
+        cache = ResultCache(path)
+    assert cache.lookup(4, fam("clique:3")) is None
+    assert cache.lookup(5, fam("clique:3")) == records[5]
+    assert caplog.messages == [f"skipping corrupt cache line 1: {reason}"]
+
+
 def test_cache_skips_non_utf8_lines(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     records = {n: brute_force_ex(n, fam("clique:3")) for n in (4, 5)}
