@@ -15,7 +15,8 @@ sweep and the CLI's ``formula`` command read that table.
 
 Each suite declares in ``_SUITES`` the oracle slices it reads.  A run of
 suites fetches each family once, in order of first appearance, over the
-union of the ns its slices read, so one enumeration runs per family; each
+union of the ns its slices read.  The families whose largest miss is the
+same n share one walk at that n, so one walk runs per vertex count; each
 fresh record is credited to the first suite, in run order, that reads it.
 Every parameter is checked before any row is built, so a ``ValueError``
 while a suite builds its rows is a bug and is raised as an
@@ -56,7 +57,7 @@ from .formulas import (
     extremal_family_edges,
 )
 from .graphs import Graph, disjoint_union, empty_graph
-from .oracle import ORACLE_MAX_N, ExtremalRecord, _check_cap, extremal_records
+from .oracle import ORACLE_MAX_N, ExtremalRecord, _check_cap, shared_records
 
 TOOL_VERSION = "0.1.0"
 
@@ -168,32 +169,58 @@ def fetch_records(
 
     Every n is checked against the cap before any lookup, so a cache line
     never answers for an n the search would refuse.  Each n is looked up
-    once; the misses come from one ``extremal_records`` enumeration at the
-    largest of them, are appended to the cache in ascending n and add
-    ``(family, n)`` to ``fresh``.  Every record from that enumeration
-    carries its seconds as ``elapsed``.  A hit still reports its own
-    lookup's time as ``elapsed``, not the stored run's.
+    once; the misses come from one enumeration at the largest of them, are
+    appended to the cache in ascending n and add ``(family, n)`` to
+    ``fresh``.  Every record from that enumeration carries its seconds as
+    ``elapsed``.  A hit still reports its own lookup's time as
+    ``elapsed``, not the stored run's.
     """
-    wanted = sorted(set(ns))
-    for n in wanted[:1] + wanted[-1:]:  # the cap is a range: its ends decide
-        _check_cap(n)
-    records: dict[int, ExtremalRecord] = {}
-    misses = []
-    for n in wanted:
-        if cache is not None:
-            start = time.perf_counter()
-            hit = cache.lookup(n, family)
-            if hit is not None:
-                records[n] = replace(hit, elapsed=time.perf_counter() - start)
-                continue
-        misses.append(n)
-    for n, record in extremal_records(misses, family, jobs).items():
-        if fresh is not None:
-            fresh.add((family, n))
-        if cache is not None:
-            cache.append(record)
-        records[n] = record
-    return dict(sorted(records.items()))
+    return _fetch({family: ns}, cache, jobs, fresh)[family]
+
+
+def _fetch(
+    wanted: dict[ForbiddenFamily, Iterable[int]],
+    cache: ResultCache | None,
+    jobs: int,
+    fresh: set[tuple[ForbiddenFamily, int]] | None = None,
+) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
+    """``fetch_records`` for each family and its ns, one walk per vertex count.
+
+    The families whose largest miss is the same n share one walk at that n.
+    Misses are appended in the order of ``wanted``, each family's in
+    ascending n, after every walk has run.
+    """
+    plan = {family: sorted(set(ns)) for family, ns in wanted.items()}
+    for ns in plan.values():
+        for n in ns[:1] + ns[-1:]:  # the cap is a range: its ends decide
+            _check_cap(n)
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    records: dict[ForbiddenFamily, dict[int, ExtremalRecord]] = {family: {} for family in plan}
+    misses: dict[ForbiddenFamily, list[int]] = {}
+    for family, ns in plan.items():
+        for n in ns:
+            if cache is not None:
+                start = time.perf_counter()
+                hit = cache.lookup(n, family)
+                if hit is not None:
+                    records[family][n] = replace(hit, elapsed=time.perf_counter() - start)
+                    continue
+            misses.setdefault(family, []).append(n)
+    walks: dict[int, dict[ForbiddenFamily, list[int]]] = {}
+    for family, ns in misses.items():
+        walks.setdefault(ns[-1], {})[family] = ns
+    found = {}
+    for group in walks.values():
+        found.update(shared_records(group, jobs))
+    for family, ns in misses.items():
+        for n in ns:
+            if fresh is not None:
+                fresh.add((family, n))
+            if cache is not None:
+                cache.append(found[family][n])
+            records[family][n] = found[family][n]
+    return {family: dict(sorted(got.items())) for family, got in records.items()}
 
 
 def _verdict(*checks: bool) -> str:
@@ -452,14 +479,12 @@ SUITE_NAMES = tuple(_SUITES)
 
 def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport]:
     """One report per (name, slices, builder), in order; see the module docstring."""
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
     wanted: dict[ForbiddenFamily, set[int]] = {}
     for _, slices, _ in suites:
         for name, params, ns in slices:
             wanted.setdefault(PROBLEMS[name].family(*_args(name, params)), set()).update(ns)
     fresh: set[tuple[ForbiddenFamily, int]] = set()
-    fetched = {fam: fetch_records(ns, fam, cache, jobs, fresh) for fam, ns in wanted.items()}
+    fetched = _fetch(wanted, cache, jobs, fresh)
     reports = []
     for suite, slices, build in suites:
         sliced, credited = [], []
@@ -481,7 +506,7 @@ def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport
 def run_suites(
     names: Sequence[str], *, jobs: int = 1, cache: ResultCache | None = None
 ) -> list[SuiteReport]:
-    """Run suites over their fixed grids, one report per name, each family enumerated once."""
+    """Run suites over their fixed grids, one report per name, one walk per vertex count."""
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")

@@ -72,9 +72,34 @@ every non-edge, which depends only on the class sets, never on the
 orbits, the filter or worker scheduling, so records compare equal across
 any worker count.
 
+One walk serves several families on the same vertex count.  Each class
+carries its members, the mask of the families it is free of.  The degree
+window, the orbit walk, the rank test and the canonical search of a kept
+child are done once per class; the exact masks and the per-pair checks
+are asked per member family.  This is exact:
+
+- Each family's free graphs are closed under edge deletion, so their union
+  is too, and a child g + uv is free of f exactly when g is and neither
+  f's exact masks nor its per-pair checks block uv.  So a child's members
+  are its parent's, minus each family that blocks uv: each bit is exact
+  whichever parent reaches the child, and isomorphic children get equal
+  members.
+- Each family's candidate pairs are a union of orbits, so their union is
+  one too, and an orbit inside f's candidates is walked from the same
+  first pair as in a walk of f alone.
+- For a family f and a class H free of f, delete an edge e of top rank.
+  H - e is free of f, so it is in the walk with bit f set; the
+  representative of e's orbit is a candidate of f and passes the rank
+  test, so H is reached with bit f set.
+
+Restricted to one family, the walk gives exactly that family's class sets,
+and each family counts the non-edges of its own member parents only, so
+its visit counts are a separate walk's.  With one family it is the walk
+above, pair for pair.
+
 Inside the search a class is its integer canonical code: workers receive
-the parents' codes with their generators, rebuild each parent from its code
-and return the codes and generators of its kept free children.  graph6
+the parents' codes with their generators and members, rebuild each parent
+from its code and return the same for its kept children.  graph6
 appears only at output, in the sorted canonical strings of
 ``ExtremalRecord.extremal_graphs``.
 
@@ -114,7 +139,7 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -148,10 +173,12 @@ class ExtremalRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtremalRecord":
         """Raises ValueError unless the counts are JSON integers, the family
-        a string and the graphs a list of strings."""
+        a string, the graphs a list of strings and the seconds a number."""
         for key, kind in (("n", int), ("family", str), ("ex_value", int), ("graphs_visited", int)):
             if type(data[key]) is not kind:  # a bool is an int to isinstance
                 raise ValueError(f"{key} is not of type {kind.__name__}: {data[key]!r}")
+        if type(data["elapsed"]) not in (int, float):
+            raise ValueError(f"elapsed is not a number: {data['elapsed']!r}")
         graphs = data["extremal_graphs"]
         if type(graphs) is not list or not all(type(code) is str for code in graphs):
             raise ValueError(f"extremal_graphs is not a list of strings: {graphs!r}")
@@ -261,28 +288,36 @@ def _outranked(
 
 
 def _expand_codes(
-    args: tuple[int, ForbiddenFamily, list[tuple[int, Generators]]],
-) -> tuple[dict[int, Generators], int]:
-    """Worker: augment each graph by one edge, keep free results.
+    args: tuple[int, Sequence[ForbiddenFamily], list[tuple[int, Generators, int]]],
+) -> tuple[dict[int, tuple[Generators, int]], list[int]]:
+    """Worker: augment each graph by one edge, keep the results free of some family.
 
-    Module level so process pools can pickle it.  Takes each parent's code
-    with automorphism generators of ``graph_from_code(n, code)``; returns
-    the same for the successors, plus the number of augmentations
-    attempted, which counts every non-edge.  Only the first candidate pair
-    of each orbit, in the degree window and outside every exact mask, and
+    Module level so process pools can pickle it.  Takes each parent as its
+    code, automorphism generators of ``graph_from_code(n, code)`` and its
+    members, the mask of the families (bit i for ``families[i]``) it is
+    free of; returns the same for the successors, keyed by code, plus the
+    augmentations attempted per family, which count every non-edge of each
+    member parent.  Only the first candidate pair of each orbit, in the
+    degree window and outside every exact mask of some member family, and
     only one that no edge of the child outranks, is asked of the patterns
-    without a mask and canonicalized.
+    without a mask and canonicalized, once for all its families.
     """
-    n, family, parents = args
-    masked = [pat for pat in family.patterns if pat.has_edge_mask]
-    paired = [pat for pat in family.patterns if not pat.has_edge_mask]
-    out: dict[int, Generators] = {}
-    visited = 0
+    n, families, parents = args
+    screens = [
+        (
+            1 << i,
+            [pat for pat in family.patterns if pat.has_edge_mask],
+            [pat for pat in family.patterns if not pat.has_edge_mask],
+        )
+        for i, family in enumerate(families)
+    ]
+    out: dict[int, tuple[Generators, int]] = {}
+    visited = [0] * len(families)
     pairs = n * (n - 1) // 2
-    for code, generators in parents:
+    for code, generators, members in parents:
         g = graph_from_code(n, code)
         rows = g.rows
-        visited += pairs - code.bit_count()
+        non_edges = pairs - code.bit_count()
         at_least = [0] * (n + 1)
         for x, row in enumerate(rows):
             at_least[row.bit_count()] |= 1 << x
@@ -298,30 +333,61 @@ def _expand_codes(
                 top = d
         window = at_least[max(top - 1, 0)]
         sums: list[int] = []  # filled by the first tie _outranked meets
-        # exact masks keep the candidates a union of orbits
-        candidates = [0] * n
-        for u in bits(window):
-            blocked = rows[u]
-            for pat in masked:
-                blocked |= pat.edge_mask(g, u)
-            candidates[u] = window & ~blocked
-        for u, v in _orbit_representatives(g, generators, candidates):
-            if _outranked(rows, at_least, sums, u, v) or any(pat.occurs_with_edge(g, u, v) for pat in paired):
+        # exact masks keep each member's candidates, and so their union, a
+        # union of orbits
+        walked = [0] * n
+        screened = []  # (bit, candidates, paired) per member family
+        for i, (bit, masked, paired) in enumerate(screens):
+            if not members & bit:
                 continue
-            child, child_generators = canonical_code_and_generators(g.add_edge(u, v))
-            out.setdefault(child, child_generators)
+            visited[i] += non_edges
+            candidates = [0] * n
+            for u in bits(window):
+                blocked = rows[u]
+                for pat in masked:
+                    blocked |= pat.edge_mask(g, u)
+                candidates[u] = window & ~blocked
+                walked[u] |= candidates[u]
+            screened.append((bit, candidates, paired))
+        for u, v in _orbit_representatives(g, generators, walked):
+            if _outranked(rows, at_least, sums, u, v):
+                continue
+            child_members = 0
+            for bit, candidates, paired in screened:
+                if candidates[u] >> v & 1 and not any(pat.occurs_with_edge(g, u, v) for pat in paired):
+                    child_members |= bit
+            if child_members:
+                child, child_generators = canonical_code_and_generators(g.add_edge(u, v))
+                _merge(out, child, (child_generators, child_members))
     return out, visited
 
 
+def _merge(found: dict[int, tuple[Generators, int]], code: int, entry: tuple[Generators, int]) -> None:
+    """Keep the first generators found for a class; every parent must give it the same members."""
+    known = found.setdefault(code, entry)
+    if known[1] != entry[1]:
+        raise AssertionError(f"class {code} reached as free of families {known[1]:b} and {entry[1]:b}")
+
+
 def _levels(
-    n: int, family: ForbiddenFamily, jobs: int
+    n: int, *families: ForbiddenFamily, jobs: int
 ) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """Yield (edge count, sorted canonical codes, augmentations tried) per level."""
+    """One walk on n vertices for all the families.
+
+    Per level, yield (edge count, sorted canonical codes, augmentations
+    tried) for each family still enumerating, in argument order; a family
+    stops after its first empty level.  A family's triples are those of a
+    walk of that family alone.
+    """
     seed = empty_graph(n)
-    if not is_family_free(seed, family):
-        return
-    parents = [canonical_code_and_generators(seed)]
-    yield 0, (parents[0][0],), 0
+    for family in families:
+        if not is_family_free(seed, family):
+            raise AssertionError(f"empty graph should always be {family.spec()}-free")
+    code, generators = canonical_code_and_generators(seed)
+    parents = [(code, generators, (1 << len(families)) - 1)]
+    active = range(len(families))
+    for _ in active:
+        yield 0, (code,), 0
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip its import
@@ -332,17 +398,24 @@ def _levels(
     run = map if pool is None else pool.map
     try:
         level = 0
-        while parents:
+        while active:
             level += 1
-            chunks = [(n, family, parents[i::jobs]) for i in range(min(jobs, len(parents)))]
-            found: dict[int, Generators] = {}
-            visited = 0
+            chunks = [(n, families, parents[i::jobs]) for i in range(min(jobs, len(parents)))]
+            found: dict[int, tuple[Generators, int]] = {}
+            visited = [0] * len(families)
             for part, seen in run(_expand_codes, chunks):
-                found = part | found  # the first chunk's generators win, as within a chunk
-                visited += seen
-            parents = sorted(found.items())
-            # an empty level still reports the attempts that proved it empty
-            yield level, tuple(code for code, _ in parents), visited
+                for child, entry in part.items():  # the first chunk's generators win
+                    _merge(found, child, entry)
+                visited = [a + b for a, b in zip(visited, seen)]
+            parents = [(child, gens, members) for child, (gens, members) in sorted(found.items())]
+            still = []
+            for i in active:
+                codes = tuple(child for child, _, members in parents if members >> i & 1)
+                # an empty level still reports the attempts that proved it empty
+                yield level, codes, visited[i]
+                if codes:
+                    still.append(i)
+            active = still
     finally:
         if pool is not None:
             pool.shutdown()
@@ -371,43 +444,63 @@ def extremal_records(
     one enumeration's seconds as ``elapsed``.  Keys are the distinct ns in
     ascending order.  Every n is checked against the cap before any search.
     """
-    wanted = sorted(set(ns))
-    for n in wanted:
-        _check_cap(n)
+    return shared_records({family: ns}, jobs)[family]
+
+
+def shared_records(
+    wanted: dict[ForbiddenFamily, Iterable[int]], jobs: int
+) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
+    """``extremal_records`` for each family and its ns, by one walk at the largest n of all.
+
+    Every record of the walk carries its seconds as ``elapsed``.  A family
+    whose ns stop below that n reads its classes padded to it, so the walk
+    costs least when every family's largest n is the same.
+    """
+    plan = {family: sorted(set(ns)) for family, ns in wanted.items()}
+    for ns in plan.values():
+        for n in ns:
+            _check_cap(n)
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if not wanted:
-        return {}
+    families = [family for family, ns in plan.items() if ns]
+    if not families:
+        return {family: {} for family in plan}
     start = time.perf_counter()
-    top = wanted[-1]
-    pairs = {n: n * (n - 1) // 2 for n in wanted}
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    visited = dict.fromkeys(wanted, 0)
-    counted = 0
-    for level, codes, tried in _levels(top, family, jobs):
-        counted += tried
-        for n in wanted:
+    top = max(plan[family][-1] for family in families)
+    pairs = {n: n * (n - 1) // 2 for n in range(top + 1)}
+    best: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in families]
+    visited = [dict.fromkeys(plan[family], 0) for family in families]
+    counted = [0] * len(families)
+    # the stream gives each level's families in turn, and drops a family
+    # after its first empty level
+    turns, next_turns, at = list(range(len(families))), [], 0
+    for level, codes, tried in _levels(top, *families, jobs=jobs):
+        i = turns[at]
+        at += 1
+        if codes:
+            next_turns.append(i)
+        if at == len(turns):
+            turns, next_turns, at = next_turns, [], 0
+        counted[i] += tried
+        for n in plan[families[i]]:
             # classes with at least top - n isolated vertices: a sorted prefix
             held = bisect_left(codes, 1 << pairs[n])
             if held:
-                best[n] = level, codes[:held]
-                visited[n] += held * (pairs[n] - level)
-    if not best:
-        raise AssertionError("empty graph should always be family-free")
-    if visited[top] != counted:
-        raise AssertionError(f"{counted} augmentations tried, {visited[top]} non-edges in the classes")
+                best[i][n] = level, codes[:held]
+                visited[i][n] += held * (pairs[n] - level)
+    for i, family in enumerate(families):
+        if top in visited[i] and visited[i][top] != counted[i]:
+            raise AssertionError(
+                f"{family.spec()}: {counted[i]} augmentations tried, {visited[i][top]} non-edges in the classes"
+            )
     elapsed = time.perf_counter() - start
-    return {
-        n: ExtremalRecord(
-            n=n,
-            family=family,
-            ex_value=best[n][0],
-            extremal_graphs=tuple(sorted(graph6_encode(graph_from_code(n, c)) for c in best[n][1])),
-            graphs_visited=visited[n],
-            elapsed=elapsed,
-        )
-        for n in wanted
-    }
+    records: dict[ForbiddenFamily, dict[int, ExtremalRecord]] = {family: {} for family in plan}
+    for i, family in enumerate(families):
+        for n in plan[family]:
+            level, codes = best[i][n]
+            graphs = tuple(sorted(graph6_encode(graph_from_code(n, code)) for code in codes))
+            records[family][n] = ExtremalRecord(n, family, level, graphs, visited[i][n], elapsed)
+    return records
 
 
 def brute_force_ex(n: int, family: ForbiddenFamily, jobs: int = 1) -> ExtremalRecord:

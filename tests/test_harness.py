@@ -203,8 +203,13 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
         ({"ex_value": "2"}, "ex_value is not of type int: '2'"),
         ({"graphs_visited": None}, "graphs_visited is not of type int: None"),
         ({"family": 3}, "family is not of type str: 3"),
+        ({"elapsed": "0.5"}, "elapsed is not a number: '0.5'"),
+        ({"elapsed": True}, "elapsed is not a number: True"),
     ],
-    ids=["string-graphs", "int-graphs", "bool-n", "float-n", "string-ex-value", "null-visited", "int-family"],
+    ids=[
+        "string-graphs", "int-graphs", "bool-n", "float-n", "string-ex-value", "null-visited", "int-family",
+        "string-elapsed", "bool-elapsed",
+    ],
 )
 def test_cache_skips_lines_of_the_wrong_json_types(tmp_path, caplog, forged, reason):
     # a string would read as the tuple of its characters, a bool as 0 or 1,
@@ -311,19 +316,21 @@ def test_verify_oracle_counters_are_pinned_cold_and_warm(tmp_path):
 
 
 def test_cold_verify_enumerates_each_family_once(tmp_path, monkeypatch):
-    runs = []
+    walks = []
     levels = oracle._levels
 
-    def counted_levels(n, family, jobs):
-        runs.append((family.spec(), n))
-        return levels(n, family, jobs)
+    def counted_levels(n, *families, jobs):
+        walks.append((n, [family.spec() for family in families]))
+        return levels(n, *families, jobs=jobs)
 
     monkeypatch.setattr(oracle, "_levels", counted_levels)
     args = ["verify", "--format", "csv", "--cache", str(tmp_path / "cache.jsonl")]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    assert len(runs) == len({spec for spec, _ in runs}) == 11
-    assert [n for spec, n in runs if spec == "clique:3,starforest:2x2"] == [11]
+    assert sorted(n for n, _ in walks) == [8, 9, 11]
+    specs = [spec for _, walked in walks for spec in walked]
+    assert len(specs) == len(set(specs)) == 11
+    assert dict(walks)[11] == ["clique:3,starforest:2x2"]
 
 
 def test_repeated_suite_reports_twice_and_searches_once():
@@ -690,7 +697,7 @@ def test_partly_filled_cache_runs_one_enumeration_for_the_misses(tmp_path, monke
 
     def counted_levels(n, family, jobs):
         sizes.append(n)
-        return levels(n, family, jobs)
+        return levels(n, family, jobs=jobs)
 
     def counted_lookup(self, n, family):
         lookups.append(n)

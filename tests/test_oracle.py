@@ -267,13 +267,14 @@ def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
     # has 6,431 classes at n = 8 and stops at n = 7
     n_full = 7 if spec in ("clique:9", "clique:4") else 8
     for n in range(1, n_full + 1):
-        parents = [canonical_code_and_generators(empty_graph(n))]
+        parents = [(*canonical_code_and_generators(empty_graph(n)), 1)]
         level = 0
         while parents:
-            found, visited = _expand_codes((n, family, parents))
-            want = ref_expand_codes(n, family, [code for code, _ in parents])
+            found, (visited,) = _expand_codes((n, [family], parents))
+            want = ref_expand_codes(n, family, [code for code, _, _ in parents])
             assert (set(found), visited) == want, (n, level)
-            parents = sorted(found.items())
+            assert all(members == 1 for _, members in found.values())
+            parents = [(code, generators, members) for code, (generators, members) in sorted(found.items())]
             level += 1
     if spec == "clique:9":
         # a partial parent set may miss a child whose only kept parent is
@@ -282,7 +283,7 @@ def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
         pairs = list(itertools.combinations(range(8), 2))
         for edges in range(len(pairs) + 1):
             parents = dict(canonical_code_and_generators(build_graph(8, rng.sample(pairs, edges))) for _ in range(40))
-            found, visited = _expand_codes((8, family, list(parents.items())))
+            found, (visited,) = _expand_codes((8, [family], [(*item, 1) for item in parents.items()]))
             want, want_visited = ref_expand_codes(8, family, parents)
             assert set(found) <= want and visited == want_visited, edges
 
@@ -610,7 +611,7 @@ def test_shared_records_take_unsorted_duplicate_and_gapped_ns(monkeypatch):
 
     def counted(n, family, jobs):
         sizes.append(n)
-        return _levels(n, family, jobs)
+        return _levels(n, family, jobs=jobs)
 
     monkeypatch.setattr(oracle, "_levels", counted)
     family = ForbiddenFamily.parse("clique:3,starforest:2x2")
@@ -636,6 +637,51 @@ def test_shared_records_check_every_n_before_searching(monkeypatch, ns, jobs):
     monkeypatch.setattr(oracle, "_levels", refused)
     with pytest.raises(ValueError):
         extremal_records(ns, K3, jobs=jobs)
+
+
+SHARED_WALKS = {
+    # the walks of cold verify on 8 and 9 vertices, with each family's ns
+    "verify-n8": (8, {
+        "clique:3,matching:2": range(3, 9),
+        "clique:3,matching:3": range(5, 9),
+        "clique:4,matching:2": range(3, 9),
+        "clique:4,matching:3": range(5, 9),
+    }),
+    "verify-n9": (9, {
+        "starforest:1x2": range(3, 10),
+        "starforest:1x3": range(6, 10),
+        "clique:3,starforest:1x2": range(2, 10),
+        "clique:3,starforest:1x3": range(2, 10),
+        "clique:3,starforest:2x3": range(3, 10),
+        "clique:3,starforest:3x2": range(4, 10),
+    }),
+    # a clique, a family without one, and one whose walk ends at level 1
+    "mixed": (8, {"clique:3": range(9), "starforest:1x3": (8, 2, 5), "matching:1": (1, 8)}),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("group", list(SHARED_WALKS))
+def test_shared_walk_equals_separate_walks(group, jobs):
+    n, wanted = SHARED_WALKS[group]
+    families = [ForbiddenFamily.parse(spec) for spec in wanted]
+    # split the stream as it is laid out: each level's families in argument
+    # order, a family dropped after its first empty level
+    walks = {family: [] for family in families}
+    stream = _levels(n, *families, jobs=jobs)
+    turns = families
+    while turns:
+        for family in turns:
+            walks[family].append(next(stream))
+        turns = [family for family in turns if walks[family][-1][1]]
+    assert next(stream, None) is None
+    for family in families:
+        assert walks[family] == list(_levels(n, family, jobs=1)), family.spec()
+    shared = oracle.shared_records(dict(zip(families, wanted.values())), jobs)
+    for family, ns in zip(families, wanted.values()):
+        assert list(shared[family]) == sorted(set(ns)), family.spec()
+        assert shared[family] == extremal_records(ns, family), family.spec()
+    assert len({record.elapsed for records in shared.values() for record in records.values()}) == 1
 
 
 def test_membership_complete_bipartite():
