@@ -27,10 +27,8 @@ from .constructions import (
 from .detectors import ForbiddenFamily
 from .formulas import extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
-from .harness import (
-    PROBLEMS, ResultCache, SUITE_NAMES, TOOL_VERSION, boundary_sweep, emit_report, fetch_records,
-    run_suites,
-)
+from .harness import PROBLEMS, SUITE_NAMES, TOOL_VERSION, boundary_sweep, emit_report, run_suites
+from .oracle import ResultCache, extremal_records
 
 
 class _Command(click.Command):
@@ -174,7 +172,7 @@ def oracle(n, family, jobs, cache):
     """Exhaustively compute the extremal number and graphs for a family."""
     fam = ForbiddenFamily.parse(family)
     store = ResultCache(cache) if cache else None
-    record = fetch_records((n,), fam, store, jobs)[n]
+    record = extremal_records((n,), fam, jobs, store)[n]
     click.echo(json.dumps(record.to_json_dict()))
 
 

@@ -1,4 +1,4 @@
-"""Verification suites, result cache, and report emission.
+"""Verification suites and report emission.
 
 Each suite row records up to three independently produced numbers: the
 closed-form value, the edge count of an actually built graph, and the
@@ -14,10 +14,10 @@ extremal constructions) is declared once in ``PROBLEMS``; the suites, the
 sweep and the CLI's ``formula`` command read that table.
 
 Each suite declares in ``_SUITES`` the oracle slices it reads.  A run of
-suites fetches each family once, in order of first appearance, over the
-union of the ns its slices read.  The families whose largest miss is the
-same n share one walk at that n, so one walk runs per vertex count; each
-fresh record is credited to the first suite, in run order, that reads it.
+suites asks ``oracle.shared_records`` once for every family, in order of
+first appearance, over the union of the ns its slices read; that call
+decides which families share a walk.  Each fresh record is credited to
+the first suite, in run order, that reads it.
 Every parameter is checked before any row is built, so a ``ValueError``
 while a suite builds its rows is a bug and is raised as an
 ``AssertionError`` that names the suite.
@@ -28,11 +28,8 @@ from __future__ import annotations
 import datetime as _dt
 import io
 import json
-import logging
-import time
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields
 
 from .constructions import (
     BelowRangeError,
@@ -45,7 +42,6 @@ from .constructions import (
     regular_triangle_free,
     turan_graph,
 )
-from .canonical import LABELLING_VERSION
 from .detectors import Clique, ForbiddenFamily, StarForest, is_family_free
 from .formulas import (
     FormulaResult,
@@ -57,11 +53,9 @@ from .formulas import (
     extremal_family_edges,
 )
 from .graphs import Graph, disjoint_union, empty_graph
-from .oracle import ORACLE_MAX_N, ExtremalRecord, _check_cap, shared_records
+from .oracle import ORACLE_MAX_N, ExtremalRecord, ResultCache, shared_records
 
 TOOL_VERSION = "0.1.0"
-
-log = logging.getLogger("turanstar.harness")
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -114,113 +108,6 @@ class SuiteReport:
 
     def sorted_rows(self) -> list[SuiteRow]:
         return sorted(self.rows, key=SuiteRow.sort_key)
-
-
-class ResultCache:
-    """Append-only JSON-lines store of search results, keyed by (n, family).
-
-    Each line carries the ``LABELLING_VERSION`` of the canonical labeling
-    behind its graph6 strings.  Corrupt lines, non-UTF-8 bytes included,
-    and lines with another version or none, are reported with their line
-    number and skipped; the first entry for a key wins so a reread always
-    returns what a previous lookup saw.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: dict[tuple[int, str], ExtremalRecord] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with self.path.open("rb") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line.decode("utf-8"))
-                    record = ExtremalRecord.from_json_dict(data)
-                except (ValueError, KeyError, TypeError) as err:
-                    log.warning("skipping corrupt cache line %d: %s", lineno, err)
-                    continue
-                if data.get("labelling") != LABELLING_VERSION:
-                    log.warning("skipping cache line %d: labelling version %r", lineno, data.get("labelling"))
-                    continue
-                self._entries.setdefault((record.n, record.family.spec()), record)
-
-    def lookup(self, n: int, family: ForbiddenFamily) -> ExtremalRecord | None:
-        return self._entries.get((n, family.spec()))
-
-    def append(self, record: ExtremalRecord) -> None:
-        self._entries.setdefault((record.n, record.family.spec()), record)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({**record.to_json_dict(), "labelling": LABELLING_VERSION}) + "\n")
-
-
-def fetch_records(
-    ns: Iterable[int],
-    family: ForbiddenFamily,
-    cache: ResultCache | None,
-    jobs: int,
-    fresh: set[tuple[ForbiddenFamily, int]] | None = None,
-) -> dict[int, ExtremalRecord]:
-    """The record for each n in ns: cached, or derived from one fresh search.
-
-    Every n is checked against the cap before any lookup, so a cache line
-    never answers for an n the search would refuse.  Each n is looked up
-    once; the misses come from one enumeration at the largest of them, are
-    appended to the cache in ascending n and add ``(family, n)`` to
-    ``fresh``.  Every record from that enumeration carries its seconds as
-    ``elapsed``.  A hit still reports its own lookup's time as
-    ``elapsed``, not the stored run's.
-    """
-    return _fetch({family: ns}, cache, jobs, fresh)[family]
-
-
-def _fetch(
-    wanted: dict[ForbiddenFamily, Iterable[int]],
-    cache: ResultCache | None,
-    jobs: int,
-    fresh: set[tuple[ForbiddenFamily, int]] | None = None,
-) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
-    """``fetch_records`` for each family and its ns, one walk per vertex count.
-
-    The families whose largest miss is the same n share one walk at that n.
-    Misses are appended in the order of ``wanted``, each family's in
-    ascending n, after every walk has run.
-    """
-    plan = {family: sorted(set(ns)) for family, ns in wanted.items()}
-    for ns in plan.values():
-        for n in ns[:1] + ns[-1:]:  # the cap is a range: its ends decide
-            _check_cap(n)
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    records: dict[ForbiddenFamily, dict[int, ExtremalRecord]] = {family: {} for family in plan}
-    misses: dict[ForbiddenFamily, list[int]] = {}
-    for family, ns in plan.items():
-        for n in ns:
-            if cache is not None:
-                start = time.perf_counter()
-                hit = cache.lookup(n, family)
-                if hit is not None:
-                    records[family][n] = replace(hit, elapsed=time.perf_counter() - start)
-                    continue
-            misses.setdefault(family, []).append(n)
-    walks: dict[int, dict[ForbiddenFamily, list[int]]] = {}
-    for family, ns in misses.items():
-        walks.setdefault(ns[-1], {})[family] = ns
-    found = {}
-    for group in walks.values():
-        found.update(shared_records(group, jobs))
-    for family, ns in misses.items():
-        for n in ns:
-            if fresh is not None:
-                fresh.add((family, n))
-            if cache is not None:
-                cache.append(found[family][n])
-            records[family][n] = found[family][n]
-    return {family: dict(sorted(got.items())) for family, got in records.items()}
 
 
 def _verdict(*checks: bool) -> str:
@@ -484,7 +371,7 @@ def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport
         for name, params, ns in slices:
             wanted.setdefault(PROBLEMS[name].family(*_args(name, params)), set()).update(ns)
     fresh: set[tuple[ForbiddenFamily, int]] = set()
-    fetched = _fetch(wanted, cache, jobs, fresh)
+    fetched = shared_records(wanted, jobs, cache, fresh)
     reports = []
     for suite, slices, build in suites:
         sliced, credited = [], []
@@ -578,6 +465,8 @@ def emit_report(report: SuiteReport, fmt: str = "csv") -> bytes:
         widths = [max(map(len, column)) for column in zip(*grid)]
         out = io.StringIO()
         out.write(f"suite {report.suite} (version {report.version})\n")
+        for key in sorted(report.notes):
+            out.write(f"{key}: {report.notes[key]}\n")
         for line in grid:
             out.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
         summary = "ok" if report.ok() else "MISMATCH PRESENT"

@@ -130,25 +130,37 @@ graphs are the codes of that prefix decoded on n vertices, and the visit
 count is the sum of C(n,2) - e over them, as a run at n expands each of its
 classes exactly once and tries every non-edge.
 
+Records are cached here too.  ``shared_records`` is the one path from a
+request to a record: it looks each n up in the ``ResultCache``, groups
+each family's misses by their largest n, runs one walk per group, so the
+families whose largest miss is the same n share it, and appends what the
+walks found.
+
 Whether a class lies in one of the paper's join families is asked of
 ``constructions.family_membership``, next to the builders of those families.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import os
 import time
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Iterator
 
-from .canonical import canonical_code_and_generators, graph_from_code
+from .canonical import LABELLING_VERSION, canonical_code_and_generators, graph_from_code
 from .detectors import ForbiddenFamily, is_family_free
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph
 
 ORACLE_MAX_N = 11
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,53 @@ class ExtremalRecord:
             graphs_visited=data["graphs_visited"],
             elapsed=float(data["elapsed"]),
         )
+
+
+class ResultCache:
+    """Append-only JSON-lines store of search results, keyed by (n, family).
+
+    Each line carries the ``LABELLING_VERSION`` of the canonical labeling
+    behind its graph6 strings.  Corrupt lines, non-UTF-8 bytes included,
+    and lines with another version or none, are reported with their line
+    number and skipped; the first entry for a key wins so a reread always
+    returns what a previous lookup saw.  A last line cut off before its
+    newline is ended by the first append, so the appended line stays whole.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._entries: dict[tuple[int, str], ExtremalRecord] = {}
+        self._torn = False
+        if self.path.exists():
+            self._load()
+
+    def _load(self) -> None:
+        with self.path.open("rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                self._torn = not raw.endswith(b"\n")
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    data = json.loads(line.decode("utf-8"))
+                    record = ExtremalRecord.from_json_dict(data)
+                except (ValueError, KeyError, TypeError) as err:
+                    log.warning("skipping corrupt cache line %d: %s", lineno, err)
+                    continue
+                if data.get("labelling") != LABELLING_VERSION:
+                    log.warning("skipping cache line %d: labelling version %r", lineno, data.get("labelling"))
+                    continue
+                self._entries.setdefault((record.n, record.family.spec()), record)
+
+    def lookup(self, n: int, family: ForbiddenFamily) -> ExtremalRecord | None:
+        return self._entries.get((n, family.spec()))
+
+    def append(self, record: ExtremalRecord) -> None:
+        self._entries.setdefault((record.n, record.family.spec()), record)
+        line = json.dumps({**record.to_json_dict(), "labelling": LABELLING_VERSION}) + "\n"
+        with self.path.open("a", encoding="utf-8") as handle:
+            handle.write("\n" * self._torn + line)
+        self._torn = False
 
 
 def _check_cap(n: int) -> None:
@@ -436,70 +495,105 @@ def enumerate_free_graphs(n: int, family: ForbiddenFamily) -> Iterator[Graph]:
 
 
 def extremal_records(
-    ns: Iterable[int], family: ForbiddenFamily, jobs: int = 1
+    ns: Iterable[int], family: ForbiddenFamily, jobs: int = 1, cache: ResultCache | None = None
 ) -> dict[int, ExtremalRecord]:
-    """Exact extremal records for every n in ns, by one exhaustion at the largest.
+    """Exact extremal records for every n in ns: cached, or by one exhaustion at the largest miss.
 
-    Each record equals the one a separate run at its n gives; all share the
-    one enumeration's seconds as ``elapsed``.  Keys are the distinct ns in
-    ascending order.  Every n is checked against the cap before any search.
+    Each record equals the one a separate run at its n gives.  Keys are the
+    distinct ns in ascending order.  Every n is checked against the cap
+    before any lookup or search.
     """
-    return shared_records({family: ns}, jobs)[family]
+    return shared_records({family: ns}, jobs, cache)[family]
 
 
 def shared_records(
-    wanted: dict[ForbiddenFamily, Iterable[int]], jobs: int
+    wanted: dict[ForbiddenFamily, Iterable[int]],
+    jobs: int,
+    cache: ResultCache | None = None,
+    fresh: set[tuple[ForbiddenFamily, int]] | None = None,
 ) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
-    """``extremal_records`` for each family and its ns, by one walk at the largest n of all.
+    """``extremal_records`` for each family and its ns, one walk per vertex count.
 
-    Every record of the walk carries its seconds as ``elapsed``.  A family
-    whose ns stop below that n reads its classes padded to it, so the walk
-    costs least when every family's largest n is the same.
+    Every n and ``jobs`` are checked before any lookup, so a cache line
+    never answers for an n the search would refuse.  Each n is looked up
+    once; a hit reports its own lookup's time as ``elapsed``, not the
+    stored run's.  Each family's misses are grouped by the largest of them,
+    and the families of a group share one walk at that n, whose seconds
+    every record it gives carries as ``elapsed``.  After every walk, the
+    misses are appended to the cache and added to ``fresh`` as
+    ``(family, n)``, in the order of ``wanted``, each family's in ascending n.
     """
     plan = {family: sorted(set(ns)) for family, ns in wanted.items()}
     for ns in plan.values():
-        for n in ns:
+        for n in ns[:1] + ns[-1:]:  # the cap is a range: its ends decide
             _check_cap(n)
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    families = [family for family, ns in plan.items() if ns]
-    if not families:
-        return {family: {} for family in plan}
+    records: dict[ForbiddenFamily, dict[int, ExtremalRecord]] = {family: {} for family in plan}
+    walks: dict[int, dict[ForbiddenFamily, list[int]]] = {}
+    for family, ns in plan.items():
+        misses = []
+        for n in ns:
+            if cache is not None:
+                start = time.perf_counter()
+                hit = cache.lookup(n, family)
+                if hit is not None:
+                    records[family][n] = replace(hit, elapsed=time.perf_counter() - start)
+                    continue
+            misses.append(n)
+        if misses:
+            walks.setdefault(misses[-1], {})[family] = misses
+    found: dict[ForbiddenFamily, dict[int, ExtremalRecord]] = {}
+    for top, group in walks.items():
+        found.update(_walk(top, group, jobs))
+    for family in plan:
+        for n, record in found.get(family, {}).items():
+            if cache is not None:
+                cache.append(record)
+            if fresh is not None:
+                fresh.add((family, n))
+            records[family][n] = record
+    return {family: dict(sorted(got.items())) for family, got in records.items()}
+
+
+def _walk(
+    top: int, plan: dict[ForbiddenFamily, list[int]], jobs: int
+) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
+    """One walk on top vertices: the records of each family at its ns, which ascend to top.
+
+    A family reads its records at every n below top from its classes padded to top.
+    """
     start = time.perf_counter()
-    top = max(plan[family][-1] for family in families)
     pairs = {n: n * (n - 1) // 2 for n in range(top + 1)}
-    best: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in families]
-    visited = [dict.fromkeys(plan[family], 0) for family in families]
-    counted = [0] * len(families)
+    best: dict[ForbiddenFamily, dict[int, tuple[int, tuple[int, ...]]]] = {family: {} for family in plan}
+    visited = {family: dict.fromkeys(ns, 0) for family, ns in plan.items()}
+    counted = dict.fromkeys(plan, 0)
     # the stream gives each level's families in turn, and drops a family
     # after its first empty level
-    turns, next_turns, at = list(range(len(families))), [], 0
-    for level, codes, tried in _levels(top, *families, jobs=jobs):
-        i = turns[at]
-        at += 1
+    turns = deque(plan)
+    for level, codes, tried in _levels(top, *plan, jobs=jobs):
+        family = turns.popleft()
         if codes:
-            next_turns.append(i)
-        if at == len(turns):
-            turns, next_turns, at = next_turns, [], 0
-        counted[i] += tried
-        for n in plan[families[i]]:
+            turns.append(family)
+        counted[family] += tried
+        for n in plan[family]:
             # classes with at least top - n isolated vertices: a sorted prefix
             held = bisect_left(codes, 1 << pairs[n])
             if held:
-                best[i][n] = level, codes[:held]
-                visited[i][n] += held * (pairs[n] - level)
-    for i, family in enumerate(families):
-        if top in visited[i] and visited[i][top] != counted[i]:
+                best[family][n] = level, codes[:held]
+                visited[family][n] += held * (pairs[n] - level)
+    for family in plan:
+        if visited[family][top] != counted[family]:
             raise AssertionError(
-                f"{family.spec()}: {counted[i]} augmentations tried, {visited[i][top]} non-edges in the classes"
+                f"{family.spec()}: {counted[family]} augmentations tried, {visited[family][top]} non-edges in the classes"
             )
     elapsed = time.perf_counter() - start
     records: dict[ForbiddenFamily, dict[int, ExtremalRecord]] = {family: {} for family in plan}
-    for i, family in enumerate(families):
-        for n in plan[family]:
-            level, codes = best[i][n]
+    for family, ns in plan.items():
+        for n in ns:
+            level, codes = best[family][n]
             graphs = tuple(sorted(graph6_encode(graph_from_code(n, code)) for code in codes))
-            records[family][n] = ExtremalRecord(n, family, level, graphs, visited[i][n], elapsed)
+            records[family][n] = ExtremalRecord(n, family, level, graphs, visited[family][n], elapsed)
     return records
 
 

@@ -12,6 +12,7 @@ from turanstar import (
     SUITE_NAMES,
     boundary_sweep,
     brute_force_ex,
+    extremal_records,
     graph6_decode,
     run_suite,
     run_suites,
@@ -36,7 +37,7 @@ from turanstar.formulas import (
     ex_triangle_star_forest,
 )
 from turanstar.graph6 import graph6_encode
-from turanstar.harness import CSV_SCHEMA, MATCH, SuiteReport, SuiteRow, emit_report, fetch_records, skipped
+from turanstar.harness import CSV_SCHEMA, MATCH, SuiteReport, SuiteRow, emit_report, skipped
 
 
 VERIFY_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify.csv"
@@ -238,6 +239,23 @@ def test_cache_skips_non_utf8_lines(tmp_path, caplog):
     assert len(caplog.messages) == 1 and caplog.messages[0].startswith("skipping corrupt cache line 2:")
 
 
+def test_cache_append_after_a_torn_last_line_keeps_the_record(tmp_path, caplog):
+    # a writer cut off mid-line leaves no newline; the next line must not join it
+    path = tmp_path / "cache.jsonl"
+    records = {n: brute_force_ex(n, fam("clique:3")) for n in (4, 5, 6)}
+    path.write_text(cache_line(records[4]) + "\n" + cache_line(records[5])[:20])
+    cache = ResultCache(path)
+    assert cache.lookup(5, fam("clique:3")) is None
+    cache.append(records[6])
+    cache.append(records[5])
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        again = ResultCache(path)
+    assert all(again.lookup(n, fam("clique:3")) == records[n] for n in (4, 5, 6))
+    assert len(caplog.messages) == 1 and caplog.messages[0].startswith("skipping corrupt cache line 2:")
+    assert path.read_text().endswith("\n" + cache_line(records[6]) + "\n" + cache_line(records[5]) + "\n")
+
+
 def test_cache_first_entry_wins(tmp_path):
     path = tmp_path / "cache.jsonl"
     rec = brute_force_ex(4, fam("clique:3"))
@@ -267,7 +285,7 @@ def test_cache_lines_of_another_labelling_are_misses(tmp_path, caplog):
         f"skipping cache line 2: labelling version {LABELLING_VERSION + 1}",
     ]
     # a miss is searched again and appended with the current tag, which then hits
-    assert fetch_records((4, 5, 6), family, cache, jobs=1) == records
+    assert extremal_records((4, 5, 6), family, cache=cache) == records
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [(line["n"], line["labelling"]) for line in lines[3:]] == [(4, LABELLING_VERSION), (5, LABELLING_VERSION)]
     assert all(ResultCache(path).lookup(n, family) == records[n] for n in (4, 5, 6))
@@ -413,6 +431,8 @@ n,k,s,l,formula,construction,oracle,free,status
 """
     assert emit_report(report, "table").decode() == """\
 suite pinned (version 0.1.0)
+first_agreement_n: 8
+oracle: skipped: pinned
 n   k  s  l  formula  construction  oracle  free   status
 4   2  1     5        5             5       true   MATCH
 7   2  1  3  9        9             10      true   SKIPPED(divergence below unproven threshold, exploratory bound n>=8)
@@ -680,7 +700,7 @@ def test_cache_hit_reports_lookup_time(tmp_path):
     path = tmp_path / "cache.jsonl"
     rec = brute_force_ex(5, fam("clique:3"))
     ResultCache(path).append(dataclasses.replace(rec, elapsed=1e6))
-    hit = fetch_records((5,), fam("clique:3"), ResultCache(path), jobs=1)[5]
+    hit = extremal_records((5,), fam("clique:3"), cache=ResultCache(path))[5]
     assert hit == rec
     assert hit.elapsed < 1
 
@@ -706,7 +726,7 @@ def test_partly_filled_cache_runs_one_enumeration_for_the_misses(tmp_path, monke
     monkeypatch.setattr(oracle, "_levels", counted_levels)
     monkeypatch.setattr(ResultCache, "lookup", counted_lookup)
     fresh = set()
-    records = fetch_records(range(3, 9), family, cache, jobs=1, fresh=fresh)
+    records = oracle.shared_records({family: range(3, 9)}, 1, cache, fresh)[family]
     assert sorted(lookups) == list(range(3, 9))
     assert sizes == [7]  # the largest miss; the hit at 8 is not searched again
     assert list(records) == list(range(3, 9))

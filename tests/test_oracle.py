@@ -1,5 +1,6 @@
 import bisect
 import concurrent.futures
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from turanstar import (
     ExtremalRecord,
     ForbiddenFamily,
     RegularJoinDescriptor,
+    ResultCache,
     StarForest,
     are_isomorphic,
     bits,
@@ -682,6 +684,35 @@ def test_shared_walk_equals_separate_walks(group, jobs):
         assert list(shared[family]) == sorted(set(ns)), family.spec()
         assert shared[family] == extremal_records(ns, family), family.spec()
     assert len({record.elapsed for records in shared.values() for record in records.values()}) == 1
+
+
+def test_walks_group_each_familys_misses_by_the_largest(tmp_path, monkeypatch):
+    # A's largest n hits the cache, so A's misses end at 7 and share B's walk
+    a, b, c = (ForbiddenFamily.parse(spec) for spec in ("clique:3", "clique:3,matching:2", "starforest:1x3"))
+    path = tmp_path / "cache.jsonl"
+    planted = dataclasses.replace(brute_force_ex(8, a), graphs_visited=12345)
+    cache = ResultCache(path)
+    cache.append(planted)
+    walks = []
+
+    def counted(n, *families, jobs):
+        walks.append((n, families))
+        return _levels(n, *families, jobs=jobs)
+
+    monkeypatch.setattr(oracle, "_levels", counted)
+    fresh = set()
+    records = oracle.shared_records({a: [5, 7, 8], b: [7], c: [6]}, 1, cache, fresh)
+    assert walks == [(7, (a, b)), (6, (c,))]
+    monkeypatch.setattr(oracle, "_levels", _levels)
+    assert records[a][8] == planted and records[a][8].graphs_visited == 12345
+    misses = [(a, 5), (a, 7), (b, 7), (c, 6)]
+    assert {(family, n): records[family][n] for family, n in misses} == {
+        (family, n): brute_force_ex(n, family) for family, n in misses
+    }
+    assert [list(records[family]) for family in (a, b, c)] == [[5, 7, 8], [7], [6]]
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(line["family"], line["n"]) for line in lines[1:]] == [(family.spec(), n) for family, n in misses]
+    assert fresh == set(misses)
 
 
 def test_membership_complete_bipartite():
