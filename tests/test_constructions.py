@@ -26,6 +26,7 @@ from turanstar import (
     turan_edges,
     turan_graph,
 )
+from turanstar.constructions import _attempt_regular
 from turanstar.graphs import MAX_VERTICES, disjoint_union, empty_graph, join
 
 
@@ -216,21 +217,77 @@ def test_joined_builders_track_closed_forms():
                     assert g1 == g2
 
 
-def test_joined_builders_are_pinned():
-    # the exact rows each joined builder gives, or its refusal, over every
-    # core and rest parity, empty core parts, and rests below and inside the
-    # guaranteed range
+def _refusal(build):
+    """``built``, or the builder's refusal as ``Type: message``."""
+    try:
+        build()
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+    return "built"
+
+
+# every core and rest parity, empty core parts, and rests below and inside
+# the guaranteed range
+JOINED_GRID = list(itertools.product(range(45), range(8), range(1, 7)))
+
+
+def test_joined_builders_refuse_where_they_did():
+    # which points each joined builder builds and how it refuses the others;
+    # a change of wiring may move the rows, never these
     digest, built = hashlib.sha256(), 0
-    for n, s, l in itertools.product(range(45), range(8), range(1, 7)):
+    for n, s, l in JOINED_GRID:
         for build in (joined_regular_extremal, joined_capped_extremal):
-            try:
-                text = repr(build(n, s, l).rows)
-                built += 1
-            except ValueError as err:
-                text = f"{type(err).__name__}: {err}"
+            text = _refusal(lambda: build(n, s, l))
+            built += text == "built"
             digest.update(text.encode() + b"\n")
     assert built == 3472
-    assert digest.hexdigest() == "046106bbacead114132e96cc80b02a0f1e05f430785ff85bb43597582ba2e1ee"
+    assert digest.hexdigest() == "902e59ff3d974fee36717ab224bcaf75a103f32ebba1fe0b676d87c7fe5dd1ce"
+
+
+def test_joined_builders_are_pinned():
+    # the exact rows of every graph the joined builders build on JOINED_GRID
+    digest = hashlib.sha256()
+    for n, s, l in JOINED_GRID:
+        for build in (joined_regular_extremal, joined_capped_extremal):
+            if _refusal(lambda: build(n, s, l)) == "built":
+                digest.update(repr(build(n, s, l).rows).encode() + b"\n")
+    assert digest.hexdigest() == "3f3e5b445ea9998310e7998cb237a0d2ac1436de41496e3c4e8314ab9e850060"
+
+
+def test_engine_refuses_where_it_did():
+    # the triangle-free engine's outcome through its two callers:
+    # _attempt_regular reroutes the spare exactly when m is odd, and
+    # capped_bipartite never does; an even m has no spare to reroute
+    digest = hashlib.sha256()
+    for m, d in itertools.product(range(200), range(15)):
+        for build in (lambda: _attempt_regular(m, d), lambda: capped_bipartite(m, d + 1)):
+            digest.update(_refusal(build).encode() + b"\n")
+    assert digest.hexdigest() == "3f284ce3c4f976d6e4b7c0181cf8507cb7925d329f61395d4b3d35e8ac0611c0"
+
+
+def _built(build):
+    try:
+        return build()[0]
+    except BelowRangeError:
+        return None
+
+
+def test_engine_degrees_and_spare():
+    # side A, the first floor(m/2) vertices, has degree d and no graph holds
+    # a triangle; rerouting gives the spare m - 1 degree 2*floor(d/2) and
+    # every other vertex d, and without it an odd m leaves m - 1 isolated
+    # unless d exceeds floor(m/2)
+    for m, d in itertools.product(range(1, 120), range(1, 12)):
+        h = m // 2
+        regular = _built(lambda: _attempt_regular(m, d))
+        capped = _built(lambda: capped_bipartite(m, d + 1))
+        for g in filter(None, (regular, capped)):
+            assert [g.degree(v) for v in range(h)] == [d] * h, (m, d)
+            assert all(g.rows[u] & g.rows[v] == 0 for u, v in g.edges()), (m, d)
+        if regular and m % 2:
+            assert [regular.degree(v) for v in range(m)] == [d] * (m - 1) + [2 * (d // 2)], (m, d)
+        if capped and m % 2 and d <= h:
+            assert capped.rows[m - 1] == 0, (m, d)
 
 
 def test_joined_builders_are_family_free():
