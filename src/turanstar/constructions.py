@@ -1,28 +1,24 @@
 """Builders for the extremal graphs of the clique + star-forest problem.
 
-The interesting constructions hang off one engine, `_blocked_engine`, which
-wires a balanced bipartition into complete bipartite blocks and then patches
-the remainder vertices up to full degree by deterministic edge swaps:
+The interesting constructions hang off one engine, `_circulant_engine`, a
+bipartite circulant on n vertices with h = floor(n/2):
 
-* Split the first side (floor(n/2) vertices) into blocks of size d plus a
-  remainder of r vertices a_1..a_r, and the second side likewise into
-  blocks, b_1..b_r, and one spare vertex when n is odd.
-* Join block i of the first side completely to block i of the second side,
-  and every a_i to every b_j.  Every block vertex now has degree d and the
-  remainder vertices have degree r.
-* To raise a pair (a_i, b_i) to degree d, repeatedly pick the first present
-  block edge xy (scanning blocks in ascending index, then x, then y) whose
-  replacement edges x-b_i and y-a_i are both absent, delete xy, and add the
-  two replacements.  The graph stays bipartite, so triangle-free.
-* When n is odd and a regular graph is wanted, the spare vertex first takes
-  over floor(d/2) block edges, one per block: delete xy inside block i and
-  add x-spare and y-spare.  Distinct blocks keep the spare's neighborhood
-  independent, so the graph stays triangle-free even though the spare sits
-  on both sides of the bipartition.
+* Vertex x < h joins h + (x + j) mod h for each j < d.  When d <= h every
+  vertex below 2h has degree d, and the graph is bipartite between 0..h-1
+  and h..2h-1, so triangle-free; when n is odd, vertex n-1 is left over.
+  d = h + 1 is possible only for odd n, and joins 0..h-1 to all of h..n-1.
+* When n is odd and a regular graph is wanted, that spare vertex takes over
+  the edges x-(h+x) for x = 0, d, ..., (floor(d/2) - 1)*d, which needs
+  floor(d/2) <= floor(h/d).  The spare then has degree 2*floor(d/2) and
+  every other vertex keeps d.  Its neighbourhood is independent, so it
+  closes no triangle although it sits on both sides: for t != t' below
+  floor(d/2), d <= |t' - t|*d <= (floor(d/2) - 1)*d <= h - d, so
+  (t' - t)*d mod h lies in [d, h - d] and no fed x joins another fed h + x'.
+* From n >= d^2 + 2 on, h >= (d^2 + 1)/2, so d <= h and floor(h/d) >=
+  floor(d/2): the guaranteed range never refuses.
 
-Every edge mutation asserts simplicity and checks that no common neighbor
-exists before an addition, so a violated bound fails loudly instead of
-emitting a wrong graph.
+Every edge addition asserts simplicity and that no common neighbor exists,
+so a violated bound fails loudly instead of emitting a wrong graph.
 
 The triangle case's join families are laid out once, in ``_JOIN_RULE``: a
 two-part core T_2(s) whose larger part is joined completely to one side of
@@ -102,46 +98,20 @@ def complete_bipartite(a: int, b: int) -> Graph:
 class BelowRangeError(ValueError):
     """A builder refuses parameters below the range where it is proven to build.
 
-    Raised by the range checks and by the block engine when it runs out of
-    edges to reroute below its guaranteed range; inside that range an
+    Raised by the range checks and by the circulant engine when it cannot
+    feed the spare vertex below its guaranteed range; inside that range an
     engine failure is an AssertionError.  Suites that scan below the range
     skip such a size; any other ValueError from a builder is a bug and
     propagates.
     """
 
 
-def _pick_swap_edge(
-    rows: list[int],
-    block_indices: range,
-    degree: int,
-    half: int,
-    x_partner: int,
-    y_partner: int,
-) -> tuple[int, int]:
-    """First present block edge whose two replacement edges are absent.
+def _circulant_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
+    """Adjacency rows for the bipartite circulant described in the module doc.
 
-    Scans blocks in ascending index, x then y ascending within the block.
-    """
-    for i in block_indices:
-        for x in range(i * degree, (i + 1) * degree):
-            if rows[x] >> x_partner & 1:
-                continue
-            row_x = rows[x]
-            for y in range(half + i * degree, half + (i + 1) * degree):
-                if not row_x >> y & 1:
-                    continue
-                if rows[y] >> y_partner & 1:
-                    continue
-                return x, y
-    raise BelowRangeError("no eligible swap edge at these parameters")
-
-
-def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
-    """Adjacency rows for the block construction described in the module doc.
-
-    With ``reroute_spare`` (odd ``total`` only) the spare vertex absorbs
-    floor(degree/2) block edges and reaches degree 2*floor(degree/2);
-    otherwise it stays as built, including possibly isolated.
+    With ``reroute_spare`` (odd ``total`` only) the spare vertex takes over
+    floor(degree/2) circulant edges and reaches degree 2*floor(degree/2);
+    otherwise it stays isolated whenever degree <= total // 2.
     """
     check_vertex_count(total)
     half = total // 2
@@ -153,53 +123,32 @@ def _blocked_engine(total: int, degree: int, reroute_spare: bool) -> list[int]:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
 
-    def cut(u: int, v: int) -> None:
-        assert rows[u] >> v & 1, f"edge {u}-{v} not present"
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-
     if degree == 0:
         return rows
     if degree > total - half:
         raise BelowRangeError("degree exceeds the larger side of the split")
-    q, rem = divmod(half, degree)
-    if q == 0:
-        # Degree exceeds the first side; only reachable for odd totals with
-        # degree == ceil(total/2), where complete bipartite wiring realizes
-        # the degree on the first side only.  That cannot satisfy the
-        # almost-regular contract once the spare needs rerouting.
+    if degree > half:
+        # Only reachable for odd totals with degree == ceil(total/2): the
+        # first side joins all of the second, which realizes the degree on
+        # the first side only and cannot feed a spare.
         if reroute_spare and half > 0:
             raise BelowRangeError("degree too close to half the vertex count")
         for x in range(half):
-            for j in range(degree):
-                put(x, half + j)
-        return rows
-    for i in range(q):
-        for x in range(i * degree, (i + 1) * degree):
-            for y in range(half + i * degree, half + (i + 1) * degree):
+            for y in range(half, total):
                 put(x, y)
-    a_side = [q * degree + i for i in range(rem)]
-    b_side = [half + q * degree + i for i in range(rem)]
-    for x in a_side:
-        for y in b_side:
-            put(x, y)
+        return rows
+    fed = ()
     if reroute_spare:
         assert total % 2 == 1, "spare rerouting needs an odd vertex count"
-        spare = total - 1
-        swaps = degree // 2
-        if swaps > q:
+        if degree // 2 > half // degree:
             raise BelowRangeError("not enough blocks to feed the spare vertex")
-        for i in range(swaps):
-            x, y = _pick_swap_edge(rows, range(i, i + 1), degree, half, spare, spare)
-            cut(x, y)
-            put(x, spare)
-            put(y, spare)
-    for i in range(rem):
-        for _ in range(degree - rem):
-            x, y = _pick_swap_edge(rows, range(q), degree, half, b_side[i], a_side[i])
-            cut(x, y)
-            put(x, b_side[i])
-            put(y, a_side[i])
+        fed = range(0, degree // 2 * degree, degree)
+    for x in range(half):
+        for j in range(x in fed, degree):  # a fed x leaves x-(half+x) to the spare
+            put(x, half + (x + j) % half)
+    for x in fed:
+        put(x, total - 1)
+        put(half + x, total - 1)
     return rows
 
 
@@ -217,19 +166,19 @@ def near_regular(g: Graph, rest: VertexSet, degree: int) -> bool:
 
 
 def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
-    """Run the block engine at any n, below the guaranteed range too.
+    """Run the circulant engine at any n, below the guaranteed range too.
 
-    Raises BelowRangeError when the engine cannot place the required swaps
+    Raises BelowRangeError when the engine cannot feed the spare vertex
     below n = degree**2 + 2, where it still succeeds for many n; at or
     above it, where the engine is proven to build, such a failure is a bug
     and raises AssertionError.
     """
     try:
-        rows = _blocked_engine(n, degree, reroute_spare=(n % 2 == 1))
+        rows = _circulant_engine(n, degree, reroute_spare=(n % 2 == 1))
     except BelowRangeError as exc:
         if n < degree * degree + 2:
             raise
-        raise AssertionError(f"swap supply failed inside guaranteed range: {exc}") from exc
+        raise AssertionError(f"spare vertex not fed inside guaranteed range: {exc}") from exc
     g = Graph(n, tuple(rows))
     half = n // 2
     cert = PartitionCertificate(
@@ -247,8 +196,8 @@ def regular_triangle_free(n: int, degree: int) -> tuple[Graph, PartitionCertific
 
     Exactly one vertex of degree ``degree - 1`` appears when degree * n is
     odd; that vertex is the certificate's exceptional vertex.  Requires
-    n >= degree**2 + 2; in that range the block engine is guaranteed to
-    find every swap it needs.
+    n >= degree**2 + 2; in that range the circulant engine is guaranteed
+    to feed the spare vertex.
     """
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
@@ -283,7 +232,7 @@ def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
     degree = l - 1
     if (m + 1) // 2 < degree:
         raise BelowRangeError(f"need ceil(m/2) >= l-1, got m={m}, l={l}")
-    rows = _blocked_engine(m, degree, reroute_spare=False)
+    rows = _circulant_engine(m, degree, reroute_spare=False)
     g = Graph(m, tuple(rows))
     half = m // 2
     first = (1 << half) - 1
@@ -339,8 +288,8 @@ def joined_regular_extremal(n: int, s: int, l: int) -> Graph:
     ceil(s/2)*floor(s/2) + s*floor((n-s)/2) + floor((l-1)(n-s)/2) edges.
 
     Guaranteed to build when n - s >= (l-1)**2 + 2; smaller sizes are
-    attempted and raise BelowRangeError if the engine cannot route the
-    degree-fixing swaps there.
+    attempted and raise BelowRangeError if the engine cannot wire the rest
+    there.
     """
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")

@@ -105,7 +105,7 @@ def test_below_range_refusals_have_their_own_type():
         clique_star_forest_extremal(3, 3, 1, 2)
     with pytest.raises(BelowRangeError, match=r"degree\^2 \+ 2"):
         regular_triangle_free(5, 2)
-    # a block engine short of swap edges refuses in the same vocabulary
+    # an engine refusal below the guaranteed range uses the same vocabulary
     with pytest.raises(BelowRangeError, match="half the vertex count"):
         joined_regular_extremal(9, 4, 4)
 
@@ -154,12 +154,12 @@ def test_bad_suite_parameters_stay_usage_errors(args, error):
 
 
 def test_engine_failure_in_range_is_not_read_as_below_range(monkeypatch):
-    # m = 7 >= (l-1)^2 + 2 rest vertices at l = 3 need one spare swap, which
-    # the engine is proven to find; failing to is a bug, not a refusal
-    def exhausted(*args):
-        raise BelowRangeError("no eligible swap edge at these parameters")
+    # m = 7 >= (l-1)^2 + 2 rest vertices at l = 3 feed the spare one edge,
+    # which the engine is proven to do; failing to is a bug, not a refusal
+    def exhausted(*args, **kwargs):
+        raise BelowRangeError("not enough blocks to feed the spare vertex")
 
-    monkeypatch.setattr(constructions, "_pick_swap_edge", exhausted)
+    monkeypatch.setattr(constructions, "_circulant_engine", exhausted)
     with pytest.raises(AssertionError, match="inside guaranteed range"):
         harness._built(lambda: joined_regular_extremal(8, 1, 3))
 

@@ -815,9 +815,9 @@ def test_membership_regular_rest_without_core_need_not_be_bipartite():
 
 def test_membership_without_core_checks_the_whole_graph_once(monkeypatch):
     # s = 0 puts every vertex in the rest, whatever the split; the first
-    # edge, 0-10, moved to the first non-edge that keeps the graph
-    # triangle-free, 0-1, leaves e1 edges but degrees 2 and 4
-    g = joined_regular_extremal(16, 0, 4).remove_edge(0, 10).add_edge(0, 1)
+    # edge, 0-8, moved to the first non-edge that keeps the graph
+    # triangle-free, 0-3, leaves e1 edges but degrees 2 and 4
+    g = joined_regular_extremal(16, 0, 4).remove_edge(0, 8).add_edge(0, 3)
     assert g.edge_count == 24 and ref_is_free(g, K3)
     calls = []
     near_regular = constructions._near_regular
