@@ -68,8 +68,8 @@ def ex_clique_matching(n: int, k: int, s: int) -> FormulaResult:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
     value = max(turan_edges(2 * s + 1, k), turan_edges(s, k - 1) + s * (n - s))
     validity = Validity.PROVEN if n >= 2 * s + 1 else Validity.OUT_OF_RANGE
     return FormulaResult(value, validity, "clique-matching")

@@ -654,6 +654,14 @@ def test_cli_formula_usage_errors():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("n", ["2", "-5"])
+def test_cli_clique_matching_refuses_fewer_vertices_than_the_core(n):
+    # 16 edges on 2 vertices, or 2 on -5, are no extremal counts
+    result = CliRunner().invoke(main, ["formula", "--which", "clique-matching", "--n", n, "--k", "3", "--s", "3"])
+    assert result.exit_code == 2, result.output
+    assert f"Error: need 0 <= s <= n, got n={n}, s=3\n" in result.output
+
+
 # problem -> (arguments after --which, the closed form called directly)
 FORMULA_POINTS = {
     "star": (["--n", "11", "--l", "3"], lambda: ex_star(11, 3)),
