@@ -61,10 +61,10 @@ without an exact mask (none for a family of cliques and one-copy stars),
 and last the canonical search of g + uv, the only step that builds the
 child.  The window's ``top`` comes from one pass over g's vertices: it is
 the largest degree d of a vertex with a neighbour of degree d or more, the
-lower end of an edge with both ends of degree at least d.  The
-neighbour-degree sums are built for a parent only when one of its rank
-tests first ties uv on degrees, and serve its later rank tests; at
-n = 10, 7,507 of the 12,172 triangle-free parents ever need them.
+lower end of an edge with both ends of degree at least d.  That pass also
+builds each vertex's neighbour-degree sum, so every parent has one degree
+table (degrees, the at-least masks, ``top`` and the sums), built before
+its walk, which the window and each of its rank tests read.
 
 A level is a set of classes, so the filter only thins how often one class
 is found, never which classes are found.  The visit counter still counts
@@ -288,18 +288,18 @@ def _orbit_representatives(
 
 
 def _outranked(
-    rows: tuple[int, ...], at_least: list[int], sums: list[int], u: int, v: int
+    rows: tuple[int, ...], degrees: list[int], sums: list[int], at_least: list[int], u: int, v: int
 ) -> bool:
     """Has some edge of g + uv a larger rank than uv, degrees taken in g + uv?
 
     The rank is the (smaller end, larger end) degree pair, ties broken by
-    the sorted pair of the ends' neighbour-degree sums.  ``rows`` are g's;
-    ``at_least[t]`` is the mask of g's vertices of degree at least t, for
-    t = 0..n.  ``sums`` is empty until a tie first needs it; it is then
-    filled in place, ``sums[x]`` the sum of the degrees of x's neighbours
-    in g, and serves every later call for the same g.
+    the sorted pair of the ends' neighbour-degree sums.  The rest is g's
+    degree table: ``rows`` are g's, ``degrees[x]`` is x's degree in g,
+    ``sums[x]`` the sum of the degrees of x's neighbours in g, and
+    ``at_least[t]`` the mask of g's vertices of degree at least t, for
+    t = 0..n.
     """
-    du, dv = rows[u].bit_count(), rows[v].bit_count()
+    du, dv = degrees[u], degrees[v]
     p, q = sorted((du + 1, dv + 1))
     uv = 1 << u | 1 << v
     # vertices of degree >= p, > p and > q in g + uv
@@ -318,14 +318,6 @@ def _outranked(
     # the edges that tie uv on degrees join a degree-p end to a degree-q end;
     # in g + uv a neighbour-degree sum gains one per neighbour in uv, and
     # u's (v's) gains v's (u's) degree
-    if not sums:
-        for row in rows:
-            total = 0
-            while row:
-                low = row & -row
-                row ^= low
-                total += rows[low.bit_length() - 1].bit_count()
-            sums.append(total)
     gain = {u: dv + 1, v: du + 1}
     key = sorted((sums[u] + gain[u], sums[v] + gain[v]))
     q_end = (at_least[q] | uv & at_least[q - 1]) & ~top
@@ -377,21 +369,28 @@ def _expand_codes(
         g = graph_from_code(n, code)
         rows = g.rows
         non_edges = pairs - code.bit_count()
+        # the degree table that the window and every rank test read
+        degrees = [row.bit_count() for row in rows]
         at_least = [0] * (n + 1)
-        for x, row in enumerate(rows):
-            at_least[row.bit_count()] |= 1 << x
+        for x, d in enumerate(degrees):
+            at_least[d] |= 1 << x
         for t in range(n - 1, -1, -1):
             at_least[t] |= at_least[t + 1]
         # an edge with both ends of degree >= top outranks every non-edge
         # with an end of degree < top - 1; top is the degree of the lower
         # end of such an edge, a vertex with a neighbour of its degree or more
         top = 0
-        for row in rows:
-            d = row.bit_count()
+        sums = []
+        for row, d in zip(rows, degrees):
             if d > top and row & at_least[d]:
                 top = d
+            total = 0
+            while row:
+                low = row & -row
+                row ^= low
+                total += degrees[low.bit_length() - 1]
+            sums.append(total)
         window = at_least[max(top - 1, 0)]
-        sums: list[int] = []  # filled by the first tie _outranked meets
         # exact masks keep each member's candidates, and so their union, a
         # union of orbits
         walked = [0] * n
@@ -409,7 +408,7 @@ def _expand_codes(
                 walked[u] |= candidates[u]
             screened.append((bit, candidates, paired))
         for u, v in _orbit_representatives(g, generators, walked):
-            if _outranked(rows, at_least, sums, u, v):
+            if _outranked(rows, degrees, sums, at_least, u, v):
                 continue
             child_members = 0
             for bit, candidates, paired in screened:
