@@ -64,13 +64,15 @@ def ex_clique_matching(n: int, k: int, s: int) -> FormulaResult:
 
     Value is the larger of: all edges of the k-part Turan graph on 2s+1
     vertices (rest isolated), or the (k-1)-part Turan graph on s vertices
-    joined to everything else.  Proven for n >= 2s+1.
+    joined to everything else.  Proven for n >= 2s+1.  Below that no s+1
+    edges are disjoint, so the first term is the Turan graph on all n
+    vertices, and the value is exact there too.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
-    value = max(turan_edges(2 * s + 1, k), turan_edges(s, k - 1) + s * (n - s))
+    value = max(turan_edges(min(n, 2 * s + 1), k), turan_edges(s, k - 1) + s * (n - s))
     validity = Validity.PROVEN if n >= 2 * s + 1 else Validity.OUT_OF_RANGE
     return FormulaResult(value, validity, "clique-matching")
 

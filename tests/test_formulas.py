@@ -1,8 +1,10 @@
 import pytest
 
 from turanstar import (
+    ForbiddenFamily,
     FormulaResult,
     Validity,
+    brute_force_ex,
     ex_clique_matching,
     ex_clique_star_forest,
     ex_star,
@@ -54,6 +56,16 @@ def test_ex_clique_matching_examples():
         ex_clique_matching(5, 2, -1)
     with pytest.raises(ValueError, match=r"need 0 <= s <= n, got n=2, s=3"):
         ex_clique_matching(2, 3, 3)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_ex_clique_matching_is_exact_below_its_threshold(k, s):
+    # M_{s+1} needs 2s + 2 vertices, so on n <= 2s + 1 only K_{k+1} is
+    # forbidden and ex is Turan's number on all n vertices
+    family = ForbiddenFamily.parse(f"clique:{k + 1},matching:{s + 1}")
+    for n in range(s, min(2 * s + 1, 7) + 1):
+        assert ex_clique_matching(n, k, s).value == brute_force_ex(n, family).ex_value, n
 
 
 def test_ex_clique_matching_monotone_in_n():
