@@ -145,7 +145,8 @@ class ForbiddenFamily:
     @staticmethod
     def parse(text: str) -> "ForbiddenFamily":
         """Parse ``clique:R | matching:S | starforest:CxL`` joined by commas;
-        ``matching:S`` is ``starforest:Sx1``."""
+        ``matching:S`` is ``starforest:Sx1``.  R, S, C and L are ASCII
+        decimal digits: no sign, space, underscore or other script."""
         pats: list[Pattern] = []
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -157,8 +158,11 @@ class ForbiddenFamily:
             make = _PATTERN_KINDS.get(kind)
             if make is None:
                 raise ValueError(f"unknown pattern kind {kind!r}")
+            numbers = arg.split("x")
+            if not all(num.isascii() and num.isdigit() for num in numbers):
+                raise ValueError(f"bad pattern {chunk!r}, expected decimal digits")
             try:
-                pats.append(make(*map(int, arg.split("x"))))
+                pats.append(make(*map(int, numbers)))
             except TypeError:  # the wrong number of arguments
                 raise ValueError(f"bad pattern {chunk!r}") from None
             except ValueError as err:

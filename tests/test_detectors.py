@@ -121,8 +121,14 @@ def test_family_spec_round_trip():
     assert ForbiddenFamily.parse("clique:3") == ForbiddenFamily((Clique(3),))
     twice = ForbiddenFamily.parse("clique:3,clique:3")
     assert twice == ForbiddenFamily.parse("clique:3") and twice.spec() == "clique:3"
-    for pat in (Clique(4), StarForest(2, 1), StarForest(2, 3)):
+    for pat in (Clique(4), Clique(12), StarForest(2, 1), StarForest(2, 3), StarForest(10, 25)):
         assert ForbiddenFamily.parse(pat.spec()) == ForbiddenFamily((pat,))
+    # the numbers are ASCII decimal digits, where int() alone would also
+    # read an underscore, a sign, inner spaces and other scripts' digits
+    for text in ("clique:3_0", "clique: 3", "clique:+3", "clique:-3", "clique:\u0663",
+                 "clique:\uff13", "starforest:2x 3", "matching:0_1"):
+        with pytest.raises(ValueError, match="bad pattern"):
+            ForbiddenFamily.parse(text)
     with pytest.raises(ValueError):
         ForbiddenFamily.parse("clique")
     with pytest.raises(ValueError):

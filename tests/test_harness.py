@@ -622,6 +622,13 @@ def test_cli_detect_bad_family_exits_2():
     assert result.exit_code == 2
 
 
+def test_cli_oracle_refuses_a_family_number_int_alone_would_read():
+    # int("3_0") is 30: the family would have been K30-free
+    result = CliRunner().invoke(main, ["oracle", "--n", "5", "--family", "clique:3_0"])
+    assert result.exit_code == 2, result.output
+    assert "bad pattern 'clique:3_0'" in result.output
+
+
 def test_cli_formula():
     runner = CliRunner()
     result = runner.invoke(
