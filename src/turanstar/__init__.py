@@ -88,71 +88,3 @@ from .harness import (
 )
 
 __version__ = TOOL_VERSION
-
-__all__ = [
-    "Graph",
-    "bits",
-    "build_graph",
-    "disjoint_union",
-    "empty_graph",
-    "induced_subgraph",
-    "join",
-    "mask_of",
-    "respects_bipartition",
-    "symmetrize",
-    "GRAPH6_MAX_N",
-    "graph6_decode",
-    "graph6_encode",
-    "to_edge_list_json",
-    "CANONICAL_MAX_N",
-    "are_isomorphic",
-    "canonical_code",
-    "canonical_form",
-    "canonical_graph",
-    "graph_from_code",
-    "Clique",
-    "StarForest",
-    "ForbiddenFamily",
-    "contains_clique",
-    "contains_star_forest",
-    "is_family_free",
-    "max_matching_size",
-    "BelowRangeError",
-    "PartitionCertificate",
-    "capped_bipartite",
-    "clique_matching_extremal",
-    "clique_star_forest_extremal",
-    "complete_bipartite",
-    "joined_capped_extremal",
-    "joined_regular_extremal",
-    "regular_triangle_free",
-    "turan_graph",
-    "FormulaResult",
-    "Validity",
-    "ex_clique_matching",
-    "ex_clique_star_forest",
-    "ex_star",
-    "ex_triangle_star_forest",
-    "exploration_threshold",
-    "extremal_family_edges",
-    "turan_edges",
-    "CappedJoinDescriptor",
-    "CompleteBipartiteDescriptor",
-    "RegularJoinDescriptor",
-    "ExtremalRecord",
-    "ORACLE_MAX_N",
-    "ResultCache",
-    "brute_force_ex",
-    "enumerate_extremal",
-    "enumerate_free_graphs",
-    "extremal_records",
-    "family_membership",
-    "SUITE_NAMES",
-    "SuiteReport",
-    "SuiteRow",
-    "TOOL_VERSION",
-    "boundary_sweep",
-    "emit_report",
-    "run_suite",
-    "run_suites",
-]

@@ -55,7 +55,7 @@ from .formulas import (
 from .graphs import Graph, disjoint_union, empty_graph
 from .oracle import ORACLE_MAX_N, ExtremalRecord, ResultCache, shared_records
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # the package version: pyproject.toml reads it from here
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
