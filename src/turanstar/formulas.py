@@ -48,13 +48,14 @@ def ex_star(n: int, l: int) -> FormulaResult:
 
     Equivalently the extremal number for forbidding the star with l+1
     leaves.  The exact value floor(l*n/2) is guaranteed for n >= l*l + 2;
-    below that the same arithmetic is reported as out of range.
+    below that the same arithmetic is reported as out of range.  On
+    n <= l vertices no degree reaches l, and the value is C(n, 2).
     """
     if l < 0:
         raise ValueError(f"degree bound must be non-negative, got {l}")
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    value = l * n // 2
+    value = min(l, n - 1) * n // 2
     validity = Validity.PROVEN if n >= l * l + 2 else Validity.OUT_OF_RANGE
     return FormulaResult(value, validity, "star")
 
@@ -81,7 +82,8 @@ def ex_clique_star_forest(n: int, k: int, s: int, l: int) -> FormulaResult:
     """Extremal count for forbidding K_{k+1} (k >= 3) and s+1 disjoint l-leaf stars.
 
     Value is e(T_{k-2}(s)) + s(n-s) + floor((l-1)(n-s)/2), the edge count
-    of the matching join construction.  Proven once n reaches
+    of the matching join construction, with the rest's degree l-1 capped
+    at the n-s-1 other rest vertices.  Proven once n reaches
     k*s^2 + (s+1)*(l+1)^2; smaller n still gets the raw arithmetic.
     """
     if k < 3:
@@ -91,7 +93,7 @@ def ex_clique_star_forest(n: int, k: int, s: int, l: int) -> FormulaResult:
     if s < 0 or n < s:
         raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
     m = n - s
-    value = turan_edges(s, k - 2) + s * m + (l - 1) * m // 2
+    value = turan_edges(s, k - 2) + s * m + min(l - 1, m - 1) * m // 2
     threshold = k * s * s + (s + 1) * (l + 1) * (l + 1)
     validity = Validity.PROVEN if n >= threshold else Validity.OUT_OF_RANGE
     return FormulaResult(value, validity, "clique-star-forest")

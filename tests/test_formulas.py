@@ -43,6 +43,14 @@ def test_ex_star_values_and_validity():
     assert r.as_dict() == {"value": 16, "validity": "proven", "source": "star"}
 
 
+@pytest.mark.parametrize("l", range(1, 8))
+def test_ex_star_is_exact_on_few_vertices(l):
+    # on n <= l vertices the degree bound never binds, so ex is C(n, 2)
+    family = ForbiddenFamily.parse(f"starforest:1x{l + 1}")
+    for n in range(1, min(l + 1, 7) + 1):
+        assert ex_star(n, l).value == brute_force_ex(n, family).ex_value, n
+
+
 def test_ex_clique_matching_examples():
     assert ex_clique_matching(5, 2, 1).value == 4
     assert ex_clique_matching(7, 3, 2).value == 11
@@ -87,6 +95,39 @@ def test_ex_clique_star_forest_examples():
         ex_clique_star_forest(10, 3, 1, 1)
     with pytest.raises(ValueError):
         ex_clique_star_forest(2, 3, 3, 2)
+    # the rest of 1 vertex carries no edges, whatever l is
+    assert ex_clique_star_forest(3, 3, 2, 9).value == 2
+
+
+STAR_POINTS = [(n, l) for l in range(8) for n in range(21)]
+MATCHING_POINTS = [(n, k, s) for k in range(2, 11) for s in range(6) for n in range(s, 21)]
+STAR_FOREST_POINTS = [
+    (n, k, s, l) for k in range(3, 11) for s in range(6) for l in range(2, 8) for n in range(s, 21)
+]
+TRIANGLE_POINTS = [(n, s, l) for s in range(4) for l in range(1, 8) for n in range(s, 21)]
+
+
+def _over_pairs(formula, points):
+    """The points (n, *params) where the closed form counts more edges than n vertices have pairs."""
+    return [p for p in points if formula(*p).value > p[0] * (p[0] - 1) // 2]
+
+
+@pytest.mark.parametrize(
+    "formula, points",
+    [(ex_star, STAR_POINTS), (ex_clique_matching, MATCHING_POINTS), (ex_clique_star_forest, STAR_FOREST_POINTS)],
+    ids=["star", "clique-matching", "clique-star-forest"],
+)
+def test_closed_forms_count_no_more_edges_than_pairs(formula, points):
+    assert _over_pairs(formula, points) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ex_triangle_star_forest over-counts at 40 of these points, among them the "
+    "verify fixture's row n = 2, s = 0, l = 3, which reads 2",
+)
+def test_triangle_closed_form_counts_no_more_edges_than_pairs():
+    assert _over_pairs(ex_triangle_star_forest, TRIANGLE_POINTS) == []
 
 
 def test_extremal_family_edges_examples():
