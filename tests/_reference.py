@@ -3,9 +3,13 @@
 Everything here works by the most literal algorithm available: scan all
 vertex subsets, all edge subsets, all assignments.  Nothing is shared
 with the package internals, so agreement between the two is meaningful.
+The level check, ``labelled_count_failures``, takes the package's
+detector and the canonical search's generators as given and computes
+group orders its own way; what it checks is the walk's class sets.
 """
 
 import itertools
+import math
 import random
 
 from turanstar import (
@@ -14,10 +18,12 @@ from turanstar import (
     StarForest,
     build_graph,
     canonical_code,
+    enumerate_free_graphs,
     graph_from_code,
     is_family_free,
     mask_of,
 )
+from turanstar.canonical import canonical_code_and_generators
 
 
 def ref_has_clique(g: Graph, size: int) -> bool:
@@ -223,6 +229,132 @@ def ref_refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tupl
         cells = out
         if not changed:
             return cells
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation v -> p[q[v]]: q first, then p."""
+    return tuple(p[v] for v in q)
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for v, image in enumerate(p):
+        out[image] = v
+    return tuple(out)
+
+
+def group_order(n: int, generators) -> int:
+    """Order of the group the permutations (vertex -> image) generate on
+    range(n), by a plain deterministic Schreier-Sims.
+
+    Level i keeps a base point, the strong generators that fix the base
+    points before it, and its base point's orbit under them, each point
+    with a transversal element that takes the base point there.  A level
+    is complete once every Schreier generator of its orbit sifts to the
+    identity through the levels below; one that does not adds its residue
+    where the sift stopped, and the check goes on from there.  The order
+    is the product of the orbit sizes.
+    """
+    identity = tuple(range(n))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    orbits: list[dict[int, tuple[int, ...]]] = []
+
+    def orbit(i: int) -> dict[int, tuple[int, ...]]:
+        transversal = {base[i]: identity}
+        queue = [base[i]]
+        for point in queue:
+            for s in strong[i]:
+                if s[point] not in transversal:
+                    transversal[s[point]] = _compose(s, transversal[point])
+                    queue.append(s[point])
+        return transversal
+
+    def sift(g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        for i in range(start, len(base)):
+            u = orbits[i].get(g[base[i]])
+            if u is None:
+                return g, i
+            g = _compose(_inverse(u), g)
+        return g, len(base)
+
+    def add(g: tuple[int, ...], first: int, last: int) -> None:
+        # g fixes base[:last], so it joins the strong generators of levels first..last
+        if last == len(base):
+            base.append(next(v for v in range(n) if g[v] != v))
+            strong.append([])
+            orbits.append({})
+        for i in range(first, last + 1):
+            strong[i].append(g)
+            orbits[i] = orbit(i)
+
+    def unsifted(i: int) -> tuple[tuple[int, ...], int] | None:
+        # a Schreier generator of level i that does not sift through the
+        # levels below: its residue and the level where the sift stopped
+        for point, u in orbits[i].items():
+            for s in strong[i]:
+                h, j = sift(_compose(_inverse(orbits[i][s[point]]), _compose(s, u)), i + 1)
+                if h != identity:
+                    return h, j
+        return None
+
+    for g in map(tuple, generators):
+        if g != identity:
+            add(g, 0, 0)
+    i = len(base) - 1
+    while i >= 0:
+        residue = unsifted(i)
+        if residue is None:
+            i -= 1
+        else:
+            add(residue[0], i + 1, residue[1])
+            i = residue[1]
+    return math.prod(len(o) for o in orbits)
+
+
+def free_levels(n: int, family) -> list[list[Graph]]:
+    """The oracle's family-free classes on n vertices, one list per edge count."""
+    levels: list[list[Graph]] = []
+    for g in enumerate_free_graphs(n, family):
+        levels.extend([] for _ in range(g.edge_count + 1 - len(levels)))
+        levels[g.edge_count].append(g)
+    return levels
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """The canonical search's automorphism generators, which act on g's canonical graph."""
+    return canonical_code_and_generators(g)[1]
+
+
+def free_additions(g: Graph, family) -> int:
+    """c(g): the non-edges uv of g for which g + uv is family-free."""
+    pairs = itertools.combinations(range(g.n), 2)
+    return sum(is_family_free(g.add_edge(u, v), family) for u, v in pairs if not g.has_edge(u, v))
+
+
+def labelled_count_failures(family, levels, generators=automorphism_generators) -> list[int]:
+    """Edge counts e at which the classes fail to count the labelled graphs two ways.
+
+    The family is closed under edge deletion, so deleting the marked edge
+    of a labelled free graph with e + 1 edges is a bijection onto the
+    labelled free graphs with e edges and one marked non-edge whose
+    addition stays free.  By orbit-stabiliser, a class G on n vertices has
+    n!/|Aut G| labellings, and so
+    (e + 1) * sum(n!/|Aut H| for H at e + 1) = sum(n!/|Aut G| * c(G) for G at e).
+    The level past the last is empty, so the last level's classes must
+    admit no free addition.  A missing class, a class listed twice, a class
+    that is not free and generators of too small a group each break it.
+    It reads the classes, their generators and the detector, and none of
+    the walk's orbit cut, rank test, masks or dedup.
+    """
+    labellings = [[math.factorial(g.n) // group_order(g.n, generators(g)) for g in level] for level in levels]
+    failures = []
+    for e, level in enumerate(levels):
+        above = (e + 1) * sum(labellings[e + 1]) if e + 1 < len(levels) else 0
+        below = sum(count * free_additions(g, family) for g, count in zip(level, labellings[e]))
+        if above != below:
+            failures.append(e)
+    return failures
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -49,6 +49,10 @@ from turanstar.canonical import canonical_code_and_generators
 from turanstar.oracle import _expand_codes, _levels
 
 from _reference import (
+    automorphism_generators,
+    free_levels,
+    group_order,
+    labelled_count_failures,
     random_graph,
     ref_ex,
     ref_expand_codes,
@@ -904,3 +908,43 @@ def test_membership_capped_core_may_face_either_side():
 def test_membership_rejects_unknown_descriptor():
     with pytest.raises(TypeError):
         family_membership(complete_bipartite(2, 3), (2, 3))
+
+
+def test_group_order_of_the_search_generators():
+    c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    for g, order in ((empty_graph(5), 120), (complete_bipartite(3, 3), 72), (c5, 10), (petersen(), 120)):
+        assert group_order(g.n, automorphism_generators(g)) == order
+    # against a count of every permutation that keeps the edges
+    rng = random.Random(7)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 7), rng.random())
+        kept = sum(
+            all(g.has_edge(p[u], p[v]) for u, v in g.edges()) for p in itertools.permutations(range(g.n))
+        )
+        assert group_order(g.n, automorphism_generators(g)) == kept, g.edges()
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [(9, "clique:3"), (8, "clique:4,starforest:1x4"), (8, "clique:4,matching:3"), (8, "clique:3,starforest:2x3")],
+)
+def test_levels_count_the_labelled_free_graphs_two_ways(n, spec):
+    family = ForbiddenFamily.parse(spec)
+    assert labelled_count_failures(family, free_levels(n, family)) == []
+
+
+def test_labelled_count_identity_fails_on_injected_faults():
+    levels = free_levels(8, K3)
+
+    def at_nine(change):
+        return [change(level) if e == 9 else level for e, level in enumerate(levels)]
+
+    relabelled_copy = levels[9][0].relabel(tuple(reversed(range(8))))
+    assert relabelled_copy.rows != levels[9][0].rows
+    triangle = build_graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
+    assert labelled_count_failures(K3, at_nine(lambda level: level[:-1])) == [8, 9]
+    assert labelled_count_failures(K3, at_nine(lambda level: level + [relabelled_copy])) == [8, 9]
+    assert labelled_count_failures(K3, at_nine(lambda level: level + [triangle])) == [8]
+    # every class's last generator dropped: too small a group from the empty graph on
+    dropped = labelled_count_failures(K3, levels, lambda g: automorphism_generators(g)[:-1])
+    assert dropped[0] == 0
