@@ -147,9 +147,9 @@ import logging
 import os
 import time
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import cycle
 from pathlib import Path
 from typing import Iterator
 
@@ -432,10 +432,12 @@ def _levels(
 ) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """One walk on n vertices for all the families.
 
-    Per level, yield (edge count, sorted canonical codes, augmentations
-    tried) for each family still enumerating, in argument order; a family
-    stops after its first empty level.  A family's triples are those of a
-    walk of that family alone.
+    The stream has one fixed layout.  Per level, from 0 until a level is
+    empty for every family, it yields one triple (edge count, sorted
+    canonical codes, augmentations tried) per family, in argument order, so
+    with F families family i's triples sit at positions i, i + F, i + 2F, ...
+    Those are the triples of a walk of that family alone, which ends at its
+    first empty level, followed by (level, (), 0) at every later level.
     """
     seed = empty_graph(n)
     for family in families:
@@ -443,8 +445,7 @@ def _levels(
             raise AssertionError(f"empty graph should always be {family.spec()}-free")
     code, generators = canonical_code_and_generators(seed)
     parents = [(code, generators, (1 << len(families)) - 1)]
-    active = range(len(families))
-    for _ in active:
+    for _ in families:
         yield 0, (code,), 0
     pool = None
     if jobs > 1:
@@ -456,7 +457,7 @@ def _levels(
     run = map if pool is None else pool.map
     try:
         level = 0
-        while active:
+        while parents:
             level += 1
             chunks = [(n, families, parents[i::jobs]) for i in range(min(jobs, len(parents)))]
             found: dict[int, tuple[Generators, int]] = {}
@@ -466,14 +467,9 @@ def _levels(
                     _merge(found, child, entry)
                 visited = [a + b for a, b in zip(visited, seen)]
             parents = [(child, gens, members) for child, (gens, members) in sorted(found.items())]
-            still = []
-            for i in active:
-                codes = tuple(child for child, _, members in parents if members >> i & 1)
+            for i, tried in enumerate(visited):
                 # an empty level still reports the attempts that proved it empty
-                yield level, codes, visited[i]
-                if codes:
-                    still.append(i)
-            active = still
+                yield level, tuple(child for child, _, members in parents if members >> i & 1), tried
     finally:
         if pool is not None:
             pool.shutdown()
@@ -567,13 +563,7 @@ def _walk(
     best: dict[ForbiddenFamily, dict[int, tuple[int, tuple[int, ...]]]] = {family: {} for family in plan}
     visited = {family: dict.fromkeys(ns, 0) for family, ns in plan.items()}
     counted = dict.fromkeys(plan, 0)
-    # the stream gives each level's families in turn, and drops a family
-    # after its first empty level
-    turns = deque(plan)
-    for level, codes, tried in _levels(top, *plan, jobs=jobs):
-        family = turns.popleft()
-        if codes:
-            turns.append(family)
+    for family, (level, codes, tried) in zip(cycle(plan), _levels(top, *plan, jobs=jobs)):
         counted[family] += tried
         for n in plan[family]:
             # classes with at least top - n isolated vertices: a sorted prefix

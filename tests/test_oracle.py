@@ -671,23 +671,33 @@ SHARED_WALKS = {
 def test_shared_walk_equals_separate_walks(group, jobs):
     n, wanted = SHARED_WALKS[group]
     families = [ForbiddenFamily.parse(spec) for spec in wanted]
-    # split the stream as it is laid out: each level's families in argument
-    # order, a family dropped after its first empty level
-    walks = {family: [] for family in families}
-    stream = _levels(n, *families, jobs=jobs)
-    turns = families
-    while turns:
-        for family in turns:
-            walks[family].append(next(stream))
-        turns = [family for family in turns if walks[family][-1][1]]
-    assert next(stream, None) is None
-    for family in families:
-        assert walks[family] == list(_levels(n, family, jobs=1)), family.spec()
+    width = len(families)
+    stream = list(_levels(n, *families, jobs=jobs))
+    assert len(stream) % width == 0
+    assert not any(codes for _, codes, _ in stream[-width:])
+    for i, family in enumerate(families):
+        alone = list(_levels(n, family, jobs=1))
+        walk = stream[i::width]
+        assert walk[:len(alone)] == alone, family.spec()
+        assert walk[len(alone):] == [(level, (), 0) for level in range(len(alone), len(walk))], family.spec()
     shared = oracle.shared_records(dict(zip(families, wanted.values())), jobs)
     for family, ns in zip(families, wanted.values()):
         assert list(shared[family]) == sorted(set(ns)), family.spec()
         assert shared[family] == extremal_records(ns, family), family.spec()
     assert len({record.elapsed for records in shared.values() for record in records.values()}) == 1
+
+
+def test_walk_checks_augmentations_tried_against_non_edges_counted(monkeypatch):
+    a, b = (ForbiddenFamily.parse(spec) for spec in ("clique:3", "starforest:1x3"))
+
+    def overcounted(n, *families, jobs):
+        # one augmentation too many for the second family at level 2
+        for position, (level, codes, tried) in enumerate(_levels(n, *families, jobs=jobs)):
+            yield level, codes, tried + (position == 2 * len(families) + 1)
+
+    monkeypatch.setattr(oracle, "_levels", overcounted)
+    with pytest.raises(AssertionError, match="^starforest:1x3: 1053 augmentations tried, 1052 non-edges"):
+        oracle.shared_records({a: [8], b: [8]}, 1)
 
 
 def test_walks_group_each_familys_misses_by_the_largest(tmp_path, monkeypatch):
