@@ -315,6 +315,8 @@ def joined_capped_extremal(n: int, s: int, l: int) -> Graph:
     """
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
+    if n < s:
+        raise ValueError(f"need n >= s, got n={n}, s={s}")
     rest, s_side, t_side = capped_bipartite(n - s, l)
     return _sidewise_join(s, rest, s_side, t_side)
 

@@ -241,7 +241,7 @@ def test_joined_builders_refuse_where_they_did():
             built += text == "built"
             digest.update(text.encode() + b"\n")
     assert built == 3472
-    assert digest.hexdigest() == "902e59ff3d974fee36717ab224bcaf75a103f32ebba1fe0b676d87c7fe5dd1ce"
+    assert digest.hexdigest() == "29d272fc20739866bce45a2be456711a55edd8a7eaac0d41d833dc96d798aa60"
 
 
 def test_joined_builders_are_pinned():

@@ -533,6 +533,14 @@ def test_cli_construct_missing_option_is_usage_error():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("builder", ["joined-regular", "joined-capped"])
+def test_cli_join_builders_refuse_fewer_vertices_than_the_core(builder):
+    # the message names the options given, not the rest's order n - s
+    result = CliRunner().invoke(main, ["construct", "--builder", builder, "--n", "3", "--s", "5", "--l", "2"])
+    assert result.exit_code == 2, result.output
+    assert "Error: need n >= s, got n=3, s=5\n" in result.output
+
+
 # builder -> (n, its required options, the same graph from a direct library call)
 CONSTRUCT_POINTS = {
     "turan": (10, {"k": 3}, lambda: turan_graph(10, 3)),
