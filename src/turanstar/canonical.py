@@ -19,11 +19,11 @@ isomorphic.  The labeling is found the classical way:
    labeling, and the exhaustive search relies on it to read them off a
    code.  If the root partition is discrete, its labeling is the walk's
    only leaf.  Twins swap under an automorphism, which keeps their degrees
-   and so every root cell, so a discrete root has no twins, and it reports
-   none: twin classes are found when the walk first branches.  A cell is an
-   int vertex mask, its vertices taken in ascending order; every cell of an
-   ordered partition refined from the ascending root lists its vertices
-   in that order anyway, so masks change no code and no labeling.
+   and so every root cell, so a discrete root has no twins.  Twin classes
+   are found once, before the walk.  A cell is an int vertex mask, its
+   vertices taken in ascending order; every cell of an ordered partition
+   refined from the ascending root lists its vertices in that order
+   anyway, so masks change no code and no labeling.
 2. While some cell has two or more vertices, individualize each candidate
    vertex of the first such cell in ascending order and recurse.  Every
    discrete partition reached is a leaf, which encodes one adjacency bit
@@ -36,10 +36,13 @@ isomorphic.  The labeling is found the classical way:
    swap under an automorphism that fixes every other vertex, and so the
    current prefix.  Only the first vertex of each twin class in a cell is
    individualized; its twins would repeat its codes.
-4. When two leaves produce equal codes, the position-wise map between
-   their labelings is an automorphism.  Recorded automorphisms that fix
-   the current branch prefix pointwise let the search skip sibling
-   branches that can only repeat known codes.
+4. When a leaf's code equals the least found so far, the position-wise
+   map from the best leaf's labeling to its labeling is an automorphism.
+   It is recorded once, and the skip test reads it both ways: a recorded
+   automorphism that fixes the current branch prefix pointwise, and so
+   its inverse, lets the search skip each sibling branch that either of
+   them maps a branched vertex onto, as such a branch can only repeat
+   known codes.
 
 The search also returns what it learned about the automorphism group:
 the recorded automorphisms plus one transposition per twinned vertex,
@@ -160,8 +163,8 @@ def _search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
         buckets[row.bit_count()] |= 1 << v
     root = [cell for cell in buckets if cell]
     # the least code, a labeling attaining it, the recorded automorphisms,
-    # and the twin classes, which stay empty unless the walk branches
-    state: list = [None, (), [], []]
+    # and the twin classes, found before the walk: a discrete root has none
+    state: list = [None, (), [], _twin_classes(g.rows)]
     _walk(g.rows, root, root[:-1], [], state)
     code, perm, autos, twin = state
     # twin swaps are automorphisms the search skipped without recording
@@ -183,8 +186,6 @@ def _walk(
         _leaf(rows, tuple([c.bit_length() - 1 for c in cells]), state)
         return
     autos, twin = state[2], state[3]
-    if not twin:  # the first branch, at the root
-        twin = state[3] = _twin_classes(rows)
     cell = cells[split_at]
     branched: list[int] = []
     twins_seen = 0  # mask of the twin classes already branched on or skipped
@@ -211,16 +212,17 @@ def _leaf(rows: tuple[int, ...], perm: tuple[int, ...], state: list) -> None:
     if state[0] is None or code < state[0]:
         state[0], state[1] = code, perm
     elif code == state[0]:
-        sigma, inverse = [0] * len(perm), [0] * len(perm)
+        sigma = [0] * len(perm)
         for a, b in zip(state[1], perm):
             sigma[a] = b
-            inverse[b] = a
-        state[2] += (tuple(sigma), tuple(inverse))
+        state[2].append(tuple(sigma))
 
 
 def _skippable(v: int, branched: list[int], prefix: list[int], autos: list[tuple[int, ...]]) -> bool:
-    """Whether a recorded automorphism fixing the prefix maps a branched vertex onto v."""
-    return any(sigma[w] == v for sigma in autos if all(sigma[p] == p for p in prefix) for w in branched)
+    """Whether a recorded automorphism fixing the prefix, or its inverse,
+    maps a branched vertex onto v."""
+    fixing = (sigma for sigma in autos if all(sigma[p] == p for p in prefix))
+    return any(sigma[w] == v or sigma[v] == w for sigma in fixing for w in branched)
 
 
 def _checked_search(g: Graph) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
@@ -239,8 +241,8 @@ def canonical_code_and_generators(g: Graph) -> tuple[int, list[tuple[int, ...]]]
     graph ``graph_from_code(g.n, code)``, from one search.
 
     Every generator maps the canonical graph onto itself.  Together they
-    generate the group the search pruned by: each pair of leaves found
-    equal, both ways, and the transposition of each vertex with the first
+    generate the group the search pruned by: each leaf found equal to
+    the best, once, and the transposition of each vertex with the first
     vertex of its twin class, all carried over from g's labeling.
     """
     code, perm, autos = _checked_search(g)

@@ -35,7 +35,7 @@ from turanstar import (
 from turanstar import canonical, oracle
 from turanstar.canonical import canonical_code_and_generators
 
-from _reference import random_graph, ref_graph_from_code, ref_refine
+from _reference import group_order, random_graph, ref_graph_from_code, ref_refine
 
 GOLDEN = Path(__file__).parent / "data" / "canonical_forms.txt"
 
@@ -286,6 +286,20 @@ def test_generators_give_the_full_vertex_orbits_up_to_six_vertices():
         assert orbits(n, gens) == orbits(n, group), h.edges()
 
 
+def test_generators_give_the_whole_automorphism_group_up_to_seven_vertices():
+    # orbits can come out whole from too small a group; the order cannot.
+    # Each atlas graph on 1 to 7 vertices is relabelled by a seeded shuffle.
+    rng = random.Random(59)
+    atlas = nx.graph_atlas_g()[1:]
+    assert len(atlas) == 1252
+    for h in atlas:
+        n = h.number_of_nodes()
+        g = _relabelled(build_graph(n, h.edges()), rng)
+        _, gens = canonical_code_and_generators(g)
+        automorphisms = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        assert group_order(n, gens) == automorphisms, h.edges()
+
+
 def test_refinement_orders_large_counts_like_tuples():
     # a pass packs one count per splitter into an int, which must order
     # like the tuple of counts: vertex 0 sees (0, 9), vertex 1 sees (1, 0)
@@ -377,18 +391,24 @@ def test_search_output_is_pinned(monkeypatch):
     # codes, labellings and generators, byte for byte as the labelling gave
     # them when these digests were taken; a speedup of the search that
     # changes any of them fails here, not only through the search counts.
-    # The corpus digest tells a changed enumeration from a changed search.
+    # The corpus digest tells a changed enumeration from a changed search,
+    # and the (code, labelling) digest a changed search from a changed
+    # choice of generators.
     searched, rand = _searched_corpus(monkeypatch)
     graphs = searched + rand
     assert len(searched) == 429
     assert _digest(f"{g.n} {g.rows}" for g in graphs) == (
         "d01d9c641f981d74b3b5bd9954a7431e79273a7b58e590210ae95a8d4373ea1f"
     )
-    assert _digest(repr(canonical._search(g)) for g in graphs) == (
-        "c0264959e9f9a29bc02fe2bd1af75b88716f12b4e820ac463d9f419f1621df35"
+    results = [canonical._search(g) for g in graphs]
+    assert _digest(repr((code, perm)) for code, perm, _ in results) == (
+        "99fede8a55fa49ba20dd7b7ca5136463a65faf06b1303e22d74267029741cc21"
+    )
+    assert _digest(repr(result) for result in results) == (
+        "6ee1074e9957772ddd44ce9f9df23628e033be1126490fe9adc5f5ee1b0bbfc9"
     )
     assert _digest(repr(canonical_code_and_generators(g)) for g in graphs) == (
-        "f46aa122195ddefb941ac26cfa1ec1613d9a34a21fadbb400c671801c5b85818"
+        "edb09e8715db4bacad67b3ed21424a7b5da666184e40c30c0bf17490e13ae4c3"
     )
 
 
