@@ -153,7 +153,7 @@ from itertools import cycle
 from pathlib import Path
 from typing import Iterator
 
-from .canonical import LABELLING_VERSION, canonical_code_and_generators, graph_from_code
+from .canonical import LABELLING_VERSION, canonical_code_and_generators, canonical_form, graph_from_code
 from .detectors import ForbiddenFamily, is_family_free
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph
@@ -204,15 +204,41 @@ class ExtremalRecord:
         )
 
 
+def _record_fault(record: ExtremalRecord) -> str | None:
+    """Why a cached record's graphs cannot be the ones a search found, or None.
+
+    It must list an extremal graph, and each must decode to n vertices with
+    ``ex_value`` edges, be free of the family and be its own canonical form.
+    """
+    if not record.extremal_graphs:
+        return "lists no extremal graph"
+    for code in record.extremal_graphs:
+        try:
+            g = graph6_decode(code)
+            if (g.n, g.edge_count) != (record.n, record.ex_value):
+                found = f"{g.n} vertices and {g.edge_count} edges"
+                return f"graph {code!r} has {found}, not {record.n} and {record.ex_value}"
+            if not is_family_free(g, record.family):
+                return f"graph {code!r} is not {record.family.spec()}-free"
+            if canonical_form(g) != code:
+                return f"graph {code!r} is not canonical"
+        except ValueError as err:
+            return f"graph {code!r}: {err}"
+    return None
+
+
 class ResultCache:
     """Append-only JSON-lines store of search results, keyed by (n, family).
 
     Each line carries the ``LABELLING_VERSION`` of the canonical labeling
     behind its graph6 strings.  Corrupt lines, non-UTF-8 bytes included,
-    and lines with another version or none, are reported with their line
-    number and skipped; the first entry for a key wins so a reread always
-    returns what a previous lookup saw.  A last line cut off before its
-    newline is ended by the first append, so the appended line stays whole.
+    lines with another version or none, and lines whose graphs
+    ``_record_fault`` rejects are reported with their line number and
+    skipped, so their key is searched again.  The first entry for a key that
+    passes wins, so a reread always returns what a previous lookup saw;
+    later lines for a key already held are neither checked nor read.  A last
+    line cut off before its newline is ended by the first append, so the
+    appended line stays whole.
     """
 
     def __init__(self, path: str | Path):
@@ -238,7 +264,12 @@ class ResultCache:
                 if data.get("labelling") != LABELLING_VERSION:
                     log.warning("skipping cache line %d: labelling version %r", lineno, data.get("labelling"))
                     continue
-                self._entries.setdefault((record.n, record.family.spec()), record)
+                key = (record.n, record.family.spec())
+                fault = key not in self._entries and _record_fault(record)
+                if fault:
+                    log.warning("skipping cache line %d: %s", lineno, fault)
+                    continue
+                self._entries.setdefault(key, record)
 
     def lookup(self, n: int, family: ForbiddenFamily) -> ExtremalRecord | None:
         return self._entries.get((n, family.spec()))

@@ -7,11 +7,13 @@ from click.testing import CliRunner
 
 from turanstar import (
     BelowRangeError,
+    ExtremalRecord,
     ForbiddenFamily,
     ResultCache,
     SUITE_NAMES,
     boundary_sweep,
     brute_force_ex,
+    empty_graph,
     extremal_records,
     graph6_decode,
     run_suite,
@@ -254,6 +256,43 @@ def test_cache_append_after_a_torn_last_line_keeps_the_record(tmp_path, caplog):
     assert all(again.lookup(n, fam("clique:3")) == records[n] for n in (4, 5, 6))
     assert len(caplog.messages) == 1 and caplog.messages[0].startswith("skipping corrupt cache line 2:")
     assert path.read_text().endswith("\n" + cache_line(records[6]) + "\n" + cache_line(records[5]) + "\n")
+
+
+# the triangle-free graphs on 6 vertices have at most 9 edges, in one class:
+# K_{3,3}, whose canonical graph6 string is "EFz_".  "ELv_" is canonical,
+# with 9 edges and a triangle.
+@pytest.mark.parametrize(
+    "forged, reason",
+    [
+        ({"extremal_graphs": []}, "lists no extremal graph"),
+        ({"ex_value": 10}, "graph 'EFz_' has 6 vertices and 9 edges, not 6 and 10"),
+        ({"extremal_graphs": ["DFw"]}, "graph 'DFw' has 5 vertices and 6 edges, not 6 and 9"),
+        ({"extremal_graphs": ["EFz"]}, "graph 'EFz': graph6 body length 2, expected 3 for n=6"),
+        ({"extremal_graphs": ["ELv_"]}, "graph 'ELv_' is not clique:3-free"),
+        ({"extremal_graphs": ["EXvO"]}, "graph 'EXvO' is not canonical"),
+    ],
+    ids=["no-graphs", "raised-ex-value", "five-vertices", "undecodable", "triangle", "not-canonical"],
+)
+def test_cache_skips_lines_whose_graphs_are_not_a_search_result(tmp_path, caplog, forged, reason):
+    # a forged line of the right types must not answer for good: it is
+    # skipped, its key searched again and the searched record appended
+    path = tmp_path / "cache.jsonl"
+    family = fam("clique:3")
+    record = brute_force_ex(6, family)
+    assert record.extremal_graphs == ("EFz_",)
+    # "EXvO" is K_{3,3} under another labelling
+    assert graph6_encode(complete_bipartite(3, 3).relabel((0, 2, 4, 1, 3, 5))) == "EXvO"
+    forged_line = cache_line(record, **forged)
+    path.write_text(forged_line + "\n")
+    with caplog.at_level("WARNING"):
+        cache = ResultCache(path)
+    assert cache.lookup(6, family) is None
+    assert caplog.messages == [f"skipping cache line 1: {reason}"]
+    assert extremal_records((6,), family, cache=cache) == {6: record}
+    forged_back, searched = path.read_text().splitlines()
+    assert forged_back == forged_line
+    assert ExtremalRecord.from_json_dict(json.loads(searched)) == record
+    assert ResultCache(path).lookup(6, family) == record
 
 
 def test_cache_first_entry_wins(tmp_path):
@@ -775,15 +814,28 @@ def test_cli_oracle_rejects_oversized():
 
 
 @pytest.mark.parametrize("n", [ORACLE_MAX_N + 1, -1])
-def test_cli_oracle_checks_cap_before_cache(tmp_path, n):
-    # a planted line must not answer for an n the search refuses
+def test_cli_oracle_checks_cap_before_cache(tmp_path, caplog, n):
+    # a planted line must not answer for an n the search refuses.  The line
+    # at n = 12 passes the cache's checks, as the empty graph is the one
+    # clique:2-free class; no graph has -1 vertices, so the line at n = -1
+    # is skipped on load
     path = tmp_path / "c.jsonl"
-    path.write_text(cache_line(brute_force_ex(5, fam("clique:3")), n=n) + "\n")
-    assert ResultCache(path).lookup(n, fam("clique:3")) is not None
-    args = ["oracle", "--n", str(n), "--family", "clique:3", "--cache", str(path)]
+    if n > 0:
+        record = ExtremalRecord(n, fam("clique:2"), 0, (graph6_encode(empty_graph(n)),), 1, 0.0)
+    else:
+        record = dataclasses.replace(brute_force_ex(5, fam("clique:3")), n=n)
+    path.write_text(cache_line(record) + "\n")
+    with caplog.at_level("WARNING"):
+        hit = ResultCache(path).lookup(n, record.family)
+    if n > 0:
+        assert hit == record and not caplog.messages
+    else:
+        assert hit is None
+        assert caplog.messages == ["skipping cache line 1: graph 'DFw' has 5 vertices and 6 edges, not -1 and 6"]
+    args = ["oracle", "--n", str(n), "--family", record.family.spec(), "--cache", str(path)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
-    assert "DFw" not in result.output
+    assert record.extremal_graphs[0] not in result.output
 
 
 def test_cli_verify_single_suite(tmp_path):
