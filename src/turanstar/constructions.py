@@ -24,18 +24,19 @@ The triangle case's join families are laid out once, in ``_JOIN_RULE``: a
 two-part core T_2(s) whose larger part is joined completely to one side of
 the rest and whose smaller part to the other.  ``_sidewise_join`` builds
 that layout for both ``joined_*`` builders, and ``family_membership``
-recognises it: after an edge-count check it searches the splits into five
-parts, two core parts, each free to face either side of the rest, those two
-sides and a leftover vertex.  The families hold many non-isomorphic graphs,
-so comparing with one builder output would be wrong.
+recognises every family by it, K_{s,n-s} included (an independent core part
+of s vertices joined to an independent side of the rest): after an
+edge-count check it searches the splits into five parts, two core parts,
+each free to face either side of the rest, those two sides and a leftover.
+The families hold many non-isomorphic graphs, so comparing with one builder
+output would be wrong.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .canonical import are_isomorphic
 from .detectors import contains_clique
 from .formulas import extremal_family_edges
 from .graphs import (
@@ -248,11 +249,12 @@ def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
 
 # Parts of a join-family member, rows and columns in this order: core parts
 # A (the larger) and B, the rest's sides X and Y joined to A and to B, and a
-# leftover E of at most one vertex.  Entry [p][q]: p and q completely joined
-# (1), with no edges between them (0), or unconstrained (None).  X and Y are
-# independent in a capped rest, which is bipartite between them.  A regular
-# rest need only be triangle-free, so there X (Y) is independent only because
-# A (B) is completely joined to it, and is unconstrained when A (B) is empty.
+# leftover E.  Entry [p][q]: p and q completely joined (1), with no edges
+# between them (0), or unconstrained (None).  X and Y are independent in a
+# capped rest, which is bipartite between them.  A regular rest need only be
+# triangle-free, so there X (Y) is independent only because A (B) is
+# completely joined to it; when A (B) is empty, X (Y) is bound by nothing
+# that E is not, and the membership test counts it in E.
 _JOIN_RULE = (
     (0, 1, 1,    0,    0),     # A
     (1, 0, 0,    1,    0),     # B
@@ -385,29 +387,23 @@ FamilyDescriptor = CompleteBipartiteDescriptor | RegularJoinDescriptor | CappedJ
 _MEMBERSHIP_MAX_N = 16
 
 
-def _join_splits(g: Graph, sizes: tuple[int, ...], bipartite_rest: bool) -> Iterator[tuple[int, ...]]:
+def _join_splits(g: Graph, sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Part masks of every split of g into parts of `sizes` that obeys _JOIN_RULE,
-    placing vertices by descending degree, then index, so the core comes first.
-    Unless the rest is bipartite, X (Y) may hold edges when A (B) is empty."""
-    rules = [list(rule) for rule in _JOIN_RULE]
-    if not bipartite_rest:
-        for core, side in ((0, 2), (1, 3)):
-            if not sizes[core]:
-                rules[side][side] = None
+    placing vertices by descending degree, then index, so the core comes first."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    return _place(g.rows, order, rules, sizes, [0] * len(sizes), 0)
+    return _place(g.rows, order, sizes, [0] * len(sizes), 0)
 
 
 def _place(
-    rows: tuple[int, ...], order: list[int], rules: list[list], sizes: tuple[int, ...], masks: list[int], i: int
+    rows: tuple[int, ...], order: list[int], sizes: tuple[int, ...], masks: list[int], i: int
 ) -> Iterator[tuple[int, ...]]:
     """Every way to put ``order[i:]`` into the parts ``masks``, each part
-    filled to its size and every placed pair obeying ``rules``."""
+    filled to its size and every placed pair obeying ``_JOIN_RULE``."""
     if i == len(order):
         yield tuple(masks)
         return
     bit, row = 1 << order[i], rows[order[i]]
-    for part, rule in enumerate(rules):
+    for part, rule in enumerate(_JOIN_RULE):
         if masks[part].bit_count() == sizes[part]:
             continue
         for placed, r in zip(masks, rule):
@@ -415,7 +411,7 @@ def _place(
                 break
         else:
             masks[part] |= bit
-            yield from _place(rows, order, rules, sizes, masks, i + 1)
+            yield from _place(rows, order, sizes, masks, i + 1)
             masks[part] ^= bit
 
 
@@ -424,47 +420,50 @@ def _near_regular(g: Graph, rest: int, degree: int) -> bool:
     return near_regular(g, rest, degree) and not contains_clique(induced_subgraph(g, rest), 3)
 
 
-def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
-    """Structural membership test against an extremal family.
-
-    K_{s,n-s} is compared by isomorphism.  A join-family member splits into
-    the five parts of ``_JOIN_RULE``, |A| = ceil(s/2) and |B| = floor(s/2).
-    Regular join: X and Y have floor(m/2) of the m = n - s rest vertices,
-    E the odd one, and the rest is triangle-free and near-(l-1)-regular;
-    X (Y) is independent only when A (B) is nonempty, so s = 0 asks for no
-    bipartite rest.
-    Capped join: no E; X and Y are, in either order, S (ceil(m/2) vertices
-    of rest degree <= l-1) and T (floor(m/2), degree l-1).  After an edge-
-    count check every split is searched: either core part may face either side.
-    """
-    if g.n > _MEMBERSHIP_MAX_N:
-        raise ValueError(f"membership search capped at n = {_MEMBERSHIP_MAX_N}, got {g.n}")
+def _layouts(g: Graph, descriptor: FamilyDescriptor) -> list[tuple[int, tuple[int, ...], Callable[..., bool]]]:
+    """The ``_JOIN_RULE`` layouts a member of the family on g's order may take:
+    each its edge count, its part sizes (A, B, X, Y, E) and the check on its
+    rest sides X, Y and E."""
+    n = g.n
     if isinstance(descriptor, CompleteBipartiteDescriptor):
         s = descriptor.s
-        if not 0 <= s <= g.n:
-            return False
-        return are_isomorphic(g, complete_bipartite(s, g.n - s))
+        return [(s * (n - s), (s, 0, n - s, 0, 0), lambda x, y, e: True)] if 0 <= s <= n else []
     if not isinstance(descriptor, (RegularJoinDescriptor, CappedJoinDescriptor)):
         raise TypeError(f"unknown descriptor {descriptor!r}")
     s, l = descriptor.s, descriptor.l
-    if s < 0 or l < 1 or g.n < s:
-        return False
-    core = ((s + 1) // 2, s // 2)
-    half, odd = divmod(g.n - s, 2)
-    e1, e2 = extremal_family_edges(g.n, s, l)
+    if s < 0 or l < 1 or n < s:
+        return []
+    a, b = (s + 1) // 2, s // 2
+    half, odd = divmod(n - s, 2)
+    e1, e2 = extremal_family_edges(n, s, l)
     if isinstance(descriptor, RegularJoinDescriptor):
-        if g.edge_count != e1:
-            return False
-        if s == 0:  # every split puts the whole graph in the rest
-            return _near_regular(g, (1 << g.n) - 1, l - 1)
-        splits = _join_splits(g, (*core, half, half, odd), bipartite_rest=False)
-        return any(_near_regular(g, x | y | e, l - 1) for _, _, x, y, e in splits)
+        x_size, y_size = half * (a > 0), half * (b > 0)  # a side without its core part is in E
+        sizes = (a, b, x_size, y_size, n - s - x_size - y_size)
+        return [(e1, sizes, lambda x, y, e: _near_regular(g, x | y | e, l - 1))]
     # e2 counts A facing S; A facing T loses (|A| - |B|) * (|S| - |T|) edges
-    if g.edge_count == e2:
-        splits = _join_splits(g, (*core, half + odd, half, 0), bipartite_rest=True)
-        if any(capped_sides(g, x, y, l - 1) for _, _, x, y, _ in splits):
-            return True
-    if g.edge_count == e2 - s % 2 * odd:
-        splits = _join_splits(g, (*core, half, half + odd, 0), bipartite_rest=True)
-        return any(capped_sides(g, y, x, l - 1) for _, _, x, y, _ in splits)
-    return False
+    return [
+        (e2, (a, b, half + odd, half, 0), lambda x, y, e: capped_sides(g, x, y, l - 1)),
+        (e2 - s % 2 * odd, (a, b, half, half + odd, 0), lambda x, y, e: capped_sides(g, y, x, l - 1)),
+    ]
+
+
+def family_membership(g: Graph, descriptor: FamilyDescriptor) -> bool:
+    """Structural membership test against an extremal family.
+
+    A member splits into the five parts of ``_JOIN_RULE`` in one of the
+    family's ``_layouts``.  K_{s,n-s}: A holds s vertices and X the other
+    n - s.  Join families: |A| = ceil(s/2) and |B| = floor(s/2).  Regular
+    join: X and Y have floor(m/2) of the m = n - s rest vertices, E the odd
+    one, and the rest is triangle-free and near-(l-1)-regular; a side whose
+    core part is empty is counted in E, so at s = 0 every vertex is in E
+    and the rest is checked once.  Capped join: no E; X and Y are, in
+    either order, S (ceil(m/2) vertices of rest degree <= l-1) and T
+    (floor(m/2), degree l-1).  After an edge-count check every split is
+    searched: either core part may face either side.
+    """
+    if g.n > _MEMBERSHIP_MAX_N:
+        raise ValueError(f"membership search capped at n = {_MEMBERSHIP_MAX_N}, got {g.n}")
+    return any(
+        g.edge_count == edges and any(check(x, y, e) for _, _, x, y, e in _join_splits(g, sizes))
+        for edges, sizes, check in _layouts(g, descriptor)
+    )

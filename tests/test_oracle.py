@@ -737,6 +737,21 @@ def test_membership_complete_bipartite():
     )
 
 
+def test_complete_bipartite_membership_agrees_with_isomorphism_on_atlas():
+    # the split search against the canonical isomorphism test, on every graph
+    # of 1 to 7 vertices, each shuffled, and on s out of range at both ends
+    calls = members = 0
+    for i, h in enumerate(nx.graph_atlas_g()[1:]):
+        n = h.number_of_nodes()
+        g = relabelled(build_graph(n, h.edges()), i)
+        for s in range(-1, n + 2):
+            want = 0 <= s <= n and are_isomorphic(g, complete_bipartite(s, n - s))
+            assert family_membership(g, CompleteBipartiteDescriptor(s)) == want, (h.edges(), s)
+            calls += 1
+            members += want
+    assert (calls, members) == (12231, 35)
+
+
 def test_membership_regular_join():
     g1 = joined_regular_extremal(10, 2, 3)
     assert family_membership(g1, RegularJoinDescriptor(2, 3))
