@@ -149,7 +149,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import cycle
+from itertools import combinations, cycle
 from pathlib import Path
 from typing import Iterator
 
@@ -208,7 +208,10 @@ def _record_fault(record: ExtremalRecord) -> str | None:
     """Why a cached record's graphs cannot be the ones a search found, or None.
 
     It must list an extremal graph, and each must decode to n vertices with
-    ``ex_value`` edges, be free of the family and be its own canonical form.
+    ``ex_value`` edges, be free of the family, be its own canonical form and
+    be edge-maximal: adding any non-edge makes it hold a pattern.  That
+    rejects a lowered ``ex_value`` whose graph is not maximal, but not one
+    whose graph is, and not a line that leaves out an extremal class.
     """
     if not record.extremal_graphs:
         return "lists no extremal graph"
@@ -222,6 +225,9 @@ def _record_fault(record: ExtremalRecord) -> str | None:
                 return f"graph {code!r} is not {record.family.spec()}-free"
             if canonical_form(g) != code:
                 return f"graph {code!r} is not canonical"
+            for u, v in combinations(range(g.n), 2):
+                if not g.has_edge(u, v) and is_family_free(g.add_edge(u, v), record.family):
+                    return f"graph {code!r} stays {record.family.spec()}-free with edge {u}-{v} added"
         except ValueError as err:
             return f"graph {code!r}: {err}"
     return None

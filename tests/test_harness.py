@@ -260,7 +260,9 @@ def test_cache_append_after_a_torn_last_line_keeps_the_record(tmp_path, caplog):
 
 # the triangle-free graphs on 6 vertices have at most 9 edges, in one class:
 # K_{3,3}, whose canonical graph6 string is "EFz_".  "ELv_" is canonical,
-# with 9 edges and a triangle.
+# with 9 edges and a triangle.  "EImo" is canonical and triangle-free with 8
+# edges, and stays triangle-free when edge 0-1 is added: a line that lowers
+# ex to 8.
 @pytest.mark.parametrize(
     "forged, reason",
     [
@@ -270,8 +272,9 @@ def test_cache_append_after_a_torn_last_line_keeps_the_record(tmp_path, caplog):
         ({"extremal_graphs": ["EFz"]}, "graph 'EFz': graph6 body length 2, expected 3 for n=6"),
         ({"extremal_graphs": ["ELv_"]}, "graph 'ELv_' is not clique:3-free"),
         ({"extremal_graphs": ["EXvO"]}, "graph 'EXvO' is not canonical"),
+        ({"ex_value": 8, "extremal_graphs": ["EImo"]}, "graph 'EImo' stays clique:3-free with edge 0-1 added"),
     ],
-    ids=["no-graphs", "raised-ex-value", "five-vertices", "undecodable", "triangle", "not-canonical"],
+    ids=["no-graphs", "raised-ex-value", "five-vertices", "undecodable", "triangle", "not-canonical", "not-maximal"],
 )
 def test_cache_skips_lines_whose_graphs_are_not_a_search_result(tmp_path, caplog, forged, reason):
     # a forged line of the right types must not answer for good: it is
