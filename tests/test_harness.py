@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -529,6 +530,38 @@ rows: 3  status: MISMATCH PRESENT
   ]
 }
 """
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="emit_report writes CSV cells unquoted, so a SKIPPED reason holding a comma reads back as two "
+    "cells; quoting it changes 15 lines of perfbench/fixtures/verify.csv",
+)
+def test_csv_rows_read_back_with_the_schema_cell_count():
+    report = SuiteReport(
+        suite="comma",
+        rows=[SuiteRow(n=7, k=2, s=1, l=3, formula=9, construction=9, oracle=10, free=True,
+                       status=skipped("below the threshold, bound n>=8"))],
+        timestamp="2026-01-01T00:00:00+00:00",
+        version="0.1.0",
+        fresh_oracle_runs=0,
+        graphs_visited=0,
+    )
+    lines = [line for line in emit_report(report, "csv").decode().splitlines() if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    assert header == CSV_SCHEMA.split(",")
+    assert rows == [["7", "2", "1", "3", "9", "9", "10", "true", report.rows[0].status]]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the clique-star-forest suite notes that its grid sizes exceed the enumeration cap, yet 147 of "
+    "its 396 rows lie at n <= 11 with no oracle cell; mending it changes perfbench/fixtures/verify.csv",
+)
+def test_clique_star_forest_oracle_note_holds_for_its_rows():
+    report = run_suite("clique-star-forest")
+    under_cap = [row for row in report.rows if row.n <= ORACLE_MAX_N]
+    assert not under_cap or "exceed the enumeration cap" not in report.notes.get("oracle", "")
 
 
 def test_report_sorted_rows_are_stable():
