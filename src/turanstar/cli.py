@@ -22,6 +22,7 @@ from .constructions import (
     joined_capped_extremal,
     joined_regular_extremal,
     regular_triangle_free,
+    rest_order,
     turan_graph,
 )
 from .detectors import ForbiddenFamily
@@ -92,7 +93,7 @@ def main():
 # name -> (required options, builder taking n and those options in order)
 _BUILDERS = {
     "turan": (("k",), lambda n, k: turan_graph(n, k)),
-    "complete-bipartite": (("s",), lambda n, s: complete_bipartite(s, n - s)),
+    "complete-bipartite": (("s",), lambda n, s: complete_bipartite(s, rest_order(n, s))),
     "regular": (("l",), lambda n, l: regular_triangle_free(n, l)[0]),
     "capped-bipartite": (("l",), lambda n, l: capped_bipartite(n, l)[0]),
     "joined-regular": (("s", "l"), lambda n, s, l: joined_regular_extremal(n, s, l)),

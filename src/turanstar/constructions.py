@@ -22,12 +22,14 @@ so a violated bound fails loudly instead of emitting a wrong graph.
 
 The triangle case's join families are laid out once, in ``_JOIN_RULE``: a
 two-part core T_2(s) whose larger part is joined completely to one side of
-the rest and whose smaller part to the other.  ``_sidewise_join`` builds
-that layout for both ``joined_*`` builders, and ``family_membership``
-recognises every family by it, K_{s,n-s} included (an independent core part
-of s vertices joined to an independent side of the rest): after an
-edge-count check it searches the splits into five parts, two core parts,
-each free to face either side of the rest, those two sides and a leftover.
+the rest and whose smaller part to the other.  Both ``joined_*`` builders
+share one body, ``_joined``, which checks their parameters once, takes
+their rest and its two sides, and builds that layout by ``_sidewise_join``;
+``family_membership`` recognises every family by it, K_{s,n-s} included
+(an independent core part of s vertices joined to an independent side of
+the rest): after an edge-count check it searches the splits into five
+parts, two core parts, each free to face either side of the rest, those
+two sides and a leftover.
 The families hold many non-isomorphic graphs, so comparing with one builder
 output would be wrong.
 """
@@ -226,8 +228,7 @@ def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
     exactly l-1.  Requires ceil(m/2) >= l - 1.  Edge count is
     (l-1) * floor(m/2).
     """
-    if m < 1:
-        raise ValueError(f"need at least one vertex, got m={m}")
+    check_vertex_count(m)
     if l < 1:
         raise ValueError(f"leaf bound must be positive, got l={l}")
     degree = l - 1
@@ -279,6 +280,33 @@ def _sidewise_join(s: int, rest: Graph, x_side: VertexSet, y_side: VertexSet) ->
     return Graph(g.n, tuple(rows))
 
 
+def rest_order(n: int, s: int) -> int:
+    """The order n - s of the rest beside an s-vertex core, refusing s < 0
+    and n < s in the caller's terms."""
+    if s < 0:
+        raise ValueError(f"s must be non-negative, got {s}")
+    if n < s:
+        raise ValueError(f"need n >= s, got n={n}, s={s}")
+    return n - s
+
+
+def _joined(n: int, s: int, l: int, rest: Callable[[int, int], tuple[Graph, VertexSet, VertexSet]]) -> Graph:
+    """The body of both ``joined_*`` builders: T_2(s) over ``rest(n - s, l)``,
+    a graph with its sides X and Y, by ``_sidewise_join``."""
+    m = rest_order(n, s)
+    if l < 1:
+        raise ValueError(f"l must be positive, got {l}")
+    return _sidewise_join(s, *rest(m, l))
+
+
+def _regular_rest(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
+    """The triangle-free (l-1)-regular rest on m vertices, with side X its
+    certificate's side A and side Y its side B minus the exceptional vertex."""
+    rest, cert = _attempt_regular(m, l - 1)
+    spare = 0 if cert.exceptional is None else 1 << cert.exceptional
+    return rest, cert.side_a, cert.side_b & ~spare
+
+
 def joined_regular_extremal(n: int, s: int, l: int) -> Graph:
     """Extremal candidate: balanced complete bipartite core over a regular rest.
 
@@ -293,18 +321,7 @@ def joined_regular_extremal(n: int, s: int, l: int) -> Graph:
     attempted and raise BelowRangeError if the engine cannot wire the rest
     there.
     """
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    m = n - s
-    if m < 0:
-        raise ValueError(f"need n >= s, got n={n}, s={s}")
-    rest, cert = _attempt_regular(m, l - 1)
-    y_side = cert.side_b
-    if cert.exceptional is not None:
-        y_side &= ~(1 << cert.exceptional)
-    return _sidewise_join(s, rest, cert.side_a, y_side)
+    return _joined(n, s, l, _regular_rest)
 
 
 def joined_capped_extremal(n: int, s: int, l: int) -> Graph:
@@ -315,12 +332,7 @@ def joined_capped_extremal(n: int, s: int, l: int) -> Graph:
     other part the (l-1)-regular side T.  Fully bipartite plus the core
     edge set, hence triangle-free.
     """
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    if n < s:
-        raise ValueError(f"need n >= s, got n={n}, s={s}")
-    rest, s_side, t_side = capped_bipartite(n - s, l)
-    return _sidewise_join(s, rest, s_side, t_side)
+    return _joined(n, s, l, capped_bipartite)
 
 
 def clique_matching_extremal(n: int, k: int, s: int) -> Graph:

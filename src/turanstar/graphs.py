@@ -115,21 +115,6 @@ class Graph:
             rows[i] = row
         return Graph(self.n, tuple(rows))
 
-    def validate(self) -> None:
-        """Raise ValueError unless rows form a loop-free symmetric adjacency."""
-        check_vertex_count(self.n)
-        if len(self.rows) != self.n:
-            raise ValueError("row count does not match n")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {v} references vertices >= n")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"edge {v}-{u} is not symmetric")
-
 
 def _check_pair(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):

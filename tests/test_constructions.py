@@ -7,9 +7,11 @@ import pytest
 
 from turanstar import (
     BelowRangeError,
+    CappedJoinDescriptor,
     Clique,
     ForbiddenFamily,
     PartitionCertificate,
+    RegularJoinDescriptor,
     StarForest,
     are_isomorphic,
     build_graph,
@@ -19,6 +21,7 @@ from turanstar import (
     complete_bipartite,
     contains_clique,
     extremal_family_edges,
+    family_membership,
     is_family_free,
     joined_capped_extremal,
     joined_regular_extremal,
@@ -240,8 +243,8 @@ def test_joined_builders_refuse_where_they_did():
             text = _refusal(lambda: build(n, s, l))
             built += text == "built"
             digest.update(text.encode() + b"\n")
-    assert built == 3472
-    assert digest.hexdigest() == "29d272fc20739866bce45a2be456711a55edd8a7eaac0d41d833dc96d798aa60"
+    assert built == 3480
+    assert digest.hexdigest() == "6faa33272593b5cece15081fd72b13bd187147a460cc66b1a707fc9edceee2ed"
 
 
 def test_joined_builders_are_pinned():
@@ -251,7 +254,24 @@ def test_joined_builders_are_pinned():
         for build in (joined_regular_extremal, joined_capped_extremal):
             if _refusal(lambda: build(n, s, l)) == "built":
                 digest.update(repr(build(n, s, l).rows).encode() + b"\n")
-    assert digest.hexdigest() == "479107021d201767bee45c40e06913653ebd3d743be489b307e41139a91b0721"
+    assert digest.hexdigest() == "0f0bfa5b5e63d37170e70ca9324b2c59719ffef76b940504670bd9a72a4bc985"
+
+
+def test_joined_builders_agree_at_n_equal_s():
+    # with no rest both joins are the core T_2(s) alone for l = 1, a member
+    # of both join families, and refuse every larger l the same way
+    for s in range(8):
+        g = joined_regular_extremal(s, s, 1)
+        assert joined_capped_extremal(s, s, 1).rows == g.rows == turan_graph(s, 2).rows
+        assert g.edge_count == (s + 1) // 2 * (s // 2)
+        assert family_membership(g, RegularJoinDescriptor(s, 1))
+        assert family_membership(g, CappedJoinDescriptor(s, 1))
+        for l in range(2, 7):
+            for build in (joined_regular_extremal, joined_capped_extremal):
+                with pytest.raises(BelowRangeError):
+                    build(s, s, l)
+        refusals = {_refusal(lambda: build(s, s, 0)) for build in (joined_regular_extremal, joined_capped_extremal)}
+        assert refusals == {"ValueError: l must be positive, got 0"}
 
 
 def test_engine_refuses_where_it_did():
@@ -262,7 +282,7 @@ def test_engine_refuses_where_it_did():
     for m, d in itertools.product(range(200), range(15)):
         for build in (lambda: _attempt_regular(m, d), lambda: capped_bipartite(m, d + 1)):
             digest.update(_refusal(build).encode() + b"\n")
-    assert digest.hexdigest() == "3f284ce3c4f976d6e4b7c0181cf8507cb7925d329f61395d4b3d35e8ac0611c0"
+    assert digest.hexdigest() == "efbf00864dda77a28780fea37eac6122acfc6864e1f09ed7f866fb991af6877f"
 
 
 def _built(build):

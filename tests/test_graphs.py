@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from turanstar import (
-    Graph,
     bits,
     build_graph,
     disjoint_union,
@@ -115,16 +114,6 @@ def test_relabel_identity_and_swap():
     assert swapped.edges() == [(1, 2)]
     with pytest.raises(ValueError):
         g.relabel((0, 0, 1))
-
-
-def test_validate_catches_bad_rows():
-    with pytest.raises(ValueError):
-        Graph(2, (0b10,)).validate()  # row count off
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b00)).validate()  # loop
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00)).validate()  # asymmetric
-    Graph(2, (0b10, 0b01)).validate()
 
 
 def test_symmetrize_small_case():

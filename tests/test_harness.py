@@ -608,12 +608,13 @@ def test_cli_construct_missing_option_is_usage_error():
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("builder", ["joined-regular", "joined-capped"])
+@pytest.mark.parametrize("builder", ["complete-bipartite", "joined-regular", "joined-capped"])
 def test_cli_join_builders_refuse_fewer_vertices_than_the_core(builder):
     # the message names the options given, not the rest's order n - s
-    result = CliRunner().invoke(main, ["construct", "--builder", builder, "--n", "3", "--s", "5", "--l", "2"])
-    assert result.exit_code == 2, result.output
-    assert "Error: need n >= s, got n=3, s=5\n" in result.output
+    for s, message in (("5", "need n >= s, got n=3, s=5"), ("-1", "s must be non-negative, got -1")):
+        result = CliRunner().invoke(main, ["construct", "--builder", builder, "--n", "3", "--s", s, "--l", "2"])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}\n" in result.output
 
 
 # builder -> (n, its required options, the same graph from a direct library call)
