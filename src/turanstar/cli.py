@@ -18,15 +18,13 @@ from .constructions import (
     capped_bipartite,
     clique_matching_extremal,
     clique_star_forest_extremal,
-    complete_bipartite,
     joined_capped_extremal,
     joined_regular_extremal,
     regular_triangle_free,
-    rest_order,
     turan_graph,
 )
 from .detectors import ForbiddenFamily
-from .formulas import extremal_family_edges
+from .formulas import DOMAINS, extremal_family_edges
 from .graph6 import graph6_decode, graph6_encode, to_edge_list_json
 from .harness import PROBLEMS, SUITE_NAMES, TOOL_VERSION, boundary_sweep, emit_report, run_suites
 from .oracle import ResultCache, extremal_records
@@ -93,7 +91,8 @@ def main():
 # name -> (required options, builder taking n and those options in order)
 _BUILDERS = {
     "turan": (("k",), lambda n, k: turan_graph(n, k)),
-    "complete-bipartite": (("s",), lambda n, s: complete_bipartite(s, rest_order(n, s))),
+    # K_{s,n-s} is the clique-matching candidate at k = 2, so it reads that domain
+    "complete-bipartite": (("s",), lambda n, s: clique_matching_extremal(n, 2, s)),
     "regular": (("l",), lambda n, l: regular_triangle_free(n, l)[0]),
     "capped-bipartite": (("l",), lambda n, l: capped_bipartite(n, l)[0]),
     "joined-regular": (("s", "l"), lambda n, s, l: joined_regular_extremal(n, s, l)),
@@ -159,8 +158,7 @@ def formula(which, n, k, s, l):
         e1, e2 = extremal_family_edges(n, *_need(("s", "l"), s=s, l=l))
         click.echo(json.dumps({"regular_join": e1, "capped_join": e2}))
         return
-    problem = PROBLEMS[which]
-    result = problem.formula(n, *_need(problem.params, k=k, s=s, l=l))
+    result = PROBLEMS[which].formula(n, *_need(tuple(DOMAINS[which]), k=k, s=s, l=l))
     click.echo(json.dumps(result.as_dict()))
 
 

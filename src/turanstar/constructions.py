@@ -23,8 +23,9 @@ so a violated bound fails loudly instead of emitting a wrong graph.
 The triangle case's join families are laid out once, in ``_JOIN_RULE``: a
 two-part core T_2(s) whose larger part is joined completely to one side of
 the rest and whose smaller part to the other.  Both ``joined_*`` builders
-share one body, ``_joined``, which checks their parameters once, takes
-their rest and its two sides, and builds that layout by ``_sidewise_join``;
+share one body, ``_joined``, which checks their parameters against the
+triangle problem's domain, takes their rest and its two sides, and builds
+that layout by ``_sidewise_join``;
 ``family_membership`` recognises every family by it, K_{s,n-s} included
 (an independent core part of s vertices joined to an independent side of
 the rest): after an edge-count check it searches the splits into five
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .detectors import contains_clique
-from .formulas import extremal_family_edges
+from .formulas import check_domain, extremal_family_edges
 from .graphs import (
     Graph, VertexSet, bits, check_vertex_count, disjoint_union, empty_graph, induced_subgraph, join, mask_of,
     respects_bipartition,
@@ -103,9 +104,11 @@ class BelowRangeError(ValueError):
 
     Raised by the range checks and by the circulant engine when it cannot
     feed the spare vertex below its guaranteed range; inside that range an
-    engine failure is an AssertionError.  Suites that scan below the range
-    skip such a size; any other ValueError from a builder is a bug and
-    propagates.
+    engine failure is an AssertionError.  A problem builder raises it only
+    for parameters inside the problem's domain (``formulas.DOMAINS``); an
+    input outside it is a plain ValueError.  Suites that scan below the
+    range skip such a size; any other ValueError from a builder is a bug
+    and propagates.
     """
 
 
@@ -280,23 +283,16 @@ def _sidewise_join(s: int, rest: Graph, x_side: VertexSet, y_side: VertexSet) ->
     return Graph(g.n, tuple(rows))
 
 
-def rest_order(n: int, s: int) -> int:
-    """The order n - s of the rest beside an s-vertex core, refusing s < 0
-    and n < s in the caller's terms."""
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    if n < s:
-        raise ValueError(f"need n >= s, got n={n}, s={s}")
-    return n - s
-
-
 def _joined(n: int, s: int, l: int, rest: Callable[[int, int], tuple[Graph, VertexSet, VertexSet]]) -> Graph:
     """The body of both ``joined_*`` builders: T_2(s) over ``rest(n - s, l)``,
-    a graph with its sides X and Y, by ``_sidewise_join``."""
-    m = rest_order(n, s)
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    return _sidewise_join(s, *rest(m, l))
+    a graph with its sides X and Y, by ``_sidewise_join``.  The rest's
+    refusal below its range is restated in the caller's n, s and l."""
+    check_domain("triangle-star-forest", n, s, l)
+    try:
+        sides = rest(n - s, l)
+    except BelowRangeError as exc:
+        raise BelowRangeError(f"no rest of degree l-1 on n - s vertices, got n={n}, s={s}, l={l}") from exc
+    return _sidewise_join(s, *sides)
 
 
 def _regular_rest(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
@@ -341,10 +337,7 @@ def clique_matching_extremal(n: int, k: int, s: int) -> Graph:
     The (k-1)-part Turan graph on s vertices joined to n-s isolated
     vertices; every edge meets the s-set, so no s+1 disjoint edges fit.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if s < 0 or n < s:
-        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
+    check_domain("clique-matching", n, k, s)
     return join(turan_graph(s, k - 1), empty_graph(n - s))
 
 
@@ -354,16 +347,10 @@ def clique_star_forest_extremal(n: int, k: int, s: int, l: int) -> Graph:
     The (k-2)-part Turan graph on s vertices joined to the triangle-free
     (l-1)-regular graph on the remaining n-s vertices.
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    m = n - s
-    if m < (l - 1) ** 2 + 2:
+    check_domain("clique-star-forest", n, k, s, l)
+    if n - s < (l - 1) ** 2 + 2:
         raise BelowRangeError(f"need n - s >= (l-1)^2 + 2, got n={n}, s={s}, l={l}")
-    core, _ = regular_triangle_free(m, l - 1)
+    core, _ = regular_triangle_free(n - s, l - 1)
     return join(turan_graph(s, k - 2), core)
 
 

@@ -31,6 +31,36 @@ class FormulaResult:
         return {"value": self.value, "validity": self.validity.value, "source": self.source}
 
 
+# Each problem's parameter domain, keyed by its name in ``harness.PROBLEMS``:
+# the least value of each parameter, in the order its closed form takes them.
+# Beyond these, n must reach s where s is a parameter, and 0 otherwise.
+DOMAINS = {
+    "star": {"l": 0},
+    "clique-matching": {"k": 2, "s": 0},
+    "clique-star-forest": {"k": 3, "s": 0, "l": 2},
+    "triangle-star-forest": {"s": 0, "l": 1},
+}
+
+
+def check_domain(problem: str, n: int, *args: int) -> None:
+    """Raise ValueError, naming the offending values, unless n and ``args``
+    (the problem's parameters in ``DOMAINS`` order) lie in its domain.
+
+    Every closed form and problem builder calls this first, so an input
+    outside the domain is a usage error, never a BelowRangeError.
+    """
+    s = None
+    for (name, least), value in zip(DOMAINS[problem].items(), args, strict=True):
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {name}={value}")
+        if name == "s":
+            s = value
+    if s is not None and n < s:
+        raise ValueError(f"need n >= s, got n={n}, s={s}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+
+
 def turan_edges(n: int, k: int) -> int:
     """Edge count of the balanced complete k-partite graph on n vertices."""
     if k < 1:
@@ -51,10 +81,7 @@ def ex_star(n: int, l: int) -> FormulaResult:
     below that the same arithmetic is reported as out of range.  On
     n <= l vertices no degree reaches l, and the value is C(n, 2).
     """
-    if l < 0:
-        raise ValueError(f"degree bound must be non-negative, got {l}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
+    check_domain("star", n, l)
     value = min(l, n - 1) * n // 2
     validity = Validity.PROVEN if n >= l * l + 2 else Validity.OUT_OF_RANGE
     return FormulaResult(value, validity, "star")
@@ -69,10 +96,7 @@ def ex_clique_matching(n: int, k: int, s: int) -> FormulaResult:
     edges are disjoint, so the first term is the Turan graph on all n
     vertices, and the value is exact there too.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
+    check_domain("clique-matching", n, k, s)
     value = max(turan_edges(min(n, 2 * s + 1), k), turan_edges(s, k - 1) + s * (n - s))
     validity = Validity.PROVEN if n >= 2 * s + 1 else Validity.OUT_OF_RANGE
     return FormulaResult(value, validity, "clique-matching")
@@ -86,12 +110,7 @@ def ex_clique_star_forest(n: int, k: int, s: int, l: int) -> FormulaResult:
     at the n-s-1 other rest vertices.  Proven once n reaches
     k*s^2 + (s+1)*(l+1)^2; smaller n still gets the raw arithmetic.
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    if s < 0 or n < s:
-        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
+    check_domain("clique-star-forest", n, k, s, l)
     m = n - s
     value = turan_edges(s, k - 2) + s * m + min(l - 1, m - 1) * m // 2
     threshold = k * s * s + (s + 1) * (l + 1) * (l + 1)
@@ -106,10 +125,7 @@ def extremal_family_edges(n: int, s: int, l: int) -> tuple[int, int]:
     Second: the capped-core join (joined_capped_extremal).  They agree
     whenever n - s is even.
     """
-    if s < 0 or n < s:
-        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got l={l}")
+    check_domain("triangle-star-forest", n, s, l)
     m = n - s
     big, small = (s + 1) // 2, s // 2
     base = big * small
@@ -127,10 +143,7 @@ def ex_triangle_star_forest(n: int, s: int, l: int) -> FormulaResult:
     unspecified large n, so the status is heuristic; the one exception is
     s = 0, where the star bound is proven for n >= (l-1)^2+2.
     """
-    if s < 0 or n < s:
-        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
-    if l < 1:
-        raise ValueError(f"need l >= 1, got l={l}")
+    check_domain("triangle-star-forest", n, s, l)
     if l < s + 1:
         value = s * (n - s)
         source = "triangle-star-forest:bipartite"
@@ -154,6 +167,5 @@ def exploration_threshold(s: int, l: int) -> int:
     asserts nothing and is backed by no proof; it exists only so the
     reports distinguish "probably settled" from "anybody's guess".
     """
-    if s < 0 or l < 1:
-        raise ValueError(f"need s >= 0 and l >= 1, got s={s}, l={l}")
+    check_domain("triangle-star-forest", s, s, l)  # no n to check: n = s passes
     return 4 * (s + l) ** 2 + s

@@ -83,18 +83,6 @@ class Graph:
         rows[v] |= 1 << u
         return Graph(self.n, tuple(rows))
 
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        _check_pair(self.n, u, v)
-        rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = tuple((full & ~r & ~(1 << v)) for v, r in enumerate(self.rows))
-        return Graph(self.n, rows)
-
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Graph whose vertex i plays the role of old vertex ``perm[i]``.
 

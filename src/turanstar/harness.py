@@ -9,9 +9,10 @@ reason spelled out.  Divergence between search and formula below a proven
 threshold is data about where the closed form starts holding, not a
 failure, so it is never reported as MISMATCH.
 
-Each problem (its parameters, forbidden family, closed form and candidate
-extremal constructions) is declared once in ``PROBLEMS``; the suites, the
-sweep and the CLI's ``formula`` command read that table.
+Each problem (its forbidden family, closed form and candidate extremal
+constructions) is declared once in ``PROBLEMS``, under the name that keys
+its parameter domain in ``formulas.DOMAINS``; the suites, the sweep and
+the CLI's ``formula`` command read both tables.
 
 Each suite declares in ``_SUITES`` the oracle slices it reads.  A run of
 suites asks ``oracle.shared_records`` once for every family, in order of
@@ -44,7 +45,9 @@ from .constructions import (
 )
 from .detectors import Clique, ForbiddenFamily, StarForest, is_family_free
 from .formulas import (
+    DOMAINS,
     FormulaResult,
+    check_domain,
     ex_clique_matching,
     ex_clique_star_forest,
     ex_star,
@@ -134,15 +137,14 @@ def _clique_star_family(k: int, s: int, l: int) -> ForbiddenFamily:
 class Problem:
     """One extremal problem, declared once.
 
-    ``family`` takes the parameters named in ``params``; ``formula`` and
-    ``builders`` take ``(n, *params)``.  ``builders`` returns thunks for the
-    candidate extremal graphs, and every candidate it returns applies at
-    that ``(n, params)``: below a construction's guaranteed range the
-    thunk may still refuse with BelowRangeError, which ``_built`` turns
-    into None.
+    ``family`` takes the parameters its ``formulas.DOMAINS`` entry names, in
+    that order; ``formula`` and ``builders`` take ``(n, *params)``.
+    ``builders`` returns thunks for the candidate extremal graphs, and every
+    candidate it returns applies at that ``(n, params)``: below a
+    construction's guaranteed range the thunk may still refuse with
+    BelowRangeError, which ``_built`` turns into None.
     """
 
-    params: tuple[str, ...]
     family: Callable[..., ForbiddenFamily]
     formula: Callable[..., FormulaResult]
     builders: Callable[..., tuple[Callable[[], Graph], ...]]
@@ -152,29 +154,25 @@ class Problem:
 # swapped in later (a tracer, a test double) is the one that runs.
 PROBLEMS = {
     "star": Problem(
-        params=("l",),
         family=lambda l: ForbiddenFamily((StarForest(1, l + 1),)),
         formula=lambda n, l: ex_star(n, l),
         builders=lambda n, l: (lambda: regular_triangle_free(n, l)[0],),
     ),
     "clique-matching": Problem(
-        params=("k", "s"),
         family=lambda k, s: _clique_star_family(k, s, 1),
         formula=lambda n, k, s: ex_clique_matching(n, k, s),
-        # compact core vs split join
+        # compact core, on all n vertices below 2s + 1 as in the closed form, vs split join
         builders=lambda n, k, s: (
-            lambda: disjoint_union(turan_graph(2 * s + 1, k), empty_graph(n - 2 * s - 1)),
+            lambda: disjoint_union(turan_graph(min(n, 2 * s + 1), k), empty_graph(max(n - 2 * s - 1, 0))),
             lambda: clique_matching_extremal(n, k, s),
         ),
     ),
     "clique-star-forest": Problem(
-        params=("k", "s", "l"),
         family=_clique_star_family,
         formula=lambda n, k, s, l: ex_clique_star_forest(n, k, s, l),
         builders=lambda n, k, s, l: (lambda: clique_star_forest_extremal(n, k, s, l),),
     ),
     "triangle-star-forest": Problem(
-        params=("s", "l"),
         family=lambda s, l: _clique_star_family(2, s, l),
         formula=lambda n, s, l: ex_triangle_star_forest(n, s, l),
         builders=lambda n, s, l: (
@@ -187,7 +185,7 @@ PROBLEMS = {
 
 
 def _args(name: str, params: dict) -> list[int]:
-    return [params[p] for p in PROBLEMS[name].params]
+    return [params[p] for p in DOMAINS[name]]
 
 
 def _row(
@@ -309,13 +307,14 @@ def _suite_triangle_star_forest(sliced) -> tuple[list[SuiteRow], dict]:
 
 
 def _sweep_slices(k: int = 2, s: int = 1, l: int = 2, n_max: int = ORACLE_MAX_N) -> tuple:
-    """The sweep's one slice: K_{k+1} plus (s+1)S_l at n = s + 2..n_max."""
-    if k < 2 or s < 0 or l < 1 or (k > 2 and l < 2):
-        raise ValueError(f"bad sweep parameters k={k}, s={s}, l={l}")
+    """The sweep's one slice: K_{k+1} plus (s+1)S_l at n = s + 2..n_max,
+    the triangle problem for k = 2 and the clique-star-forest one otherwise."""
+    name = "triangle-star-forest" if k == 2 else "clique-star-forest"
+    params = {"k": k, "s": s, "l": l}
+    check_domain(name, s + 2, *_args(name, params))  # the sweep's first n
     if n_max < s + 2:
         raise ValueError(f"empty sweep: no n in s + 2 = {s + 2} .. n_max = {n_max}")
-    name = "triangle-star-forest" if k == 2 else "clique-star-forest"
-    return ((name, {"k": k, "s": s, "l": l}, range(s + 2, n_max + 1)),)
+    return ((name, params, range(s + 2, n_max + 1)),)
 
 
 def _sweep_rows(sliced) -> tuple[list[SuiteRow], dict]:

@@ -357,6 +357,16 @@ def labelled_count_failures(family, levels, generators=automorphism_generators) 
     return failures
 
 
+def remove_edge(g: Graph, u: int, v: int) -> Graph:
+    """g without the edge uv, if it has one."""
+    return build_graph(g.n, [e for e in g.edges() if set(e) != {u, v}])
+
+
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are g's non-edges."""
+    return build_graph(g.n, [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)])
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v)
@@ -383,4 +393,4 @@ def strip_triangles(g: Graph, rng: random.Random) -> Graph:
                 break
         if not tri:
             return g
-        g = g.remove_edge(*rng.choice(tri))
+        g = remove_edge(g, *rng.choice(tri))

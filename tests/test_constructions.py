@@ -20,6 +20,11 @@ from turanstar import (
     clique_star_forest_extremal,
     complete_bipartite,
     contains_clique,
+    ex_clique_matching,
+    ex_clique_star_forest,
+    ex_star,
+    ex_triangle_star_forest,
+    exploration_threshold,
     extremal_family_edges,
     family_membership,
     is_family_free,
@@ -29,6 +34,7 @@ from turanstar import (
     turan_edges,
     turan_graph,
 )
+from turanstar import harness
 from turanstar.constructions import _attempt_regular
 from turanstar.graphs import MAX_VERTICES, disjoint_union, empty_graph, join
 
@@ -234,6 +240,44 @@ def _refusal(build):
 JOINED_GRID = list(itertools.product(range(45), range(8), range(1, 7)))
 
 
+# every closed form and problem builder: a point inside its problem's domain,
+# and the least value of each of its parameters (n's least is s where s is one)
+STAR = ({"n": 9, "l": 2}, {"n": 0, "l": 0})
+MATCHING = ({"n": 9, "k": 3, "s": 2}, {"k": 2, "s": 0})
+STAR_FOREST = ({"n": 20, "k": 3, "s": 2, "l": 3}, {"k": 3, "s": 0, "l": 2})
+TRIANGLE = ({"n": 12, "s": 3, "l": 4}, {"s": 0, "l": 1})
+DOMAIN_CALLERS = {
+    ex_star: STAR,
+    ex_clique_matching: MATCHING,
+    ex_clique_star_forest: STAR_FOREST,
+    ex_triangle_star_forest: TRIANGLE,
+    extremal_family_edges: TRIANGLE,
+    exploration_threshold: ({"s": 3, "l": 4}, {"s": 0, "l": 1}),
+    clique_matching_extremal: MATCHING,
+    clique_star_forest_extremal: STAR_FOREST,
+    joined_regular_extremal: TRIANGLE,
+    joined_capped_extremal: TRIANGLE,
+}
+
+
+@pytest.mark.parametrize("call", DOMAIN_CALLERS, ids=lambda call: call.__name__)
+def test_inputs_outside_the_domain_are_usage_errors(call):
+    # one below each least value, and n one below s: a plain ValueError that
+    # names the values given, never a BelowRangeError that a suite would skip
+    inside, least = DOMAIN_CALLERS[call]
+    call(**inside)
+    outside = [({**inside, name: value - 1}, (name,)) for name, value in least.items()]
+    if "n" in inside and "s" in inside:
+        outside += [({**inside, "n": inside["s"] - 1}, ("n", "s")), ({**inside, "n": 3, "s": 5}, ("n", "s"))]
+    for point, names in outside:
+        for attempt in (lambda: call(**point), lambda: harness._built(lambda: call(**point))):
+            with pytest.raises(ValueError) as refusal:
+                attempt()
+            assert not isinstance(refusal.value, BelowRangeError), (point, refusal.value)
+            for name in names:
+                assert f"{name}={point[name]}" in str(refusal.value), (point, refusal.value)
+
+
 def test_joined_builders_refuse_where_they_did():
     # which points each joined builder builds and how it refuses the others;
     # a change of wiring may move the rows, never these
@@ -244,7 +288,7 @@ def test_joined_builders_refuse_where_they_did():
             built += text == "built"
             digest.update(text.encode() + b"\n")
     assert built == 3480
-    assert digest.hexdigest() == "6faa33272593b5cece15081fd72b13bd187147a460cc66b1a707fc9edceee2ed"
+    assert digest.hexdigest() == "87f05b8bc6441a37d5c6750de144f566bc01d82c840746c011bfe3b018ed952b"
 
 
 def test_joined_builders_are_pinned():
@@ -271,7 +315,7 @@ def test_joined_builders_agree_at_n_equal_s():
                 with pytest.raises(BelowRangeError):
                     build(s, s, l)
         refusals = {_refusal(lambda: build(s, s, 0)) for build in (joined_regular_extremal, joined_capped_extremal)}
-        assert refusals == {"ValueError: l must be positive, got 0"}
+        assert refusals == {"ValueError: need l >= 1, got l=0"}
 
 
 def test_engine_refuses_where_it_did():

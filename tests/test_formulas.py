@@ -62,7 +62,7 @@ def test_ex_clique_matching_examples():
         ex_clique_matching(5, 1, 1)
     with pytest.raises(ValueError):
         ex_clique_matching(5, 2, -1)
-    with pytest.raises(ValueError, match=r"need 0 <= s <= n, got n=2, s=3"):
+    with pytest.raises(ValueError, match=r"need n >= s, got n=2, s=3"):
         ex_clique_matching(2, 3, 3)
 
 

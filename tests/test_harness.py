@@ -108,9 +108,21 @@ def test_below_range_refusals_have_their_own_type():
         clique_star_forest_extremal(3, 3, 1, 2)
     with pytest.raises(BelowRangeError, match=r"degree\^2 \+ 2"):
         regular_triangle_free(5, 2)
-    # an engine refusal below the guaranteed range uses the same vocabulary
-    with pytest.raises(BelowRangeError, match="half the vertex count"):
-        joined_regular_extremal(9, 4, 4)
+    # a join restates its rest's refusal, the engine's or the capped rest's
+    # ceil(m/2) >= l-1, in the caller's n, s and l
+    for build, (n, s, l) in ((joined_regular_extremal, (9, 4, 4)), (joined_capped_extremal, (5, 3, 3))):
+        with pytest.raises(BelowRangeError) as refusal:
+            build(n, s, l)
+        assert str(refusal.value) == f"no rest of degree l-1 on n - s vertices, got n={n}, s={s}, l={l}"
+
+
+def test_clique_matching_candidates_apply_across_the_domain():
+    # below n = 2s + 1 the compact core takes all n vertices, as the closed
+    # form's Turan term does, so every n >= s makes a row that must agree
+    for k, s in ((2, 1), (2, 3), (3, 2), (4, 3)):
+        for n in range(s, 2 * s + 3):
+            row = harness._checked_row("clique-matching", n, {"k": k, "s": s})
+            assert row.status == "MATCH", row
 
 
 @pytest.mark.parametrize(
@@ -611,7 +623,7 @@ def test_cli_construct_missing_option_is_usage_error():
 @pytest.mark.parametrize("builder", ["complete-bipartite", "joined-regular", "joined-capped"])
 def test_cli_join_builders_refuse_fewer_vertices_than_the_core(builder):
     # the message names the options given, not the rest's order n - s
-    for s, message in (("5", "need n >= s, got n=3, s=5"), ("-1", "s must be non-negative, got -1")):
+    for s, message in (("5", "need n >= s, got n=3, s=5"), ("-1", "need s >= 0, got s=-1")):
         result = CliRunner().invoke(main, ["construct", "--builder", builder, "--n", "3", "--s", s, "--l", "2"])
         assert result.exit_code == 2, result.output
         assert f"Error: {message}\n" in result.output
@@ -750,7 +762,7 @@ def test_cli_clique_matching_refuses_fewer_vertices_than_the_core(n):
     # 16 edges on 2 vertices, or 2 on -5, are no extremal counts
     result = CliRunner().invoke(main, ["formula", "--which", "clique-matching", "--n", n, "--k", "3", "--s", "3"])
     assert result.exit_code == 2, result.output
-    assert f"Error: need 0 <= s <= n, got n={n}, s=3\n" in result.output
+    assert f"Error: need n >= s, got n={n}, s=3\n" in result.output
 
 
 # problem -> (arguments after --which, the closed form called directly)

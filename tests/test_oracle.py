@@ -60,6 +60,7 @@ from _reference import (
     ref_has_star_forest,
     ref_is_free,
     ref_outranked,
+    remove_edge,
 )
 
 K3 = ForbiddenFamily((Clique(3),))
@@ -733,7 +734,7 @@ def test_membership_complete_bipartite():
     assert family_membership(complete_bipartite(2, 8), CompleteBipartiteDescriptor(2))
     assert not family_membership(complete_bipartite(2, 8), CompleteBipartiteDescriptor(3))
     assert not family_membership(
-        complete_bipartite(2, 8).remove_edge(0, 2), CompleteBipartiteDescriptor(2)
+        remove_edge(complete_bipartite(2, 8), 0, 2), CompleteBipartiteDescriptor(2)
     )
 
 
@@ -775,7 +776,7 @@ def test_membership_even_rest_collapses_both_ways():
 
 def test_membership_rejects_perturbations():
     g = joined_regular_extremal(10, 2, 3)
-    assert not family_membership(g.remove_edge(*g.edges()[0]), RegularJoinDescriptor(2, 3))
+    assert not family_membership(remove_edge(g, *g.edges()[0]), RegularJoinDescriptor(2, 3))
     h = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert family_membership(h, CompleteBipartiteDescriptor(1))
     assert not family_membership(h, RegularJoinDescriptor(2, 3))
@@ -846,7 +847,7 @@ def test_membership_without_core_checks_the_whole_graph_once(monkeypatch):
     # s = 0 puts every vertex in the rest, whatever the split; the first
     # edge, 0-8, moved to the first non-edge that keeps the graph
     # triangle-free, 0-3, leaves e1 edges but degrees 2 and 4
-    g = joined_regular_extremal(16, 0, 4).remove_edge(0, 8).add_edge(0, 3)
+    g = remove_edge(joined_regular_extremal(16, 0, 4), 0, 8).add_edge(0, 3)
     assert g.edge_count == 24 and ref_is_free(g, K3)
     calls = []
     near_regular = constructions._near_regular
@@ -866,7 +867,7 @@ def test_membership_regular_rest_side_without_core_part_may_hold_edges():
                     + [(y, x) for y, xs in x_neighbours.items() for x in xs])
     assert ref_is_free(g, K3) and g.edge_count == 32
     assert [(g.rows[v] >> 1).bit_count() for v in range(1, 14)] == [4] * 13
-    moved = g.remove_edge(0, 1).add_edge(11, 13)  # 0 misses X vertex 1; 11-13-3 is a triangle
+    moved = remove_edge(g, 0, 1).add_edge(11, 13)  # 0 misses X vertex 1; 11-13-3 is a triangle
     for h, member in ((relabelled(g, 14), True), (relabelled(moved, 14), False)):
         assert ref_family_membership(h, True, 1, 5) == member
         assert family_membership(h, RegularJoinDescriptor(1, 5)) == member
@@ -892,7 +893,7 @@ def test_membership_odd_rest_leftover_is_searched():
     g = joined_regular_extremal(11, 2, 3)
     (leftover,) = [v for v in range(2, 11) if not g.rows[v] & 0b11]
     # moving a core edge onto the leftover makes the old endpoint the leftover
-    h = g.remove_edge(0, 2).add_edge(0, leftover)
+    h = remove_edge(g, 0, 2).add_edge(0, leftover)
     assert family_membership(relabelled(h, 11), RegularJoinDescriptor(2, 3))
     assert not family_membership(relabelled(h.add_edge(1, leftover), 11), RegularJoinDescriptor(2, 3))
 
@@ -908,7 +909,7 @@ def test_membership_at_the_size_cap():
     g = joined_regular_extremal(16, 3, 4)
     u, v = next((u, v) for u, v in g.edges() if u >= 3)
     w = next(w for w in range(3, 16) if w != u and not g.has_edge(u, w))
-    moved = relabelled(g.remove_edge(u, v).add_edge(u, w), 16)
+    moved = relabelled(remove_edge(g, u, v).add_edge(u, w), 16)
     assert moved.edge_count == g.edge_count
     assert not family_membership(moved, RegularJoinDescriptor(3, 4))
     with pytest.raises(ValueError):
