@@ -38,6 +38,7 @@ output would be wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .detectors import contains_clique
@@ -46,6 +47,10 @@ from .graphs import (
     Graph, VertexSet, bits, check_vertex_count, disjoint_union, empty_graph, induced_subgraph, join, mask_of,
     respects_bipartition,
 )
+
+# Distinct rests each builder keeps: a full verify asks for a few hundred, and
+# the bound keeps a caller that sweeps large n from holding every graph.
+REST_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -171,13 +176,16 @@ def near_regular(g: Graph, rest: VertexSet, degree: int) -> bool:
     return short == degree * rest.bit_count() % 2
 
 
+@lru_cache(maxsize=REST_CACHE_SIZE)
 def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
     """Run the circulant engine at any n, below the guaranteed range too.
 
     Raises BelowRangeError when the engine cannot feed the spare vertex
     below n = degree**2 + 2, where it still succeeds for many n; at or
     above it, where the engine is proven to build, such a failure is a bug
-    and raises AssertionError.
+    and raises AssertionError.  A built rest is cached: the graph and
+    certificate are immutable, so a repeated call returns what a rebuild
+    would; a refusal is raised again on every call.
     """
     try:
         rows = _circulant_engine(n, degree, reroute_spare=(n % 2 == 1))
@@ -197,19 +205,19 @@ def _attempt_regular(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
     return g, cert
 
 
-def regular_triangle_free(n: int, degree: int) -> tuple[Graph, PartitionCertificate]:
-    """Triangle-free graph with all degrees ``degree``, or all but one.
+def regular_triangle_free(n: int, l: int) -> tuple[Graph, PartitionCertificate]:
+    """Triangle-free graph with all degrees ``l``, or all but one.
 
-    Exactly one vertex of degree ``degree - 1`` appears when degree * n is
-    odd; that vertex is the certificate's exceptional vertex.  Requires
-    n >= degree**2 + 2; in that range the circulant engine is guaranteed
-    to feed the spare vertex.
+    The extremal graph of ``ex_star(n, l)``.  Exactly one vertex of degree
+    ``l - 1`` appears when l * n is odd; that vertex is the certificate's
+    exceptional vertex.  Requires n >= l**2 + 2; in that range the
+    circulant engine is guaranteed to feed the spare vertex.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    if n < degree * degree + 2:
-        raise BelowRangeError(f"need n >= degree^2 + 2, got n={n}, degree={degree}")
-    return _attempt_regular(n, degree)
+    if l < 0:
+        raise ValueError(f"need l >= 0, got l={l}")
+    if n < l * l + 2:
+        raise BelowRangeError(f"need n >= l^2 + 2, got n={n}, l={l}")
+    return _attempt_regular(n, l)
 
 
 def capped_sides(g: Graph, s_side: VertexSet, t_side: VertexSet, degree: int) -> bool:
@@ -223,31 +231,33 @@ def capped_sides(g: Graph, s_side: VertexSet, t_side: VertexSet, degree: int) ->
     return True
 
 
-def capped_bipartite(m: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
+@lru_cache(maxsize=REST_CACHE_SIZE)
+def capped_bipartite(n: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
     """Bipartite graph whose smaller side is (l-1)-regular.
 
-    Returns (graph, s_mask, t_mask) where the side S has ceil(m/2) vertices
-    of degree at most l-1 and the side T has floor(m/2) vertices of degree
-    exactly l-1.  Requires ceil(m/2) >= l - 1.  Edge count is
-    (l-1) * floor(m/2).
+    Returns (graph, s_mask, t_mask) where the side S has ceil(n/2) vertices
+    of degree at most l-1 and the side T has floor(n/2) vertices of degree
+    exactly l-1.  Requires ceil(n/2) >= l - 1.  Edge count is
+    (l-1) * floor(n/2).  Cached like ``_attempt_regular``: repeated calls
+    with the same arguments return the same immutable graph and masks.
     """
-    check_vertex_count(m)
+    check_vertex_count(n)
     if l < 1:
         raise ValueError(f"leaf bound must be positive, got l={l}")
     degree = l - 1
-    if (m + 1) // 2 < degree:
-        raise BelowRangeError(f"need ceil(m/2) >= l-1, got m={m}, l={l}")
-    rows = _circulant_engine(m, degree, reroute_spare=False)
-    g = Graph(m, tuple(rows))
-    half = m // 2
+    if (n + 1) // 2 < degree:
+        raise BelowRangeError(f"need ceil(n/2) >= l-1, got n={n}, l={l}")
+    rows = _circulant_engine(n, degree, reroute_spare=False)
+    g = Graph(n, tuple(rows))
+    half = n // 2
     first = (1 << half) - 1
-    second = ((1 << (m - half)) - 1) << half
-    if m % 2 == 0:
+    second = ((1 << (n - half)) - 1) << half
+    if n % 2 == 0:
         s_mask, t_mask = first, second
     else:
         s_mask, t_mask = second, first
     assert capped_sides(g, s_mask, t_mask, degree)
-    assert g.edge_count == degree * (m // 2)
+    assert g.edge_count == degree * (n // 2)
     return g, s_mask, t_mask
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,14 +103,14 @@ def test_run_suite_rejects_unknown():
 
 
 def test_below_range_refusals_have_their_own_type():
-    with pytest.raises(BelowRangeError, match=r"ceil\(m/2\) >= l-1"):
+    with pytest.raises(BelowRangeError, match=r"^need ceil\(n/2\) >= l-1, got n=2, l=3$"):
         capped_bipartite(2, 3)
     with pytest.raises(BelowRangeError, match=r"n - s >= \(l-1\)\^2 \+ 2"):
         clique_star_forest_extremal(3, 3, 1, 2)
-    with pytest.raises(BelowRangeError, match=r"degree\^2 \+ 2"):
+    with pytest.raises(BelowRangeError, match=r"^need n >= l\^2 \+ 2, got n=5, l=2$"):
         regular_triangle_free(5, 2)
     # a join restates its rest's refusal, the engine's or the capped rest's
-    # ceil(m/2) >= l-1, in the caller's n, s and l
+    # ceil(n/2) >= l-1 on its n - s vertices, in the caller's n, s and l
     for build, (n, s, l) in ((joined_regular_extremal, (9, 4, 4)), (joined_capped_extremal, (5, 3, 3))):
         with pytest.raises(BelowRangeError) as refusal:
             build(n, s, l)
@@ -175,6 +176,7 @@ def test_engine_failure_in_range_is_not_read_as_below_range(monkeypatch):
         raise BelowRangeError("not enough blocks to feed the spare vertex")
 
     monkeypatch.setattr(constructions, "_circulant_engine", exhausted)
+    constructions._attempt_regular.cache_clear()  # else a cached (7, 2) rest skips the engine
     with pytest.raises(AssertionError, match="inside guaranteed range"):
         harness._built(lambda: joined_regular_extremal(8, 1, 3))
 
@@ -406,6 +408,29 @@ def test_cold_verify_enumerates_each_family_once(tmp_path, monkeypatch):
     assert dict(walks)[11] == ["clique:3,starforest:2x2"]
 
 
+def test_verify_builds_each_rest_once(tmp_path, monkeypatch):
+    # a verify grid asks for the same rests again and again, and each built
+    # one is cached; refusals raise and are not, so only returns are recorded.
+    # Both rest builders run the engine alike on even orders, so each input
+    # is keyed by the builder that asked for it.
+    path = tmp_path / "cache.jsonl"
+    run_suites(SUITE_NAMES, cache=ResultCache(path))
+    constructions._attempt_regular.cache_clear()
+    constructions.capped_bipartite.cache_clear()
+    built = []
+    engine = constructions._circulant_engine
+
+    def recorded(total, degree, reroute_spare):
+        rows = engine(total, degree, reroute_spare)
+        built.append((sys._getframe(1).f_code.co_name, total, degree, reroute_spare))
+        return rows
+
+    monkeypatch.setattr(constructions, "_circulant_engine", recorded)
+    run_suites(SUITE_NAMES, cache=ResultCache(path))
+    assert {caller for caller, *_ in built} == {"_attempt_regular", "capped_bipartite"}
+    assert len(built) == len(set(built))
+
+
 def test_repeated_suite_reports_twice_and_searches_once():
     result = CliRunner().invoke(
         main, ["verify", "--suite", "star-turan", "--suite", "star-turan", "--format", "json"]
@@ -614,10 +639,14 @@ def test_cli_construct_missing_option_is_usage_error():
     runner = CliRunner()
     result = runner.invoke(main, ["construct", "--builder", "turan", "--n", "7"])
     assert result.exit_code == 2
-    result = runner.invoke(
-        main, ["construct", "--builder", "regular", "--n", "4", "--l", "9"]
-    )
-    assert result.exit_code == 2
+    # the rest builders refuse in the options given
+    for builder, n, l, message in (
+        ("regular", "4", "9", "need n >= l^2 + 2, got n=4, l=9"),
+        ("capped-bipartite", "2", "3", "need ceil(n/2) >= l-1, got n=2, l=3"),
+    ):
+        result = runner.invoke(main, ["construct", "--builder", builder, "--n", n, "--l", l])
+        assert result.exit_code == 2
+        assert f"Error: {message}\n" in result.output
 
 
 @pytest.mark.parametrize("builder", ["complete-bipartite", "joined-regular", "joined-capped"])
