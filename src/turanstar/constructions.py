@@ -238,12 +238,13 @@ def capped_bipartite(n: int, l: int) -> tuple[Graph, VertexSet, VertexSet]:
     Returns (graph, s_mask, t_mask) where the side S has ceil(n/2) vertices
     of degree at most l-1 and the side T has floor(n/2) vertices of degree
     exactly l-1.  Requires ceil(n/2) >= l - 1.  Edge count is
-    (l-1) * floor(n/2).  Cached like ``_attempt_regular``: repeated calls
-    with the same arguments return the same immutable graph and masks.
+    (l-1) * floor(n/2).  A built graph is cached, so repeated calls with
+    the same arguments return the same immutable graph and masks; a refusal
+    is raised again on every call.
     """
     check_vertex_count(n)
     if l < 1:
-        raise ValueError(f"leaf bound must be positive, got l={l}")
+        raise ValueError(f"need l >= 1, got l={l}")
     degree = l - 1
     if (n + 1) // 2 < degree:
         raise BelowRangeError(f"need ceil(n/2) >= l-1, got n={n}, l={l}")

@@ -643,6 +643,7 @@ def test_cli_construct_missing_option_is_usage_error():
     for builder, n, l, message in (
         ("regular", "4", "9", "need n >= l^2 + 2, got n=4, l=9"),
         ("capped-bipartite", "2", "3", "need ceil(n/2) >= l-1, got n=2, l=3"),
+        ("capped-bipartite", "4", "0", "need l >= 1, got l=0"),
     ):
         result = runner.invoke(main, ["construct", "--builder", builder, "--n", n, "--l", l])
         assert result.exit_code == 2
