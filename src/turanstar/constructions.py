@@ -213,8 +213,7 @@ def regular_triangle_free(n: int, l: int) -> tuple[Graph, PartitionCertificate]:
     exceptional vertex.  Requires n >= l**2 + 2; in that range the
     circulant engine is guaranteed to feed the spare vertex.
     """
-    if l < 0:
-        raise ValueError(f"need l >= 0, got l={l}")
+    check_domain("star", n, l)
     if n < l * l + 2:
         raise BelowRangeError(f"need n >= l^2 + 2, got n={n}, l={l}")
     return _attempt_regular(n, l)
@@ -361,7 +360,7 @@ def clique_star_forest_extremal(n: int, k: int, s: int, l: int) -> Graph:
     check_domain("clique-star-forest", n, k, s, l)
     if n - s < (l - 1) ** 2 + 2:
         raise BelowRangeError(f"need n - s >= (l-1)^2 + 2, got n={n}, s={s}, l={l}")
-    core, _ = regular_triangle_free(n - s, l - 1)
+    core, _ = _attempt_regular(n - s, l - 1)
     return join(turan_graph(s, k - 2), core)
 
 

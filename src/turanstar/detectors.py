@@ -347,8 +347,6 @@ def _star_hitting_certificate(rows: tuple[int, ...], n: int, copies: int, leaves
     proves nothing and the caller falls through to the exhaustive search.
     """
     blockers = copies - 1
-    if blockers == 0:
-        return False
     order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
     pool = order[: blockers + 4]
     for group in combinations(pool, min(blockers, len(pool))):

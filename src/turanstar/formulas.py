@@ -143,16 +143,13 @@ def ex_triangle_star_forest(n: int, s: int, l: int) -> FormulaResult:
     unspecified large n, so the status is heuristic; the one exception is
     s = 0, where the star bound is proven for n >= (l-1)^2+2.
     """
-    check_domain("triangle-star-forest", n, s, l)
+    e1, e2 = extremal_family_edges(n, s, l)  # checks the domain
     if l < s + 1:
-        value = s * (n - s)
-        source = "triangle-star-forest:bipartite"
+        value, source = s * (n - s), "triangle-star-forest:bipartite"
+    elif (n - s) % 2 == 0 or e1 >= e2:
+        value, source = e1, "triangle-star-forest:regular-join"
     else:
-        e1, e2 = extremal_family_edges(n, s, l)
-        if (n - s) % 2 == 0 or e1 >= e2:
-            value, source = e1, "triangle-star-forest:regular-join"
-        else:
-            value, source = e2, "triangle-star-forest:capped-join"
+        value, source = e2, "triangle-star-forest:capped-join"
     if s == 0 and n >= (l - 1) ** 2 + 2:
         validity = Validity.PROVEN
     else:

@@ -248,6 +248,7 @@ STAR_FOREST = ({"n": 20, "k": 3, "s": 2, "l": 3}, {"k": 3, "s": 0, "l": 2})
 TRIANGLE = ({"n": 12, "s": 3, "l": 4}, {"s": 0, "l": 1})
 DOMAIN_CALLERS = {
     ex_star: STAR,
+    regular_triangle_free: STAR,
     ex_clique_matching: MATCHING,
     ex_clique_star_forest: STAR_FOREST,
     ex_triangle_star_forest: TRIANGLE,

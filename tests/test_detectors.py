@@ -121,6 +121,7 @@ def test_family_spec_round_trip():
     assert text == "clique:4,matching:2,starforest:2x3"
     assert ForbiddenFamily.parse(text) == fam
     assert ForbiddenFamily.parse("clique:3") == ForbiddenFamily((Clique(3),))
+    assert ForbiddenFamily.parse("clique:3,,matching:2") == ForbiddenFamily.parse("clique:3,matching:2")
     twice = ForbiddenFamily.parse("clique:3,clique:3")
     assert twice == ForbiddenFamily.parse("clique:3") and twice.spec() == "clique:3"
     for pat in (Clique(4), Clique(12), StarForest(2, 1), StarForest(2, 3), StarForest(10, 25)):

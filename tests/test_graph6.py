@@ -71,6 +71,12 @@ def test_decode_rejects_garbage():
         graph6_decode("B\x07")
     with pytest.raises(ValueError):
         graph6_decode("Bww")  # trailing data
+    with pytest.raises(ValueError, match="long-form"):
+        graph6_decode("~??A")
+    with pytest.raises(ValueError, match="header byte 62"):
+        graph6_decode(">")
+    with pytest.raises(ValueError, match="padding"):
+        graph6_decode("A`")  # 2 vertices: one edge bit, then five that must be 0
 
 
 def test_edge_list_json_round_trip():

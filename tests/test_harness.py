@@ -157,6 +157,20 @@ def test_builder_bug_in_verify_is_a_crash_not_a_usage_error(monkeypatch):
     assert "Usage:" not in result.output
 
 
+def test_verify_exits_1_on_a_mismatch(monkeypatch):
+    # a closed form one edge off is a finding, not a usage error: the report
+    # shows the MISMATCH row and verify exits 1
+    def one_edge_more(n, l):
+        result = ex_star(n, l)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(harness, "ex_star", one_edge_more)
+    result = CliRunner().invoke(main, ["verify", "--suite", "star-turan"])
+    assert result.exit_code == 1, result.output
+    assert "MISMATCH" in result.output
+    assert "Usage:" not in result.output
+
+
 @pytest.mark.parametrize("args, error", [
     (["sweep", "--n-max", "12"], "enumeration capped at n = 11"),
     (["verify", "--suite", "no-such-suite"], "Invalid value for '--suite'"),
@@ -204,11 +218,15 @@ def test_cache_round_trip(tmp_path):
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     rec = brute_force_ex(4, fam("clique:3"))
-    path.write_text("this is not json\n" + cache_line(rec) + "\n{\"n\": 3}\n")
+    after = brute_force_ex(5, fam("clique:3"))
+    # a blank line is skipped without a warning, and the lines around it are read
+    path.write_text("this is not json\n" + cache_line(rec) + "\n\n" + cache_line(after) + "\n{\"n\": 3}\n")
     with caplog.at_level("WARNING"):
         cache = ResultCache(path)
     assert cache.lookup(4, fam("clique:3")) == rec
+    assert cache.lookup(5, fam("clique:3")) == after
     assert sum("corrupt cache line" in msg for msg in caplog.messages) == 2
+    assert len(caplog.messages) == 2
 
 
 @pytest.mark.parametrize(
@@ -740,6 +758,13 @@ def test_cli_detect_from_file(tmp_path):
     out_lines = result.output.strip().splitlines()
     assert len(out_lines) == 2
     assert out_lines[0].endswith("CONTAINS starforest:1x2")
+    # with neither --g6 nor --in the graph6 lines come from stdin
+    piped = runner.invoke(main, ["detect", "--family", "starforest:1x2"], input="Dhc\n")
+    assert piped.exit_code == 0, piped.output
+    assert piped.output.strip().splitlines() == out_lines[:1]
+    empty = runner.invoke(main, ["detect", "--family", "starforest:1x2"], input="")
+    assert empty.exit_code == 2
+    assert "no input graphs" in empty.output
 
 
 def test_cli_detect_bad_family_exits_2():
