@@ -14,7 +14,10 @@ asks it about g + uv, for a g free of it, in one way: through
 ``edge_mask(g, u)``, for every v at once, where ``has_edge_mask`` holds (a
 clique, a star forest of one copy), and otherwise through
 ``occurs_with_edge(g, u, v)``.  A copy in g + uv must use uv, so a star
-forest answers from g alone.  One clique reach (``_clique_reach``)
+forest answers from g alone.  The patterns with an edge mask also answer
+for a new vertex: ``neighbourhood_mask(g, s)`` gives every x for which g
+plus a vertex joined to s and x holds the pattern, where g plus a vertex
+joined to s is free of it.  One clique reach (``_clique_reach``)
 answers both questions, about g and about g + uv, for a clique, and one
 walk over star centre sets (``_centre_walk``) answers both for a star
 forest, except that a matching in g is found by Edmonds' blossom
@@ -39,9 +42,11 @@ class Clique:
     common neighbourhood of u and v in g holds a K_{size-2}, that is, when
     v is a common neighbour of some K_{size-2} inside u's neighbourhood.
     ``edge_mask`` gathers those v for one u at a time: for size 3 it is the
-    union of the rows of u's neighbours, and for size 2 every vertex.  One
-    reach, ``_clique_reach``, serves both questions: ``occurs_in`` asks it
-    whether some vertex has a K_{size-1} among its higher neighbours."""
+    union of the rows of u's neighbours, and for size 2 every vertex.
+    ``neighbourhood_mask`` gathers the same for a new vertex joined to a
+    vertex set s.  One reach, ``_clique_reach``, serves every question:
+    ``occurs_in`` asks it whether some vertex has a K_{size-1} among its
+    higher neighbours."""
 
     size: int
     has_edge_mask = True
@@ -59,8 +64,17 @@ class Clique:
     def edge_mask(self, g: Graph, u: int) -> int:
         """Mask whose bit v, for each non-neighbour v of u other than u, is
         set exactly when g + uv contains the clique; g must be free of it.
-        The bits of u and its neighbours mean nothing."""
-        return _clique_reach(g.rows, g.rows[u], (1 << g.n) - 1, self.size - 2)
+        The bits of u and its neighbours mean nothing.  It is the
+        neighbourhood mask of u's neighbourhood."""
+        return self.neighbourhood_mask(g, g.rows[u])
+
+    def neighbourhood_mask(self, g: Graph, s: int) -> int:
+        """Mask whose bit x, for each vertex x of g outside s, is set exactly
+        when g plus a new vertex joined to s and x contains the clique; g
+        plus a vertex joined to s must be free of it.  A copy must hold the
+        new vertex and x, so x is a common neighbour of a K_{size-2} inside
+        s.  The bits of s mean nothing."""
+        return _clique_reach(g.rows, s, (1 << g.n) - 1, self.size - 2)
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +89,8 @@ class StarForest:
     whether g - u - v holds copies - 1 disjoint edges, so only one is
     walked.  With one copy, g free means every degree is at most
     leaves - 1, and g + uv holds the star exactly when u or v has degree
-    leaves - 1; ``edge_mask`` gives those v for one u at a time."""
+    leaves - 1; ``edge_mask`` gives those v for one u at a time, and
+    ``neighbourhood_mask`` those x for a new vertex joined to s."""
 
     copies: int
     leaves: int
@@ -105,11 +120,21 @@ class StarForest:
         """Mask whose bit v, for each non-neighbour v of u other than u, is
         set exactly when g + uv contains the star; g must be free of it and
         the forest must have one copy.  The bits of u and its neighbours
-        mean nothing."""
+        mean nothing.  It is the neighbourhood mask of u's neighbourhood,
+        which reads only u's degree."""
+        return self.neighbourhood_mask(g, g.rows[u])
+
+    def neighbourhood_mask(self, g: Graph, s: int) -> int:
+        """Mask whose bit x, for each vertex x of g outside s, is set exactly
+        when g plus a new vertex joined to s and x contains the star; g plus
+        a vertex joined to s must be free of it and the forest must have one
+        copy.  Only the new vertex and x gain a degree, so x is blocked
+        exactly when s or x's row has leaves - 1 vertices or more.  The bits
+        of s mean nothing."""
         if self.copies != 1:
-            raise ValueError(f"only a one-copy star forest has an edge mask, got {self}")
+            raise ValueError(f"only a one-copy star forest has an exact mask, got {self}")
         need = self.leaves - 1
-        if g.rows[u].bit_count() >= need:
+        if s.bit_count() >= need:
             return (1 << g.n) - 1
         return mask_of(v for v, row in enumerate(g.rows) if row.bit_count() >= need)
 

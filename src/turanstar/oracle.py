@@ -1,10 +1,19 @@
 """Exhaustive ground truth at desk scale.
 
-Enumeration works level by level on edge count, starting from the empty
-graph.  Forbidden-pattern freeness survives edge deletion, so every free
-graph with e+1 edges is one edge addition away from a free graph with e
-edges; augmenting each level and deduplicating by canonical form therefore
-visits every isomorphism class exactly once.  Four cuts keep that cheap:
+The free classes on n vertices are enumerated level by level on edge
+count: ``_levels`` yields, per level, each family's sorted canonical codes
+and its augmentations tried, the non-edges of its classes one level down.
+Two engines give that one stream.  Vertex extension runs when every
+pattern of every family is a clique or a one-copy star, the patterns with
+an exact mask; a family with a matching or a star forest of several
+copies takes the edge walk, which measured faster there.  The choice is
+read from the patterns.
+
+The edge walk starts from the empty graph.  Forbidden-pattern freeness
+survives edge deletion, so every free graph with e+1 edges is one edge
+addition away from a free graph with e edges; augmenting each level and
+deduplicating by canonical form therefore visits every isomorphism class
+exactly once.  Four cuts keep that cheap:
 
 1. Non-edges that an automorphism of the parent maps onto each other give
    isomorphic children, so each parent's non-edges are split into orbits
@@ -97,6 +106,51 @@ and each family counts the non-edges of its own member parents only, so
 its visit counts are a separate walk's.  With one family it is the walk
 above, pair for pair.
 
+Vertex extension builds the classes on m vertices from those on m - 1, for
+m = 1..n, in the style of McKay's canonical augmentation by vertices (the
+scheme of nauty's geng).  Freeness survives vertex deletion too, so a free
+graph on m vertices is a free graph on m - 1 plus a vertex v joined to a
+set S.  Each vertex level maps a code to its generators and members:
+
+- A class on m - 1 vertices passes to level m padded with an isolated
+  vertex, under its own code (the padding argument below), and is not
+  searched again.  Its generators are shifted up by one.  They generate
+  its whole group unless it has two isolated vertices or more, and then
+  it is never extended: v joined to a non-empty S would not be of least
+  degree.
+- Each parent H, the canonical graph of its code, gets v joined to each
+  non-empty S that passes three tests.  (a) v has the least degree in
+  H + v: |S| is at most H's least degree, or one more and S holds every
+  vertex of that degree.  (b) Some member family admits S: H + v is free
+  of it.  S grows one vertex at a time, and each pattern's
+  ``neighbourhood_mask`` names the vertices that would complete a copy:
+  for K_k, S must hold no K_{k-1}; for a one-copy S_l, |S| <= l - 1 and
+  every vertex of S has degree at most l - 2.  The child's members are the
+  families that admit S.  (c) S, read as a mask, is no larger than its
+  image under each generator of H.
+- H + v is canonicalized only when no other vertex of v's degree has a
+  larger deletion key: the neighbour-degree sum, then the sum of the
+  neighbours' neighbour-degree sums, then the sorted neighbour degrees,
+  all taken in H + v.  Children are deduplicated by code, and every parent
+  must give a class the same members.
+
+Each class G on m vertices is still reached.  If G has an isolated vertex
+it is a padded class: removing one gives a class at level m - 1.  No
+extension has one, as v joined to a non-empty S is of least degree only
+when S holds every isolated vertex of H.  Otherwise take a vertex w of
+least degree whose key no vertex of its degree exceeds.  G - w is free
+of every family G is free of, so its class P is at level m - 1 with those
+members, and maybe more.  w's neighbourhood, carried into P's canonical
+graph, has an orbit under the generators, and the least set S of that
+orbit passes (c).  P + v joined to S is isomorphic to G by a map taking v
+to w, and degree and key are invariants, so (a), (b) and the key test
+pass, and the child's members are G's.  Split by edge
+count, the codes at level n are the walk's levels, and a level's
+augmentations tried are counted from the class sets, as the walk counts
+them, so the two streams are equal.  The generators kept for a class are
+those of the first parent, in code order, that reached it, so no count
+depends on how the parents split over workers.
+
 Inside the search a class is its integer canonical code: workers receive
 the parents' codes with their generators and members, rebuild each parent
 from its code and return the same for its kept children.  graph6
@@ -147,7 +201,8 @@ import logging
 import os
 import time
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations, cycle
 from pathlib import Path
@@ -457,42 +512,66 @@ def _expand_codes(
     return out, visited
 
 
-def _merge(found: dict[int, tuple[Generators, int]], code: int, entry: tuple[Generators, int]) -> None:
-    """Keep the first generators found for a class; every parent must give it the same members."""
+def _merge(found: dict[int, tuple], code: int, entry: tuple) -> None:
+    """Keep the first entry found for a class, or, where entries carry a
+    third item, the one whose third item is least; every parent must give
+    the class the same members, the second item."""
     known = found.setdefault(code, entry)
     if known[1] != entry[1]:
         raise AssertionError(f"class {code} reached as free of families {known[1]:b} and {entry[1]:b}")
+    if entry[2:] < known[2:]:
+        found[code] = entry
+
+
+@contextmanager
+def _mapper(jobs: int) -> Iterator[Callable]:
+    """``map``, or for jobs > 1 the map of a process pool, shut down on exit."""
+    if jobs == 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip its import
+
+    # under fork every worker starts at the first submit, so start no more
+    # than there are CPUs; the work still splits into jobs chunks
+    pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown()
 
 
 def _levels(
     n: int, *families: ForbiddenFamily, jobs: int
 ) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """One walk on n vertices for all the families.
+    """The free classes on n vertices of all the families, level by level.
 
     The stream has one fixed layout.  Per level, from 0 until a level is
     empty for every family, it yields one triple (edge count, sorted
     canonical codes, augmentations tried) per family, in argument order, so
     with F families family i's triples sit at positions i, i + F, i + 2F, ...
-    Those are the triples of a walk of that family alone, which ends at its
-    first empty level, followed by (level, (), 0) at every later level.
+    Those are the triples of a stream of that family alone, which ends at
+    its first empty level, followed by (level, (), 0) at every later level.
+    Augmentations tried at a level are the non-edges of the family's classes
+    one level down.  When every pattern is a clique or a one-copy star, the
+    vertex extension gives the stream, and otherwise the edge walk.
     """
     seed = empty_graph(n)
     for family in families:
         if not is_family_free(seed, family):
             raise AssertionError(f"empty graph should always be {family.spec()}-free")
-    code, generators = canonical_code_and_generators(seed)
+    by_vertex = all(pat.has_edge_mask for family in families for pat in family.patterns)
+    yield from (_vertex_levels if by_vertex else _edge_levels)(n, *families, jobs=jobs)
+
+
+def _edge_levels(
+    n: int, *families: ForbiddenFamily, jobs: int
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The stream of ``_levels``, by one edge walk on n vertices for all the families."""
+    code, generators = canonical_code_and_generators(empty_graph(n))
     parents = [(code, generators, (1 << len(families)) - 1)]
     for _ in families:
         yield 0, (code,), 0
-    pool = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip its import
-
-        # under fork every worker starts at the first submit, so start no more
-        # than there are CPUs; the levels still split into jobs chunks
-        pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
-    run = map if pool is None else pool.map
-    try:
+    with _mapper(jobs) as run:
         level = 0
         while parents:
             level += 1
@@ -507,9 +586,192 @@ def _levels(
             for i, tried in enumerate(visited):
                 # an empty level still reports the attempts that proved it empty
                 yield level, tuple(child for child, _, members in parents if members >> i & 1), tried
-    finally:
-        if pool is not None:
-            pool.shutdown()
+
+
+def _vertex_levels(
+    n: int, *families: ForbiddenFamily, jobs: int
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The stream of ``_levels``, by vertex extension from 0 to n vertices;
+    every pattern must be a clique or a one-copy star."""
+    # code -> (generators, members, least position of a parent that reached
+    # it), so the generators kept do not depend on how the parents split
+    classes: dict[int, tuple[Generators | None, int, int]] = {0: ([], (1 << len(families)) - 1, 0)}
+    with _mapper(jobs) as run:
+        for m in range(1, n + 1):
+            keep = m < n  # the generators of the last level are never read
+            parents = [(i, code, gens, members) for i, (code, (gens, members, _)) in enumerate(sorted(classes.items()))]
+            # a padded class keeps its code, and its new isolated vertex
+            # takes position 0
+            classes = {
+                code: ([(0, *[x + 1 for x in sigma]) for sigma in gens] if keep else None, members, -1)
+                for _, code, gens, members in parents
+            }
+            chunks = [(m - 1, families, parents[i::jobs], keep) for i in range(min(jobs, len(parents)))]
+            # the graph on no vertices has no set to join a new vertex to
+            for part in run(_extend_codes, chunks if m > 1 else []):
+                # the least position wins whatever the order of merging, so
+                # the smaller dict goes into the larger, which saves memory
+                if len(part) > len(classes):
+                    classes, part = part, classes
+                for child, entry in part.items():
+                    _merge(classes, child, entry)
+    pairs = n * (n - 1) // 2
+    by_level: dict[int, list[int]] = {}
+    for code in classes:
+        by_level.setdefault(code.bit_count(), []).append(code)
+    below = [0] * len(families)  # each family's class count one level down
+    for level in range(max(by_level) + 2):
+        found = sorted(by_level.get(level, ()))
+        for i in range(len(families)):
+            codes = tuple(code for code in found if classes[code][1] >> i & 1)
+            yield level, codes, below[i] * (pairs - level + 1)
+            below[i] = len(codes)
+
+
+def _extend_codes(
+    args: tuple[int, Sequence[ForbiddenFamily], list[tuple[int, int, Generators, int]], bool],
+) -> dict[int, tuple[Generators | None, int, int]]:
+    """Worker: extend each graph by one vertex, keep the results free of some family.
+
+    Module level so process pools can pickle it.  Takes the parents' vertex
+    count p and each parent as its position in the level, its code,
+    automorphism generators of ``graph_from_code(p, code)`` and its members;
+    returns, keyed by code, each child's generators (None unless ``keep``),
+    members and the least position of a parent that reached it.  A new
+    vertex v is joined to each non-empty vertex set s that some member family
+    admits, grown one vertex at a time through the families' neighbourhood
+    masks; only an s that leaves v of least degree, is no larger than its
+    image under every generator, and leaves no vertex of v's degree a larger
+    deletion key than v is canonicalized.
+    """
+    p, families, parents, keep = args
+    new = 1 << p
+    out: dict[int, tuple[Generators | None, int, int]] = {}
+    for index, code, generators, members in parents:
+        g = graph_from_code(p, code)
+        rows = g.rows
+        degrees = [row.bit_count() for row in rows]
+        least = min(degrees)
+        low = next_low = 0  # the vertices of degree least and least + 1
+        sums = []
+        for x, (row, d) in enumerate(zip(rows, degrees)):
+            if d == least:
+                low |= 1 << x
+            elif d == least + 1:
+                next_low |= 1 << x
+            total = 0
+            while row:
+                bit = row & -row
+                row ^= bit
+                total += degrees[bit.bit_length() - 1]
+            sums.append(total)
+        screens = [(1 << i, family.patterns) for i, family in enumerate(families) if members >> i & 1]
+        images = [[1 << y for y in sigma] for sigma in generators]
+        stack = [(0, new - 1, members)]  # (s, the vertices s may grow by, the families that admit s)
+        while stack:
+            s, above, admits = stack.pop()
+            size = s.bit_count()
+            if size == least:
+                # v of degree least + 1 is of least degree only when it is
+                # joined to every vertex of degree least
+                missing = low & ~s
+                if missing & missing - 1:
+                    continue
+                if missing:
+                    above &= missing
+            grows = []
+            reach = 0
+            for bit, patterns in screens:
+                if admits & bit:
+                    free = above
+                    for pat in patterns:
+                        free &= ~pat.neighbourhood_mask(g, s)
+                    grows.append((bit, free))
+                    reach |= free
+            d = size + 1  # v's degree
+            while reach:
+                bit = reach & -reach
+                reach ^= bit
+                x = bit.bit_length() - 1
+                t = s | bit
+                child_members = 0
+                for family_bit, free in grows:
+                    if free & bit:
+                        child_members |= family_bit
+                if d <= least:
+                    stack.append((t, above >> x + 1 << x + 1, child_members))
+                if _moved_lower(images, t):
+                    continue
+                # the other vertices of v's degree in g + v
+                ties = low & ~t if d == least else low | next_low & ~t if d > least else 0
+                if ties and _outranked_vertex(rows, degrees, sums, t, ties):
+                    continue
+                child_rows = list(rows)
+                rest = t
+                while rest:
+                    y = rest & -rest
+                    rest ^= y
+                    child_rows[y.bit_length() - 1] |= new
+                child_rows.append(t)
+                child, child_generators = canonical_code_and_generators(Graph(p + 1, tuple(child_rows)))
+                _merge(out, child, (child_generators if keep else None, child_members, index))
+    return out
+
+
+def _moved_lower(images: list[list[int]], s: int) -> bool:
+    """Does some generator, given as the bit of each vertex's image, map the mask s below itself?"""
+    for image_of in images:
+        image = 0
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            image |= image_of[bit.bit_length() - 1]
+        if image < s:
+            return True
+    return False
+
+
+def _outranked_vertex(
+    rows: tuple[int, ...], degrees: list[int], sums: list[int], s: int, ties: int
+) -> bool:
+    """Has some vertex of ``ties`` a larger deletion key than v in g + v, v joined to s?
+
+    ``ties`` are the other vertices of v's degree in g + v, and the rest is
+    g's: its rows, degrees and neighbour-degree sums.  The key is the
+    neighbour-degree sum, then the sum of the neighbours' neighbour-degree
+    sums, then the sorted neighbour degrees, all taken in g + v.  Each part
+    is read only for the vertices that tie v on the parts before it.
+    """
+    v = len(rows)
+    d = s.bit_count()
+
+    def degree(x: int) -> int:
+        return d if x == v else degrees[x] + (s >> x & 1)
+
+    def degree_sum(x: int) -> int:
+        # in g + v a sum gains one per neighbour in s, and d in s
+        if x == v:
+            return d + sum(degrees[y] for y in bits(s))
+        return sums[x] + (rows[x] & s).bit_count() + (d if s >> x & 1 else 0)
+
+    def neighbours(x: int) -> Iterator[int]:
+        return bits(s if x == v else rows[x] | (s >> x & 1) << v)
+
+    tied = list(bits(ties))
+    for part in (
+        degree_sum,
+        lambda x: sum(map(degree_sum, neighbours(x))),
+        lambda x: sorted(map(degree, neighbours(x))),
+    ):
+        mine = part(v)
+        keys = [part(w) for w in tied]
+        if any(key > mine for key in keys):
+            return True
+        tied = [w for w, key in zip(tied, keys) if key == mine]
+        if not tied:
+            return False
+    return False
 
 
 def enumerate_free_graphs(n: int, family: ForbiddenFamily) -> Iterator[Graph]:

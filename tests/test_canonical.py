@@ -132,6 +132,8 @@ def test_size_mismatch_and_cap():
     assert not are_isomorphic(empty_graph(3), empty_graph(4))
     with pytest.raises(ValueError):
         canonical_form(empty_graph(CANONICAL_MAX_N + 1))
+    with pytest.raises(ValueError, match="caps at"):
+        are_isomorphic(empty_graph(CANONICAL_MAX_N + 1), empty_graph(CANONICAL_MAX_N + 1))
 
 
 def test_canonical_form_distinguishes_random_pairs():
@@ -363,8 +365,9 @@ def test_search_matches_refinement_against_every_cell(monkeypatch):
 
 
 def _searched_corpus(monkeypatch):
-    # every graph the n = 8 triangle-free enumeration hands to the search,
-    # the empty seed first, then 500 seeded random graphs on up to 12 vertices
+    # every graph the edge walk of the n = 8 triangle-free classes hands to
+    # the search, the empty seed first, then 500 seeded random graphs on up
+    # to 12 vertices
     searched = []
     search = oracle.canonical_code_and_generators
 
@@ -373,7 +376,7 @@ def _searched_corpus(monkeypatch):
         return search(g)
 
     monkeypatch.setattr(oracle, "canonical_code_and_generators", recorded)
-    for _ in oracle._levels(8, ForbiddenFamily((Clique(3),)), jobs=1):
+    for _ in oracle._edge_levels(8, ForbiddenFamily((Clique(3),)), jobs=1):
         pass
     monkeypatch.undo()
     rng = random.Random(53)

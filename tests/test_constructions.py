@@ -80,6 +80,8 @@ def test_complete_bipartite():
     assert g.edge_count == 10
     assert g.degree(0) == 5 and g.degree(6) == 2
     assert complete_bipartite(0, 4).edge_count == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        complete_bipartite(-1, 2)
 
 
 @pytest.mark.parametrize("build", [
@@ -147,6 +149,8 @@ def test_certificate_with_a_negative_exceptional_vertex_fails():
     g = build_graph(3, [(0, 1)])
     assert PartitionCertificate(0b001, 0b110, 2).holds_for(g)
     assert not PartitionCertificate(0b001, 0b110, -1).holds_for(g)
+    # on an odd order a certificate must name its exceptional vertex
+    assert not PartitionCertificate(0b001, 0b110, None).holds_for(g)
 
 
 def test_capped_bipartite_examples():
@@ -175,6 +179,9 @@ def test_capped_bipartite_is_bipartite():
             assert smask | tmask == (1 << m) - 1 and smask & tmask == 0
             assert respects_bipartition(g, smask, tmask)
             assert g.edge_count == (l - 1) * (m // 2)
+    # an edge inside either side breaks the bipartition
+    for edge in ((0, 1), (2, 3)):
+        assert not respects_bipartition(build_graph(4, [edge]), 0b0011, 0b1100)
 
 
 def test_capped_equals_regular_for_even_order():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -7,6 +8,7 @@ from turanstar import (
     Clique,
     ForbiddenFamily,
     StarForest,
+    bits,
     build_graph,
     clique_matching_extremal,
     clique_star_forest_extremal,
@@ -158,6 +160,8 @@ def test_family_validation():
         ForbiddenFamily((StarForest(1, 0),))
     with pytest.raises(ValueError):
         ForbiddenFamily((StarForest(0, 2),))
+    with pytest.raises(ValueError, match="unknown pattern"):
+        ForbiddenFamily((Clique(3), "starforest:2x2"))
 
 
 def _dense_clique_inputs():
@@ -355,6 +359,36 @@ def test_star_forest_edge_mask_matches_adding_the_edge(leaves):
     assert not StarForest(2, leaves).has_edge_mask
     with pytest.raises(ValueError):
         StarForest(2, leaves).edge_mask(empty_graph(8), 0)
+
+
+@pytest.mark.parametrize(
+    "pattern", [Clique(size) for size in range(2, 6)] + [StarForest(1, leaves) for leaves in range(1, 6)], ids=str
+)
+def test_neighbourhood_mask_matches_adding_a_vertex(pattern):
+    # vertex extension grows a new vertex's neighbourhood one vertex at a
+    # time, in increasing order, and drops a vertex the mask of the set
+    # before it holds; so it admits a set exactly when the graph with a new
+    # vertex joined to it is free, asked literally of every set of seeded
+    # random free graphs
+    rng = random.Random(149)
+    verdicts = Counter()
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(3, 10), rng.choice([0.3, 0.5, 0.7]))
+        while pattern.occurs_in(g):
+            g = remove_edge(g, *rng.choice(g.edges()))
+        admitted = {0}
+        for s in range(1, 1 << g.n):
+            top = s.bit_length() - 1
+            below = s ^ 1 << top
+            got = below in admitted and not pattern.neighbourhood_mask(g, below) >> top & 1
+            want = not pattern.occurs_in(build_graph(g.n + 1, g.edges() + [(x, g.n) for x in bits(s)]))
+            assert got == want, (g.n, g.edges(), s)
+            if got:
+                admitted.add(s)
+            verdicts[got] += 1
+    # a cell that only ever compares one verdict checks half the mask; K2
+    # and a one-edge matching admit no non-empty set
+    assert verdicts[False] and (verdicts[True] or pattern in (Clique(2), StarForest(1, 1)))
 
 
 def test_family_free_with_an_added_edge_asks_about_the_child():

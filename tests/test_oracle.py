@@ -303,9 +303,54 @@ def test_levels_agree_across_worker_counts(spec, jobs):
     assert list(_levels(9, family, jobs=1)) == list(_levels(9, family, jobs=jobs))
 
 
+VERTEX_SPECS = [
+    "clique:2",
+    "clique:3",
+    "clique:4",
+    "clique:5",
+    "matching:1",
+    "starforest:1x2",
+    "starforest:1x3",
+    "starforest:1x4",
+    "starforest:1x5",
+    "clique:3,starforest:1x3",
+    "clique:4,starforest:1x4",
+]
+
+
+@pytest.mark.parametrize("specs", [(spec,) for spec in VERTEX_SPECS] + [("clique:4", "starforest:1x3")], ids="+".join)
+def test_vertex_extension_gives_the_walks_stream(specs):
+    # every code and every augmentation count, repr for repr, at one to
+    # three workers; at three the first levels have fewer parents than
+    # workers, and the last call walks two families at once
+    families = [ForbiddenFamily.parse(spec) for spec in specs]
+    for n in range(9):
+        want = repr(list(oracle._edge_levels(n, *families, jobs=1)))
+        for jobs in (1, 2, 3):
+            assert repr(list(oracle._vertex_levels(n, *families, jobs=jobs))) == want, (n, jobs)
+
+
+def test_levels_choose_the_engine_from_the_patterns(monkeypatch):
+    # vertex extension exactly when every pattern of every family has an
+    # exact mask: a clique or a one-copy star
+    engines = []
+    monkeypatch.setattr(oracle, "_vertex_levels", lambda n, *families, jobs: iter(engines.append("vertex") or ()))
+    monkeypatch.setattr(oracle, "_edge_levels", lambda n, *families, jobs: iter(engines.append("edge") or ()))
+    for specs, engine in (
+        (("clique:3",), "vertex"),
+        (("matching:1", "clique:4,starforest:1x4"), "vertex"),
+        (("clique:3,matching:2",), "edge"),
+        (("clique:3", "starforest:2x3"), "edge"),
+    ):
+        engines.clear()
+        list(_levels(6, *map(ForbiddenFamily.parse, specs), jobs=1))
+        assert engines == [engine], specs
+
+
 def test_canonical_searches_at_n9(monkeypatch):
     # the count is deterministic and needs no worker, so a weaker screen of
-    # the children ahead of the canonical search fails here
+    # the children ahead of the canonical search fails here: 1,965 searches
+    # by vertex extension, which K3 takes, and 2,089 by the edge walk
     searches = 0
 
     def counted(g):
@@ -316,6 +361,10 @@ def test_canonical_searches_at_n9(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_code_and_generators", counted)
     record = brute_force_ex(9, K3)
     assert (record.ex_value, record.graphs_visited) == (20, 47860)
+    assert searches == 1965
+    searches = 0
+    monkeypatch.setattr(oracle, "_levels", oracle._edge_levels)
+    assert brute_force_ex(9, K3) == record
     assert searches == 2089
 
 
@@ -328,7 +377,8 @@ def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
     # the clique and one-copy star masks drop blocked pairs before the orbit
     # walk and the rank test; an exact mask makes the count follow from the
     # class sets alone.  Without the masks the first two counts are 17,407
-    # and 7,785; without the star mask the third is 202
+    # and 7,785; without the star mask the third is 202.  The first and
+    # third families take vertex extension, so the walk is asked directly
     tests = 0
     outranked = oracle._outranked
 
@@ -338,13 +388,14 @@ def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
         return outranked(*args)
 
     monkeypatch.setattr(oracle, "_outranked", counted)
+    monkeypatch.setattr(oracle, "_levels", oracle._edge_levels)
     record = brute_force_ex(9, ForbiddenFamily.parse(spec))
     assert (record.ex_value, record.graphs_visited) == ex_visited
     assert tests == ranked
 
 
 @pytest.mark.parametrize("spec,digest,searched", [
-    ("clique:3,starforest:1x3", "9ef81a1731137c44b6b84d26dd50bfd4448bedcd7c7a57095ffc78cde60540dc", 54),
+    ("clique:3,starforest:1x3", "9ef81a1731137c44b6b84d26dd50bfd4448bedcd7c7a57095ffc78cde60540dc", 52),
     ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 957),
     ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 709),
     ("starforest:2x2", "59487b4a8c4dc0fc03b4e81ca0403aefbc2e845f00dc68574b78db99e9fbf659", 153),
@@ -356,7 +407,8 @@ def test_star_forest_levels_are_pinned(monkeypatch, spec, digest, searched):
     # every level's (edge count, codes, augmentations) at n = 9, as the
     # enumeration gave them when these digests were taken, and the canonical
     # searches behind them: a star-forest check that lets one child too many
-    # or too few through to the search fails here
+    # or too few through to the search fails here.  The first family takes
+    # vertex extension, whose 52 searches stand where the walk made 54
     searches = 0
     search = oracle.canonical_code_and_generators
 
