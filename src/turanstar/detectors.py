@@ -10,21 +10,23 @@ contains none of them as a subgraph.  Two pattern classes appear:
 
 Each pattern validates its own arguments, gives its text form through
 ``spec()`` and answers ``occurs_in(g)`` with its detector.  The oracle
-asks it about g + uv, for a g free of it, in one way: through
-``edge_mask(g, u)``, for every v at once, where ``has_edge_mask`` holds (a
-clique, a star forest of one copy), and otherwise through
-``occurs_with_edge(g, u, v)``.  A copy in g + uv must use uv, so a star
-forest answers from g alone.  The patterns with an edge mask also answer
-for a new vertex: ``neighbourhood_mask(g, s)`` gives every x for which g
-plus a vertex joined to s and x holds the pattern, where g plus a vertex
-joined to s is free of it.  One clique reach (``_clique_reach``)
-answers both questions, about g and about g + uv, for a clique, and one
-walk over star centre sets (``_centre_walk``) answers both for a star
-forest, except that a matching in g is found by Edmonds' blossom
-algorithm, which is polynomial where the walk is not: one alternating
-tree per unmatched root, with no matching built before it.  All
-detectors are exact.  The test suite cross-checks their verdicts against plain
-exhaustive search, and the matching detector also against networkx.
+builds free graphs one vertex at a time and asks each pattern about g
+plus a new vertex joined to a set s, for a g free of it, where any copy
+must use the new vertex.  A clique answers through
+``neighbourhood_mask(g, s)``: every x for which joining x too completes
+a copy, where g plus a vertex joined to s is free of it.  A star forest
+answers through ``leaf_mask(g, within)``, the x whose star the new
+vertex completes as a leaf, whatever else s holds, and
+``occurs_with_new_centre(g, s)``.  One clique reach (``_clique_reach``)
+answers every clique question.  One walk over star centre sets
+(``_centre_walk``) answers whether g holds a star forest, alone or with
+a new centre, and ``_leaf_centres`` walks the same sets once for the
+leaf question of every x.  A matching is found by Edmonds' blossom
+algorithm instead, which is polynomial where the walks are not: one
+alternating tree per unmatched root, with no matching built before it.
+All detectors are exact.  The test suite cross-checks their
+verdicts against plain exhaustive search, and the matching detector also
+against networkx.
 """
 
 from __future__ import annotations
@@ -38,18 +40,12 @@ from .graphs import Graph, bits, mask_of
 
 @dataclass(frozen=True, order=True)
 class Clique:
-    """K_size.  When g is free of it, g + uv contains it exactly when the
-    common neighbourhood of u and v in g holds a K_{size-2}, that is, when
-    v is a common neighbour of some K_{size-2} inside u's neighbourhood.
-    ``edge_mask`` gathers those v for one u at a time: for size 3 it is the
-    union of the rows of u's neighbours, and for size 2 every vertex.
-    ``neighbourhood_mask`` gathers the same for a new vertex joined to a
-    vertex set s.  One reach, ``_clique_reach``, serves every question:
-    ``occurs_in`` asks it whether some vertex has a K_{size-1} among its
-    higher neighbours."""
+    """K_size.  ``neighbourhood_mask`` answers for a new vertex joined to a
+    vertex set s: the x for which joining it to x too completes a copy.
+    One reach, ``_clique_reach``, serves every question: ``occurs_in`` asks
+    it whether some vertex has a K_{size-1} among its higher neighbours."""
 
     size: int
-    has_edge_mask = True
 
     def __post_init__(self) -> None:
         if self.size < 2:
@@ -60,13 +56,6 @@ class Clique:
 
     def occurs_in(self, g: Graph) -> bool:
         return contains_clique(g, self.size)
-
-    def edge_mask(self, g: Graph, u: int) -> int:
-        """Mask whose bit v, for each non-neighbour v of u other than u, is
-        set exactly when g + uv contains the clique; g must be free of it.
-        The bits of u and its neighbours mean nothing.  It is the
-        neighbourhood mask of u's neighbourhood."""
-        return self.neighbourhood_mask(g, g.rows[u])
 
     def neighbourhood_mask(self, g: Graph, s: int) -> int:
         """Mask whose bit x, for each vertex x of g outside s, is set exactly
@@ -80,17 +69,12 @@ class Clique:
 @dataclass(frozen=True, order=True)
 class StarForest:
     """``copies`` vertex-disjoint S_leaves.  When g is free of it, a copy in
-    g + uv uses uv as a centre-leaf edge xy, {x, y} = {u, v}; so g + uv
-    holds it exactly when, for one of the two orientations, g - y holds a
-    star at x with leaves - 1 leaves and copies - 1 further S_leaves, all
-    vertex-disjoint.  That is decided over the centre sets that contain x,
-    by Hall's condition with demand leaves - 1 for x and leaves for the
-    other centres.  With one leaf both orientations ask the same question,
-    whether g - u - v holds copies - 1 disjoint edges, so only one is
-    walked.  With one copy, g free means every degree is at most
-    leaves - 1, and g + uv holds the star exactly when u or v has degree
-    leaves - 1; ``edge_mask`` gives those v for one u at a time, and
-    ``neighbourhood_mask`` those x for a new vertex joined to s."""
+    g plus a new vertex v joined to a set s must use v, as a leaf of some x
+    in s or as a centre; so it is there exactly when s meets the leaf
+    mask or ``occurs_with_new_centre(g, s)`` holds.  The leaf mask does not
+    depend on s.  Both ask whether g holds copies - 1 further S_leaves
+    apart from v's star, by a walk over the centre sets of g with Hall's
+    condition, except that a matching asks Edmonds' blossom algorithm."""
 
     copies: int
     leaves: int
@@ -98,10 +82,6 @@ class StarForest:
     def __post_init__(self) -> None:
         if self.copies < 1 or self.leaves < 1:
             raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {self}")
-
-    @property
-    def has_edge_mask(self) -> bool:
-        return self.copies == 1
 
     def spec(self) -> str:
         if self.leaves == 1:
@@ -111,32 +91,29 @@ class StarForest:
     def occurs_in(self, g: Graph) -> bool:
         return contains_star_forest(g, self.copies, self.leaves)
 
-    def occurs_with_edge(self, g: Graph, u: int, v: int) -> bool:
-        return _stars_with_forced_centre(g.rows, self.copies, self.leaves, u, v) or (
-            self.leaves > 1 and _stars_with_forced_centre(g.rows, self.copies, self.leaves, v, u)
-        )
+    def leaf_mask(self, g: Graph, within: int) -> int:
+        """Mask of the vertices x in ``within`` for which g plus a new
+        vertex joined to x contains the forest; g must be free of it.  The
+        new vertex is then a leaf of x: g holds a star at x with leaves - 1
+        leaves and copies - 1 further S_leaves, all vertex-disjoint.  With
+        one copy that is every vertex of degree leaves - 1 or more.  A
+        matching needs nu(g - x) = copies - 1, which g free caps at nu(g):
+        the mask is empty unless nu(g) = copies - 1, and then it is the
+        vertices that some maximum matching misses."""
+        if self.leaves == 1 and self.copies > 1:
+            return _missed_by_a_maximum_matching(g.rows, self.copies - 1) & within
+        return _leaf_centres(g.rows, self.copies, self.leaves, within)
 
-    def edge_mask(self, g: Graph, u: int) -> int:
-        """Mask whose bit v, for each non-neighbour v of u other than u, is
-        set exactly when g + uv contains the star; g must be free of it and
-        the forest must have one copy.  The bits of u and its neighbours
-        mean nothing.  It is the neighbourhood mask of u's neighbourhood,
-        which reads only u's degree."""
-        return self.neighbourhood_mask(g, g.rows[u])
-
-    def neighbourhood_mask(self, g: Graph, s: int) -> int:
-        """Mask whose bit x, for each vertex x of g outside s, is set exactly
-        when g plus a new vertex joined to s and x contains the star; g plus
-        a vertex joined to s must be free of it and the forest must have one
-        copy.  Only the new vertex and x gain a degree, so x is blocked
-        exactly when s or x's row has leaves - 1 vertices or more.  The bits
-        of s mean nothing."""
-        if self.copies != 1:
-            raise ValueError(f"only a one-copy star forest has an exact mask, got {self}")
-        need = self.leaves - 1
-        if s.bit_count() >= need:
-            return (1 << g.n) - 1
-        return mask_of(v for v, row in enumerate(g.rows) if row.bit_count() >= need)
+    def occurs_with_new_centre(self, g: Graph, s: int) -> bool:
+        """Does g plus a new vertex joined to s contain the forest with the
+        new vertex as a centre?  g must be free of it.  The new vertex
+        takes ``leaves`` leaves from s, and g holds copies - 1 further
+        S_leaves apart from them."""
+        if s.bit_count() < self.leaves:
+            return False
+        rows = g.rows
+        candidates = [c for c, row in enumerate(rows) if row.bit_count() >= self.leaves]
+        return _centre_walk(rows, candidates, self.copies - 1, self.leaves, [s], [self.leaves])
 
 
 Pattern = Union[Clique, StarForest]
@@ -198,7 +175,7 @@ class ForbiddenFamily:
 def contains_clique(g: Graph, size: int) -> bool:
     """True when g has a complete subgraph on ``size`` vertices, that is,
     when some vertex u has a K_{size-1} among its higher neighbours.  The
-    reach that gives ``Clique.edge_mask`` answers this too."""
+    reach that gives ``Clique.neighbourhood_mask`` answers this too."""
     if size < 1:
         raise ValueError(f"clique size must be positive, got {size}")
     if size == 1:
@@ -239,11 +216,16 @@ def max_matching_size(g: Graph) -> int:
     augmenting path it finds.  A root that finds none never gains one
     later, so one tree per root suffices, and no matching is built first.
     """
-    match = [-1] * g.n
-    for root in range(g.n):
+    return (g.n - _maximum_matching(g.rows).count(-1)) // 2
+
+
+def _maximum_matching(rows: tuple[int, ...]) -> list[int]:
+    """Each vertex's partner in one maximum matching, or -1."""
+    match = [-1] * len(rows)
+    for root in range(len(rows)):
         if match[root] == -1:
-            _augment(g.rows, match, root)
-    return (g.n - match.count(-1)) // 2
+            _augment(rows, match, root)
+    return match
 
 
 def _augment(rows: tuple[int, ...], match: list[int], root: int) -> None:
@@ -318,9 +300,9 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
     lowest-index leaves) settles most positive cases immediately, and a
     small blocking set that kills all high degrees settles most negative
     ones.  The exact fallback is the centre walk that
-    ``StarForest.occurs_with_edge`` also runs, with no forced centre: it
-    walks centre sets and decides leaf availability by Hall's condition
-    (``_pools_admit_disjoint_leaves``).
+    ``StarForest.occurs_with_new_centre`` also runs, here with no new
+    vertex: it walks centre sets and decides leaf availability by Hall's
+    condition (``_pools_admit_disjoint_leaves``).
     """
     if copies < 1 or leaves < 1:
         raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {copies}x{leaves}")
@@ -387,15 +369,70 @@ def _star_hitting_certificate(rows: tuple[int, ...], n: int, copies: int, leaves
     return False
 
 
-def _stars_with_forced_centre(rows: tuple[int, ...], copies: int, leaves: int, x: int, y: int) -> bool:
-    """Does g - y hold a star at x with ``leaves - 1`` leaves and
-    ``copies - 1`` further stars with ``leaves`` leaves, all vertex-disjoint?"""
-    off = ~(1 << x | 1 << y)
-    if (rows[x] & off).bit_count() < leaves - 1:
-        return False
-    rows = [row & off for row in rows]
-    candidates = [c for c, row in enumerate(rows) if off >> c & 1 and row.bit_count() >= leaves]
-    return _centre_walk(rows, candidates, copies - 1, leaves, [rows[x]], [leaves - 1])
+def _leaf_centres(rows: tuple[int, ...], copies: int, leaves: int, within: int) -> int:
+    """Mask of the vertices x in ``within`` at which g holds a star with
+    ``leaves - 1`` leaves and ``copies - 1`` further stars with ``leaves``
+    leaves, all vertex-disjoint.
+
+    One walk over the sets C of the other centres serves every x: Hall's
+    sums over the subsets of C's pools are taken once per C, and each x
+    not yet found, outside C, is checked against them with its own pool
+    added and itself dropped from every pool.
+    """
+    need = leaves - 1
+    todo = mask_of(x for x in bits(within) if rows[x].bit_count() >= need)
+    if copies == 1:
+        return todo
+    found = 0
+    others = [c for c, row in enumerate(rows) if row.bit_count() >= leaves]
+    for centres in combinations(others, copies - 1):
+        taken = mask_of(centres)
+        sums = [(0, 0)]  # (union, demand) of each subset of C's pools
+        for c in centres:
+            pool = rows[c] & ~taken
+            sums += [(union | pool, demand + leaves) for union, demand in sums]
+        if any(union.bit_count() < demand for union, demand in sums):
+            continue
+        for x in bits(todo & ~taken):
+            bit = 1 << x
+            own = rows[x] & ~taken
+            for union, demand in sums:
+                union &= ~bit
+                if union.bit_count() < demand or (union | own).bit_count() < demand + need:
+                    break
+            else:
+                found |= bit
+        todo &= ~found
+        if not todo:
+            break
+    return found
+
+
+def _missed_by_a_maximum_matching(rows: tuple[int, ...], size: int) -> int:
+    """Mask of the vertices x with nu(g - x) >= size, where nu(g) <= size.
+
+    It is empty unless nu(g) = size, and then it holds the vertices that
+    some maximum matching misses: those the one built here misses, and
+    each vertex x it matches whose partner, once x is dropped, gains a new
+    partner by one alternating tree (``_augment``) in g - x.
+    """
+    match = _maximum_matching(rows)
+    if len(rows) - match.count(-1) < 2 * size:
+        return 0
+    out = 0
+    for x, partner in enumerate(match):
+        if partner == -1:
+            out |= 1 << x
+            continue
+        off = ~(1 << x)
+        without = [row & off for row in rows]
+        without[x] = 0
+        trial = list(match)
+        trial[x] = trial[partner] = -1
+        _augment(without, trial, partner)
+        if trial[partner] != -1:
+            out |= 1 << x
+    return out
 
 
 def _centre_walk(

@@ -3,136 +3,66 @@
 The free classes on n vertices are enumerated level by level on edge
 count: ``_levels`` yields, per level, each family's sorted canonical codes
 and its augmentations tried, the non-edges of its classes one level down.
-Two engines give that one stream.  Vertex extension runs when every
-pattern of every family is a clique or a one-copy star, the patterns with
-an exact mask; a family with a matching or a star forest of several
-copies takes the edge walk, which measured faster there.  The choice is
-read from the patterns.
 
-The edge walk starts from the empty graph.  Forbidden-pattern freeness
-survives edge deletion, so every free graph with e+1 edges is one edge
-addition away from a free graph with e edges; augmenting each level and
-deduplicating by canonical form therefore visits every isomorphism class
-exactly once.  Four cuts keep that cheap:
-
-1. Non-edges that an automorphism of the parent maps onto each other give
-   isomorphic children, so each parent's non-edges are split into orbits
-   and only the first non-edge of each orbit is tried.
-2. The generators of that group come from the canonical search that found
-   the parent, one level earlier: ``canonical_code_and_generators`` returns
-   them with the code, on the canonical graph that the code rebuilds, and
-   each level carries them to the next.  No parent is searched twice.
-3. In the style of McKay's canonical deletion (J. Algorithms 1998), a child
-   g + uv is kept only when no edge of it outranks uv, and is skipped
-   before the detector and the canonical search otherwise.  The rank of an
-   edge is its degree pair (smaller end's degree, larger end's degree),
-   ties broken by the sorted pair of its ends' neighbour-degree sums, all
-   taken in g + uv.  Any isomorphism-invariant total preorder on edges
-   would do: each class H is still reached.  Delete an edge e of H of top
-   rank; H - e is free, so its class P is a parent, and the orbit
-   representative r of P's non-edge that plays e gives P + r isomorphic to
-   H by a map taking r to e, so r carries e's rank and passes.  The rank is
-   the same on a whole orbit, so the filter and the orbit cut commute.
-   Let ``top`` be the largest t such that some edge of g has both ends of
-   degree at least t.  That edge outranks every non-edge with an end of
-   degree below top - 1, and automorphisms keep degrees, so the orbits are
-   walked only over the non-edges between vertices of degree top - 1 or
-   more.
-4. g is free, so each pattern is asked only whether adding uv creates it,
-   and any copy it finds uses uv.  Before the orbit walk, each pattern with
-   an exact mask (``has_edge_mask``: every clique, and a star forest of one
-   copy) gives, for every vertex u of the degree window, the mask of
-   vertices v for which g + uv holds the pattern (``edge_mask``); the walk
-   covers only the candidate pairs, the window minus u's neighbours minus
-   those masks, and never asks these patterns again.  A clique's mask
-   gathers the common neighbours of the K_{size-2}'s in u's neighbourhood.
-   A one-copy star's is every vertex when u has degree leaves - 1, and the
-   vertices of that degree otherwise, as g free caps every degree there.
-   The mask must be exact.  Whether g + uv holds a pattern depends only on
-   the isomorphism type of (g, u, v), so an exact mask is the same on a
-   whole orbit: the candidates are a union of orbits, and every orbit left
-   is walked from the same first non-edge as over the whole window.  A mask
-   that marked a free pair could drop a whole orbit, and with it a class.
-   One that missed blocked pairs unevenly could keep part of an orbit, so
-   the walk would start it from a later pair, and the rank tests, the
-   children searched and the generators each class keeps would change.  The
-   other patterns are asked per pair, by ``occurs_with_edge``.  A star
-   forest of several copies answers from g alone: uv must join a centre x
-   to a leaf y, so it asks whether g - y holds a star at x with one leaf
-   fewer and the other copies, all disjoint, by Hall's condition over the
-   centre sets that hold x.  A matching is a star forest of one-leaf
-   stars, and there both orientations ask whether g - u - v holds the
-   other copies, so one is walked.
-
-Per parent the screens run in this order: the degree window, the exact
-masks, the orbit walk, the rank test, the per-pair check of the patterns
-without an exact mask (none for a family of cliques and one-copy stars),
-and last the canonical search of g + uv, the only step that builds the
-child.  The window's ``top`` comes from one pass over g's vertices: it is
-the largest degree d of a vertex with a neighbour of degree d or more, the
-lower end of an edge with both ends of degree at least d.  That pass also
-builds each vertex's neighbour-degree sum, so every parent has one degree
-table (degrees, the at-least masks, ``top`` and the sums), built before
-its walk, which the window and each of its rank tests read.
-
-A level is a set of classes, so the filter only thins how often one class
-is found, never which classes are found.  The visit counter still counts
-every non-edge, which depends only on the class sets, never on the
-orbits, the filter or worker scheduling, so records compare equal across
-any worker count.
-
-One walk serves several families on the same vertex count.  Each class
-carries its members, the mask of the families it is free of.  The degree
-window, the orbit walk, the rank test and the canonical search of a kept
-child are done once per class; the exact masks and the per-pair checks
-are asked per member family.  This is exact:
-
-- Each family's free graphs are closed under edge deletion, so their union
-  is too, and a child g + uv is free of f exactly when g is and neither
-  f's exact masks nor its per-pair checks block uv.  So a child's members
-  are its parent's, minus each family that blocks uv: each bit is exact
-  whichever parent reaches the child, and isomorphic children get equal
-  members.
-- Each family's candidate pairs are a union of orbits, so their union is
-  one too, and an orbit inside f's candidates is walked from the same
-  first pair as in a walk of f alone.
-- For a family f and a class H free of f, delete an edge e of top rank.
-  H - e is free of f, so it is in the walk with bit f set; the
-  representative of e's orbit is a candidate of f and passes the rank
-  test, so H is reached with bit f set.
-
-Restricted to one family, the walk gives exactly that family's class sets,
-and each family counts the non-edges of its own member parents only, so
-its visit counts are a separate walk's.  With one family it is the walk
-above, pair for pair.
-
-Vertex extension builds the classes on m vertices from those on m - 1, for
-m = 1..n, in the style of McKay's canonical augmentation by vertices (the
-scheme of nauty's geng).  Freeness survives vertex deletion too, so a free
-graph on m vertices is a free graph on m - 1 plus a vertex v joined to a
-set S.  Each vertex level maps a code to its generators and members:
+The classes come from vertex extension, in the style of McKay's canonical
+augmentation by vertices (J. Algorithms 1998, the scheme of nauty's geng):
+the classes on m vertices are built from those on m - 1, for m = 1..n.
+Freeness survives vertex deletion, so a free graph on m vertices is a free
+graph on m - 1 plus a vertex v joined to a set S.  Each vertex level maps a
+code to its generators and members, the mask of the families it is free
+of.  The generators are those that ``canonical_code_and_generators``
+returned when it found the class, on the canonical graph its code
+rebuilds, so no parent is searched twice.
 
 - A class on m - 1 vertices passes to level m padded with an isolated
   vertex, under its own code (the padding argument below), and is not
   searched again.  Its generators are shifted up by one.  They generate
   its whole group unless it has two isolated vertices or more, and then
   it is never extended: v joined to a non-empty S would not be of least
-  degree.
-- Each parent H, the canonical graph of its code, gets v joined to each
-  non-empty S that passes three tests.  (a) v has the least degree in
-  H + v: |S| is at most H's least degree, or one more and S holds every
+  degree.  Those classes are a prefix of the sorted level (the padding
+  argument again), cut off by bisection.
+- Each other parent H, the canonical graph of its code, gets v joined to
+  each non-empty S that passes three tests.  (a) v has the least degree
+  in H + v: |S| is at most H's least degree, or one more and S holds every
   vertex of that degree.  (b) Some member family admits S: H + v is free
-  of it.  S grows one vertex at a time, and each pattern's
-  ``neighbourhood_mask`` names the vertices that would complete a copy:
-  for K_k, S must hold no K_{k-1}; for a one-copy S_l, |S| <= l - 1 and
-  every vertex of S has degree at most l - 2.  The child's members are the
-  families that admit S.  (c) S, read as a mask, is no larger than its
-  image under each generator of H.
+  of it.  (c) S, read as a mask, is no larger than its image under each
+  generator of H.  The child's members are the families that admit S.
 - H + v is canonicalized only when no other vertex of v's degree has a
   larger deletion key: the neighbour-degree sum, then the sum of the
   neighbours' neighbour-degree sums, then the sorted neighbour degrees,
   all taken in H + v.  Children are deduplicated by code, and every parent
   must give a class the same members.
+
+Test (b) is exact.  H is free of each member family, so a copy of a
+pattern in H + v uses v.  S grows one vertex at a time, in increasing
+order, and is grown only while some member family may still admit it:
+
+- A clique K_k needs a K_{k-1} inside S.  Its ``neighbourhood_mask``
+  names the vertices x for which S + x holds one, where S does not.
+- A star forest of c copies of S_l has v as a leaf of some x in S or as a
+  centre, and its other c - 1 stars in H; where H lacks them, as it often
+  does, no S completes it.  Whether v as a leaf of x completes it does not
+  depend on the rest of S: H holds a star at x with l - 1 leaves and c - 1
+  further S_l, all disjoint.  The forest's ``leaf_mask`` gives those x once
+  per parent, and no S holding one is grown.  For a matching it is empty
+  unless nu(H) = c - 1, and then it is the vertices that some maximum
+  matching of H misses.
+- v as a centre needs l leaves in S and c - 1 further S_l in H apart from
+  them.  ``occurs_with_new_centre`` asks that of the whole set, so its
+  verdict is exact whatever S's subsets got, and it is asked only of the
+  sets that pass (a), (c) and the key test, last before the search.  A
+  set it blocks still grows, and its supersets are blocked when asked.  It
+  never arises for a one-leaf star, whose centre is a leaf too, nor for
+  one copy: H free of S_l caps its least degree at l - 1, and at l - 1 H
+  is regular and every vertex is in the leaf mask, so (a) keeps |S| < l.
+
+Every set a family admits is reached with that family's bit.  H + v
+joined to a subset of S is a subgraph of H + v joined to S, so each prefix
+of an admitted S is admitted: it misses the leaf masks, its cliques' masks
+let the next vertex through, and it is grown.  The masks are exact, so
+the bits a set carries while it grows never drop a family that admits it,
+and the centre test then removes every family that does not: the
+members of a kept child are exact whichever parent and path reach it.
 
 Each class G on m vertices is still reached.  If G has an isolated vertex
 it is a padded class: removing one gives a class at level m - 1.  No
@@ -144,12 +74,17 @@ members, and maybe more.  w's neighbourhood, carried into P's canonical
 graph, has an orbit under the generators, and the least set S of that
 orbit passes (c).  P + v joined to S is isomorphic to G by a map taking v
 to w, and degree and key are invariants, so (a), (b) and the key test
-pass, and the child's members are G's.  Split by edge
-count, the codes at level n are the walk's levels, and a level's
-augmentations tried are counted from the class sets, as the walk counts
-them, so the two streams are equal.  The generators kept for a class are
-those of the first parent, in code order, that reached it, so no count
-depends on how the parents split over workers.
+pass, and the child's members are G's.  The codes at level n, split by
+edge count, are the levels of the stream, and a level's augmentations
+tried are counted from the class sets.  The generators kept for a class
+are those of the first parent, in code order, that reached it, so no count
+depends on how the parents split over workers, and records compare equal
+across any worker count.
+
+One search serves several families on the same vertex count, each
+restricted to its own member bits: a family's classes are those whose
+members hold its bit, as a search of that family alone finds them, and
+each family's augmentations are counted from its own classes.
 
 Inside the search a class is its integer canonical code: workers receive
 the parents' codes with their generators and members, rebuild each parent
@@ -186,9 +121,9 @@ classes exactly once and tries every non-edge.
 
 Records are cached here too.  ``shared_records`` is the one path from a
 request to a record: it looks each n up in the ``ResultCache``, groups
-each family's misses by their largest n, runs one walk per group, so the
-families whose largest miss is the same n share it, and appends what the
-walks found.
+each family's misses by their largest n, runs one search per group
+(``_walk``), so the families whose largest miss is the same n share it,
+and appends what the searches found.
 
 Whether a class lies in one of the paper's join families is asked of
 ``constructions.family_membership``, next to the builders of those families.
@@ -209,7 +144,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .canonical import LABELLING_VERSION, canonical_code_and_generators, canonical_form, graph_from_code
-from .detectors import ForbiddenFamily, is_family_free
+from .detectors import Clique, ForbiddenFamily, StarForest, is_family_free
 from .graph6 import graph6_decode, graph6_encode
 from .graphs import Graph, bits, empty_graph
 
@@ -353,173 +288,14 @@ def _check_cap(n: int) -> None:
 Generators = list[tuple[int, ...]]
 
 
-def _orbit_representatives(
-    g: Graph, generators: Generators, candidates: list[int]
-) -> Iterator[tuple[int, int]]:
-    """First non-edge u-v (u < v, in row order) of each orbit of the
-    candidate pairs, bit v of ``candidates[u]``, under the group the
-    generators generate.  The candidates must be symmetric, non-edges and a
-    union of orbits."""
-    seen = [0] * g.n  # seen[u] bit v: pair u-v lies in an orbit already yielded
-    for u, mask in enumerate(candidates):
-        for v in bits(mask >> u + 1 << u + 1):
-            if seen[u] >> v & 1:
-                continue
-            yield u, v
-            seen[u] |= 1 << v
-            stack = [(u, v)]
-            while stack:
-                a, b = stack.pop()
-                for sigma in generators:
-                    x, y = sigma[a], sigma[b]
-                    if x > y:
-                        x, y = y, x
-                    if not seen[x] >> y & 1:
-                        seen[x] |= 1 << y
-                        stack.append((x, y))
-
-
-def _outranked(
-    rows: tuple[int, ...], degrees: list[int], sums: list[int], at_least: list[int], u: int, v: int
-) -> bool:
-    """Has some edge of g + uv a larger rank than uv, degrees taken in g + uv?
-
-    The rank is the (smaller end, larger end) degree pair, ties broken by
-    the sorted pair of the ends' neighbour-degree sums.  The rest is g's
-    degree table: ``rows`` are g's, ``degrees[x]`` is x's degree in g,
-    ``sums[x]`` the sum of the degrees of x's neighbours in g, and
-    ``at_least[t]`` the mask of g's vertices of degree at least t, for
-    t = 0..n.
-    """
-    du, dv = degrees[u], degrees[v]
-    p, q = sorted((du + 1, dv + 1))
-    uv = 1 << u | 1 << v
-    # vertices of degree >= p, > p and > q in g + uv
-    mid = at_least[p] | uv & at_least[p - 1]
-    high = at_least[p + 1] | uv & at_least[p]
-    top = at_least[q + 1] | uv & at_least[q]
-    # an edge outranks uv on degrees when both ends lie in `high`, or one end
-    # lies in `top` and the other in `mid`; `top` lies inside `high`
-    rest = high
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        a = low.bit_length() - 1
-        if rows[a] & (mid if top & low else high):
-            return True
-    # the edges that tie uv on degrees join a degree-p end to a degree-q end;
-    # in g + uv a neighbour-degree sum gains one per neighbour in uv, and
-    # u's (v's) gains v's (u's) degree
-    gain = {u: dv + 1, v: du + 1}
-    key = sorted((sums[u] + gain[u], sums[v] + gain[v]))
-    q_end = (at_least[q] | uv & at_least[q - 1]) & ~top
-    rest = mid & ~high
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        a = low.bit_length() - 1
-        ends = rows[a] & q_end
-        if ends:
-            sum_a = sums[a] + (rows[a] & uv).bit_count() + gain.get(a, 0)
-        while ends:
-            end = ends & -ends
-            ends ^= end
-            b = end.bit_length() - 1
-            if sorted((sum_a, sums[b] + (rows[b] & uv).bit_count() + gain.get(b, 0))) > key:
-                return True
-    return False
-
-
-def _expand_codes(
-    args: tuple[int, Sequence[ForbiddenFamily], list[tuple[int, Generators, int]]],
-) -> tuple[dict[int, tuple[Generators, int]], list[int]]:
-    """Worker: augment each graph by one edge, keep the results free of some family.
-
-    Module level so process pools can pickle it.  Takes each parent as its
-    code, automorphism generators of ``graph_from_code(n, code)`` and its
-    members, the mask of the families (bit i for ``families[i]``) it is
-    free of; returns the same for the successors, keyed by code, plus the
-    augmentations attempted per family, which count every non-edge of each
-    member parent.  Only the first candidate pair of each orbit, in the
-    degree window and outside every exact mask of some member family, and
-    only one that no edge of the child outranks, is asked of the patterns
-    without a mask and canonicalized, once for all its families.
-    """
-    n, families, parents = args
-    screens = [
-        (
-            1 << i,
-            [pat for pat in family.patterns if pat.has_edge_mask],
-            [pat for pat in family.patterns if not pat.has_edge_mask],
-        )
-        for i, family in enumerate(families)
-    ]
-    out: dict[int, tuple[Generators, int]] = {}
-    visited = [0] * len(families)
-    pairs = n * (n - 1) // 2
-    for code, generators, members in parents:
-        g = graph_from_code(n, code)
-        rows = g.rows
-        non_edges = pairs - code.bit_count()
-        # the degree table that the window and every rank test read
-        degrees = [row.bit_count() for row in rows]
-        at_least = [0] * (n + 1)
-        for x, d in enumerate(degrees):
-            at_least[d] |= 1 << x
-        for t in range(n - 1, -1, -1):
-            at_least[t] |= at_least[t + 1]
-        # an edge with both ends of degree >= top outranks every non-edge
-        # with an end of degree < top - 1; top is the degree of the lower
-        # end of such an edge, a vertex with a neighbour of its degree or more
-        top = 0
-        sums = []
-        for row, d in zip(rows, degrees):
-            if d > top and row & at_least[d]:
-                top = d
-            total = 0
-            while row:
-                low = row & -row
-                row ^= low
-                total += degrees[low.bit_length() - 1]
-            sums.append(total)
-        window = at_least[max(top - 1, 0)]
-        # exact masks keep each member's candidates, and so their union, a
-        # union of orbits
-        walked = [0] * n
-        screened = []  # (bit, candidates, paired) per member family
-        for i, (bit, masked, paired) in enumerate(screens):
-            if not members & bit:
-                continue
-            visited[i] += non_edges
-            candidates = [0] * n
-            for u in bits(window):
-                blocked = rows[u]
-                for pat in masked:
-                    blocked |= pat.edge_mask(g, u)
-                candidates[u] = window & ~blocked
-                walked[u] |= candidates[u]
-            screened.append((bit, candidates, paired))
-        for u, v in _orbit_representatives(g, generators, walked):
-            if _outranked(rows, degrees, sums, at_least, u, v):
-                continue
-            child_members = 0
-            for bit, candidates, paired in screened:
-                if candidates[u] >> v & 1 and not any(pat.occurs_with_edge(g, u, v) for pat in paired):
-                    child_members |= bit
-            if child_members:
-                child, child_generators = canonical_code_and_generators(g.add_edge(u, v))
-                _merge(out, child, (child_generators, child_members))
-    return out, visited
-
-
 def _merge(found: dict[int, tuple], code: int, entry: tuple) -> None:
-    """Keep the first entry found for a class, or, where entries carry a
-    third item, the one whose third item is least; every parent must give
-    the class the same members, the second item."""
+    """Keep the entry for a class whose third item, the position of the
+    parent that reached it, is least; every parent must give the class the
+    same members, the second item."""
     known = found.setdefault(code, entry)
     if known[1] != entry[1]:
         raise AssertionError(f"class {code} reached as free of families {known[1]:b} and {entry[1]:b}")
-    if entry[2:] < known[2:]:
+    if entry[2] < known[2]:
         found[code] = entry
 
 
@@ -552,47 +328,13 @@ def _levels(
     Those are the triples of a stream of that family alone, which ends at
     its first empty level, followed by (level, (), 0) at every later level.
     Augmentations tried at a level are the non-edges of the family's classes
-    one level down.  When every pattern is a clique or a one-copy star, the
-    vertex extension gives the stream, and otherwise the edge walk.
+    one level down.  The classes come from vertex extension, from 0 to n
+    vertices.
     """
     seed = empty_graph(n)
     for family in families:
         if not is_family_free(seed, family):
             raise AssertionError(f"empty graph should always be {family.spec()}-free")
-    by_vertex = all(pat.has_edge_mask for family in families for pat in family.patterns)
-    yield from (_vertex_levels if by_vertex else _edge_levels)(n, *families, jobs=jobs)
-
-
-def _edge_levels(
-    n: int, *families: ForbiddenFamily, jobs: int
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The stream of ``_levels``, by one edge walk on n vertices for all the families."""
-    code, generators = canonical_code_and_generators(empty_graph(n))
-    parents = [(code, generators, (1 << len(families)) - 1)]
-    for _ in families:
-        yield 0, (code,), 0
-    with _mapper(jobs) as run:
-        level = 0
-        while parents:
-            level += 1
-            chunks = [(n, families, parents[i::jobs]) for i in range(min(jobs, len(parents)))]
-            found: dict[int, tuple[Generators, int]] = {}
-            visited = [0] * len(families)
-            for part, seen in run(_expand_codes, chunks):
-                for child, entry in part.items():  # the first chunk's generators win
-                    _merge(found, child, entry)
-                visited = [a + b for a, b in zip(visited, seen)]
-            parents = [(child, gens, members) for child, (gens, members) in sorted(found.items())]
-            for i, tried in enumerate(visited):
-                # an empty level still reports the attempts that proved it empty
-                yield level, tuple(child for child, _, members in parents if members >> i & 1), tried
-
-
-def _vertex_levels(
-    n: int, *families: ForbiddenFamily, jobs: int
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The stream of ``_levels``, by vertex extension from 0 to n vertices;
-    every pattern must be a clique or a one-copy star."""
     # code -> (generators, members, least position of a parent that reached
     # it), so the generators kept do not depend on how the parents split
     classes: dict[int, tuple[Generators | None, int, int]] = {0: ([], (1 << len(families)) - 1, 0)}
@@ -606,9 +348,14 @@ def _vertex_levels(
                 code: ([(0, *[x + 1 for x in sigma]) for sigma in gens] if keep else None, members, -1)
                 for _, code, gens, members in parents
             }
+            # a class with two isolated vertices or more is never extended:
+            # v joined to a non-empty set would not be of least degree; on
+            # m - 1 vertices they are the codes below 2^C(m-3, 2), a prefix
+            if m > 2:
+                parents = parents[bisect_left(parents, 1 << (m - 3) * (m - 4) // 2, key=lambda parent: parent[1]):]
             chunks = [(m - 1, families, parents[i::jobs], keep) for i in range(min(jobs, len(parents)))]
             # the graph on no vertices has no set to join a new vertex to
-            for part in run(_extend_codes, chunks if m > 1 else []):
+            for part in run(_expand_codes, chunks if m > 1 else []):
                 # the least position wins whatever the order of merging, so
                 # the smaller dict goes into the larger, which saves memory
                 if len(part) > len(classes):
@@ -628,7 +375,7 @@ def _vertex_levels(
             below[i] = len(codes)
 
 
-def _extend_codes(
+def _expand_codes(
     args: tuple[int, Sequence[ForbiddenFamily], list[tuple[int, int, Generators, int]], bool],
 ) -> dict[int, tuple[Generators | None, int, int]]:
     """Worker: extend each graph by one vertex, keep the results free of some family.
@@ -638,14 +385,30 @@ def _extend_codes(
     automorphism generators of ``graph_from_code(p, code)`` and its members;
     returns, keyed by code, each child's generators (None unless ``keep``),
     members and the least position of a parent that reached it.  A new
-    vertex v is joined to each non-empty vertex set s that some member family
-    admits, grown one vertex at a time through the families' neighbourhood
-    masks; only an s that leaves v of least degree, is no larger than its
-    image under every generator, and leaves no vertex of v's degree a larger
-    deletion key than v is canonicalized.
+    vertex v is joined to each non-empty vertex set t grown one vertex at a
+    time through the cliques' neighbourhood masks and outside the star
+    forests' leaf masks.  Only a t that leaves v of least degree, is no
+    larger than its image under every generator and leaves no vertex of
+    v's degree a larger deletion key than v is asked the star forests' new
+    centre tests, and it is canonicalized when some family still admits it.
     """
     p, families, parents, keep = args
     new = 1 << p
+    # each family's cliques, and its star forests each with the forest of
+    # its other copies where a new centre must be asked of a kept set: a
+    # one-leaf star's centre is a leaf too, and with one copy the degree
+    # rule keeps v's degree below the leaf count
+    kinds = [
+        (
+            [pat for pat in family.patterns if isinstance(pat, Clique)],
+            [
+                (pat, StarForest(pat.copies - 1, pat.leaves) if pat.copies > 1 < pat.leaves else None)
+                for pat in family.patterns
+                if isinstance(pat, StarForest)
+            ],
+        )
+        for family in families
+    ]
     out: dict[int, tuple[Generators | None, int, int]] = {}
     for index, code, generators, members in parents:
         g = graph_from_code(p, code)
@@ -665,9 +428,26 @@ def _extend_codes(
                 row ^= bit
                 total += degrees[bit.bit_length() - 1]
             sums.append(total)
-        screens = [(1 << i, family.patterns) for i, family in enumerate(families) if members >> i & 1]
+        # per family: its bit, its cliques, the vertices outside its forests'
+        # leaf masks and the forests whose new centre is asked; a copy in
+        # g + v has its other stars in g, so without them v completes none
+        reachable = low if least == 0 else new - 1  # v joins the one isolated vertex
+        leaf: dict[StarForest, int | None] = {}  # leaf masks, None where g lacks the other copies
+        screens = []
+        for i, (cliques, stars) in enumerate(kinds):
+            if members >> i & 1:
+                allowed = new - 1
+                centred = []
+                for pat, rest in stars:
+                    if pat not in leaf:
+                        leaf[pat] = pat.leaf_mask(g, reachable) if rest is None or rest.occurs_in(g) else None
+                    if leaf[pat] is not None:
+                        allowed &= ~leaf[pat]
+                        if rest is not None:
+                            centred.append(pat)
+                screens.append((1 << i, cliques, allowed, centred))
         images = [[1 << y for y in sigma] for sigma in generators]
-        stack = [(0, new - 1, members)]  # (s, the vertices s may grow by, the families that admit s)
+        stack = [(0, new - 1, members)]  # (s, the vertices s may grow by, the families s may be free of)
         while stack:
             s, above, admits = stack.pop()
             size = s.bit_count()
@@ -681,12 +461,12 @@ def _extend_codes(
                     above &= missing
             grows = []
             reach = 0
-            for bit, patterns in screens:
+            for bit, cliques, allowed, centred in screens:
                 if admits & bit:
-                    free = above
-                    for pat in patterns:
+                    free = above & allowed
+                    for pat in cliques:
                         free &= ~pat.neighbourhood_mask(g, s)
-                    grows.append((bit, free))
+                    grows.append((bit, free, centred))
                     reach |= free
             d = size + 1  # v's degree
             while reach:
@@ -695,7 +475,7 @@ def _extend_codes(
                 x = bit.bit_length() - 1
                 t = s | bit
                 child_members = 0
-                for family_bit, free in grows:
+                for family_bit, free, _ in grows:
                     if free & bit:
                         child_members |= family_bit
                 if d <= least:
@@ -705,6 +485,11 @@ def _extend_codes(
                 # the other vertices of v's degree in g + v
                 ties = low & ~t if d == least else low | next_low & ~t if d > least else 0
                 if ties and _outranked_vertex(rows, degrees, sums, t, ties):
+                    continue
+                for family_bit, free, centred in grows:
+                    if free & bit and any(pat.occurs_with_new_centre(g, t) for pat in centred):
+                        child_members ^= family_bit
+                if not child_members:
                     continue
                 child_rows = list(rows)
                 rest = t
@@ -806,14 +591,14 @@ def shared_records(
     cache: ResultCache | None = None,
     fresh: set[tuple[ForbiddenFamily, int]] | None = None,
 ) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
-    """``extremal_records`` for each family and its ns, one walk per vertex count.
+    """``extremal_records`` for each family and its ns, one search per vertex count.
 
     Every n and ``jobs`` are checked before any lookup, so a cache line
     never answers for an n the search would refuse.  Each n is looked up
     once; a hit reports its own lookup's time as ``elapsed``, not the
     stored run's.  Each family's misses are grouped by the largest of them,
-    and the families of a group share one walk at that n, whose seconds
-    every record it gives carries as ``elapsed``.  After every walk, the
+    and the families of a group share one search at that n, whose seconds
+    every record it gives carries as ``elapsed``.  After every search, the
     misses are appended to the cache and added to ``fresh`` as
     ``(family, n)``, in the order of ``wanted``, each family's in ascending n.
     """
@@ -853,7 +638,7 @@ def shared_records(
 def _walk(
     top: int, plan: dict[ForbiddenFamily, list[int]], jobs: int
 ) -> dict[ForbiddenFamily, dict[int, ExtremalRecord]]:
-    """One walk on top vertices: the records of each family at its ns, which ascend to top.
+    """One search on top vertices: the records of each family at its ns, which ascend to top.
 
     A family reads its records at every n below top from its classes padded to top.
     """

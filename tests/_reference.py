@@ -5,7 +5,7 @@ vertex subsets, all edge subsets, all assignments.  Nothing is shared
 with the package internals, so agreement between the two is meaningful.
 The level check, ``labelled_count_failures``, takes the package's
 detector and the canonical search's generators as given and computes
-group orders its own way; what it checks is the walk's class sets.
+group orders its own way; what it checks is the search's class sets.
 """
 
 import itertools
@@ -188,20 +188,6 @@ def ref_graph_from_code(n: int, code: int) -> Graph:
     return build_graph(n, [pair for i, pair in enumerate(pairs) if code >> len(pairs) - 1 - i & 1])
 
 
-def ref_outranked(g: Graph, u: int, v: int) -> bool:
-    """Does some edge of h = g + uv rank above uv?  An edge's rank is the
-    sorted pair of its ends' degrees, then the sorted pair of its ends'
-    neighbour-degree sums, all taken in h."""
-    h = g.add_edge(u, v)
-
-    def rank(a: int, b: int):
-        degrees = sorted((h.degree(a), h.degree(b)))
-        sums = sorted(sum(h.degree(w) for w in h.neighbors(x)) for x in (a, b))
-        return degrees, sums
-
-    return any(rank(a, b) > rank(u, v) for a, b in h.edges())
-
-
 def ref_refine(rows: tuple[int, ...], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Equitable refinement against every cell on every pass.
 
@@ -345,7 +331,7 @@ def labelled_count_failures(family, levels, generators=automorphism_generators) 
     admit no free addition.  A missing class, a class listed twice, a class
     that is not free and generators of too small a group each break it.
     It reads the classes, their generators and the detector, and none of
-    the walk's orbit cut, rank test, masks or dedup.
+    the search's orbit cut, deletion keys, masks or dedup.
     """
     labellings = [[math.factorial(g.n) // group_order(g.n, generators(g)) for g in level] for level in levels]
     failures = []

@@ -365,9 +365,9 @@ def test_search_matches_refinement_against_every_cell(monkeypatch):
 
 
 def _searched_corpus(monkeypatch):
-    # every graph the edge walk of the n = 8 triangle-free classes hands to
-    # the search, the empty seed first, then 500 seeded random graphs on up
-    # to 12 vertices
+    # every graph the search of the triangle-free classes on up to 8
+    # vertices hands to the canonical search, vertex level by vertex level,
+    # then 500 seeded random graphs on up to 12 vertices
     searched = []
     search = oracle.canonical_code_and_generators
 
@@ -376,7 +376,7 @@ def _searched_corpus(monkeypatch):
         return search(g)
 
     monkeypatch.setattr(oracle, "canonical_code_and_generators", recorded)
-    for _ in oracle._edge_levels(8, ForbiddenFamily((Clique(3),)), jobs=1):
+    for _ in oracle._levels(8, ForbiddenFamily((Clique(3),)), jobs=1):
         pass
     monkeypatch.undo()
     rng = random.Random(53)
@@ -399,19 +399,19 @@ def test_search_output_is_pinned(monkeypatch):
     # choice of generators.
     searched, rand = _searched_corpus(monkeypatch)
     graphs = searched + rand
-    assert len(searched) == 429
+    assert len(searched) == 424
     assert _digest(f"{g.n} {g.rows}" for g in graphs) == (
-        "d01d9c641f981d74b3b5bd9954a7431e79273a7b58e590210ae95a8d4373ea1f"
+        "e29e5b9eb3f3b052221121225f86906b20ebd59a40b84830b97005c68516a42b"
     )
     results = [canonical._search(g) for g in graphs]
     assert _digest(repr((code, perm)) for code, perm, _ in results) == (
-        "99fede8a55fa49ba20dd7b7ca5136463a65faf06b1303e22d74267029741cc21"
+        "03e28d3bf7cb98c1a458aadff667f558984b8a6b3ea537f6b96086989eb69bfc"
     )
     assert _digest(repr(result) for result in results) == (
-        "6ee1074e9957772ddd44ce9f9df23628e033be1126490fe9adc5f5ee1b0bbfc9"
+        "2d14928c939aa13c98cdd7328e6658aa40911b46a08fb4f66d8a632eb7a9f81b"
     )
     assert _digest(repr(canonical_code_and_generators(g)) for g in graphs) == (
-        "edb09e8715db4bacad67b3ed21424a7b5da666184e40c30c0bf17490e13ae4c3"
+        "23b2b4781f3dbbb832aed8d46dc7ee2835917e59ec3c536436c20978cd53ae4e"
     )
 
 
@@ -419,7 +419,7 @@ def test_search_leaves_no_cyclic_garbage(monkeypatch):
     # the search builds no self-referencing closure, so with the collector
     # off nothing it drops waits for a cyclic collection
     searched, _ = _searched_corpus(monkeypatch)
-    assert len(searched) == 429
+    assert len(searched) == 424
     gc.collect()
     gc.disable()
     try:

@@ -16,8 +16,10 @@ from turanstar import (
     contains_clique,
     contains_star_forest,
     empty_graph,
+    induced_subgraph,
     is_family_free,
     join,
+    mask_of,
     max_matching_size,
     turan_graph,
 )
@@ -314,62 +316,61 @@ def _planted_star_forest_free(copies, leaves):
         yield g
 
 
+def _blocked(pattern, g, s):
+    """The oracle's verdicts on g plus a new vertex joined to s and x, for
+    every x outside s, as a mask, where g and g plus a vertex joined to s
+    are free of the pattern: a clique answers by its neighbourhood mask, a
+    star forest by its leaf mask and its new centre test on the whole set,
+    which a one-leaf star, whose centre is a leaf too, does not need.  The
+    bits of s mean nothing."""
+    if isinstance(pattern, Clique):
+        return pattern.neighbourhood_mask(g, s)
+    blocked = pattern.leaf_mask(g, (1 << g.n) - 1)
+    if pattern.leaves > 1:
+        blocked |= mask_of(x for x in range(g.n) if pattern.occurs_with_new_centre(g, s | 1 << x))
+    return blocked
+
+
+def _split_off(g, u):
+    """g - u, with the vertices above u moved down one, and u's
+    neighbourhood there: g is that graph plus a vertex joined to it."""
+    row = g.rows[u]
+    return induced_subgraph(g, (1 << g.n) - 1 ^ 1 << u), row & (1 << u) - 1 | row >> u + 1 << u
+
+
 @pytest.mark.parametrize("spec", EDGE_LOCAL_SPECS)
 def test_edge_local_answer_matches_adding_the_edge(spec):
+    # any copy in g + uv uses uv, so either end of it can be read as the
+    # oracle's new vertex: u joined to its neighbourhood in g - u, and v
     (pattern,) = ForbiddenFamily.parse(spec).patterns
     as_matching = spec.startswith("matching:")
     positives = 0
     for g in _free_graphs(pattern):
         for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if not g.has_edge(u, v):
+            h, s = _split_off(g, u)
+            blocked = _blocked(pattern, h, s)
+            for v in range(g.n):
+                if v != u and not g.has_edge(u, v):
                     want = _occurs_with_the_edge(pattern, g, u, v, as_matching)
-                    if isinstance(pattern, Clique):  # a clique answers only by its mask
-                        got = bool(pattern.edge_mask(g, u) >> v & 1)
-                    else:
-                        got = pattern.occurs_with_edge(g, u, v)
-                    assert got == want, (g.n, g.edges(), u, v)
+                    assert bool(blocked >> v - (v > u) & 1) == want, (g.n, g.edges(), u, v)
                     positives += want
     # a cell that only ever compares False with False checks nothing
     assert positives
 
 
-def _assert_edge_mask_is_exact(pattern):
-    # the oracle drops every pair in the mask before its orbit walk, so the
-    # mask must be exact from either end of every non-edge
-    assert pattern.has_edge_mask
-    for g in _free_graphs(pattern):
-        for u in range(g.n):
-            mask = pattern.edge_mask(g, u)
-            for v in range(g.n):
-                if v != u and not g.has_edge(u, v):
-                    want = _occurs_with_the_edge(pattern, g, u, v)
-                    assert bool(mask >> v & 1) == want, (g.n, g.edges(), u, v)
-
-
-@pytest.mark.parametrize("size", range(2, 6))
-def test_clique_edge_mask_matches_adding_the_edge(size):
-    _assert_edge_mask_is_exact(Clique(size))
-
-
-@pytest.mark.parametrize("leaves", range(1, 5))
-def test_star_forest_edge_mask_matches_adding_the_edge(leaves):
-    _assert_edge_mask_is_exact(StarForest(1, leaves))
-    # two or more copies have no exact mask
-    assert not StarForest(2, leaves).has_edge_mask
-    with pytest.raises(ValueError):
-        StarForest(2, leaves).edge_mask(empty_graph(8), 0)
-
-
 @pytest.mark.parametrize(
-    "pattern", [Clique(size) for size in range(2, 6)] + [StarForest(1, leaves) for leaves in range(1, 6)], ids=str
+    "pattern",
+    [Clique(size) for size in range(2, 6)]
+    + [StarForest(1, leaves) for leaves in range(1, 6)]
+    + [StarForest(copies, leaves) for copies, leaves in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2))],
+    ids=str,
 )
 def test_neighbourhood_mask_matches_adding_a_vertex(pattern):
     # vertex extension grows a new vertex's neighbourhood one vertex at a
-    # time, in increasing order, and drops a vertex the mask of the set
-    # before it holds; so it admits a set exactly when the graph with a new
-    # vertex joined to it is free, asked literally of every set of seeded
-    # random free graphs
+    # time, in increasing order, and drops a vertex whose verdict blocks
+    # the set it makes; so it admits a set exactly when the graph with a
+    # new vertex joined to it is free, asked literally of every set of
+    # seeded random free graphs
     rng = random.Random(149)
     verdicts = Counter()
     for _ in range(40):
@@ -380,28 +381,62 @@ def test_neighbourhood_mask_matches_adding_a_vertex(pattern):
         for s in range(1, 1 << g.n):
             top = s.bit_length() - 1
             below = s ^ 1 << top
-            got = below in admitted and not pattern.neighbourhood_mask(g, below) >> top & 1
+            got = below in admitted and not _blocked(pattern, g, below) >> top & 1
             want = not pattern.occurs_in(build_graph(g.n + 1, g.edges() + [(x, g.n) for x in bits(s)]))
             assert got == want, (g.n, g.edges(), s)
             if got:
                 admitted.add(s)
             verdicts[got] += 1
-    # a cell that only ever compares one verdict checks half the mask; K2
+    # a cell that only ever compares one verdict checks half the test; K2
     # and a one-edge matching admit no non-empty set
     assert verdicts[False] and (verdicts[True] or pattern in (Clique(2), StarForest(1, 1)))
 
 
+@pytest.mark.parametrize("spec", ["matching:2", "matching:3", "starforest:2x2", "starforest:2x3"])
+def test_new_vertex_verdict_matches_the_literal_detector(spec):
+    # every free graph h on up to 7 vertices, and every set t of at most
+    # h's least degree plus one vertices, the sets vertex extension may
+    # join a new vertex to: the leaf mask and the new centre test against
+    # the literal search of h plus a vertex joined to t.  The verdict reads
+    # the whole set, so it must hold whatever t's subsets get
+    (pattern,) = ForbiddenFamily.parse(spec).patterns
+    kinds = Counter()
+    for a in nx.graph_atlas_g()[1:]:
+        h = build_graph(a.number_of_nodes(), a.edges())
+        if ref_has_star_forest(h, pattern.copies, pattern.leaves):
+            continue
+        leafy = pattern.leaf_mask(h, (1 << h.n) - 1)
+        if pattern.leaves == 1:
+            # nu(h - x) = copies - 1, which h free caps at nu(h)
+            nu = ref_max_matching(h)
+            missed = mask_of(x for x in range(h.n) if ref_max_matching(_split_off(h, x)[0]) == nu)
+            assert leafy == (missed if nu == pattern.copies - 1 else 0), h.edges()
+            kinds["nu = copies - 1"] += nu == pattern.copies - 1
+        cap = min(h.degree(x) for x in range(h.n)) + 1
+        for t in range(1, 1 << h.n):
+            if t.bit_count() <= cap:
+                centred = pattern.occurs_with_new_centre(h, t)
+                g = build_graph(h.n + 1, h.edges() + [(x, h.n) for x in bits(t)])
+                want = ref_has_star_forest(g, pattern.copies, pattern.leaves)
+                assert bool(t & leafy or centred) == want, (h.n, h.edges(), t)
+                kinds["leaf" if t & leafy else "centre" if centred else "free"] += 1
+    # a cell that only ever compares one verdict checks half the test; with
+    # one leaf the centre is a leaf too, and the parents where nu(h) =
+    # copies - 1 are the ones that block
+    assert kinds["leaf"] and kinds["free"]
+    assert kinds["centre"] if pattern.leaves > 1 else kinds["nu = copies - 1"] and not kinds["centre"]
+
+
 def test_family_free_with_an_added_edge_asks_about_the_child():
-    # the oracle's one question per pattern: the mask where there is one,
-    # occurs_with_edge otherwise
+    # the oracle's questions for a family, read for the edge uv with u as
+    # the new vertex: a clique's mask, and a star forest's leaf mask and new
+    # centre test
     family = ForbiddenFamily((Clique(4), StarForest(2, 3)))
     for g in _free_graphs(family.patterns[0]):
         if is_family_free(g, family):
             for u, v in complement(g).edges():
-                blocked = any(
-                    pat.edge_mask(g, u) >> v & 1 if pat.has_edge_mask else pat.occurs_with_edge(g, u, v)
-                    for pat in family.patterns
-                )
+                h, s = _split_off(g, u)
+                blocked = any(_blocked(pat, h, s) >> v - 1 & 1 for pat in family.patterns)
                 assert blocked == (not is_family_free(g.add_edge(u, v), family))
 
 

@@ -40,13 +40,12 @@ from turanstar import (
     graph_from_code,
     joined_capped_extremal,
     joined_regular_extremal,
-    mask_of,
     turan_graph,
 )
 
 from turanstar import constructions, oracle
 from turanstar.canonical import canonical_code_and_generators
-from turanstar.oracle import _expand_codes, _levels
+from turanstar.oracle import _levels
 
 from _reference import (
     automorphism_generators,
@@ -59,7 +58,6 @@ from _reference import (
     ref_family_membership,
     ref_has_star_forest,
     ref_is_free,
-    ref_outranked,
     remove_edge,
 )
 
@@ -265,34 +263,21 @@ def test_max_degree_two_levels_match_the_generating_function(spec, shortest_cycl
     ],
 )
 def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
-    # a whole level, each parent carrying the generators its own search
-    # found a level earlier, reaches every class of the next level; the
-    # rank filter only thins how often each one is reached
+    # vertex extension tries one set per orbit of each parent, and only the
+    # sets whose new vertex has the largest deletion key; every level it
+    # gives must still be the free one-edge augmentations of the level
+    # below, found by trying every non-edge of every class, and its
+    # augmentations tried that many non-edges
     family = ForbiddenFamily.parse(spec)
-    # clique:9 admits every graph: its n = 8 levels (12,346 classes) are
-    # stood in for by 40 seeded random graphs of each edge count; clique:4
-    # has 6,431 classes at n = 8 and stops at n = 7
+    # clique:9 admits every graph and clique:4 has 6,431 classes at n = 8,
+    # so those two stop at n = 7
     n_full = 7 if spec in ("clique:9", "clique:4") else 8
     for n in range(1, n_full + 1):
-        parents = [(*canonical_code_and_generators(empty_graph(n)), 1)]
-        level = 0
-        while parents:
-            found, (visited,) = _expand_codes((n, [family], parents))
-            want = ref_expand_codes(n, family, [code for code, _, _ in parents])
-            assert (set(found), visited) == want, (n, level)
-            assert all(members == 1 for _, members in found.values())
-            parents = [(code, generators, members) for code, (generators, members) in sorted(found.items())]
-            level += 1
-    if spec == "clique:9":
-        # a partial parent set may miss a child whose only kept parent is
-        # not sampled, so the kept children are a subset of all children
-        rng = random.Random(43)
-        pairs = list(itertools.combinations(range(8), 2))
-        for edges in range(len(pairs) + 1):
-            parents = dict(canonical_code_and_generators(build_graph(8, rng.sample(pairs, edges))) for _ in range(40))
-            found, (visited,) = _expand_codes((8, [family], [(*item, 1) for item in parents.items()]))
-            want, want_visited = ref_expand_codes(8, family, parents)
-            assert set(found) <= want and visited == want_visited, edges
+        below = None
+        for level, codes, tried in _levels(n, family, jobs=1):
+            if below is not None:
+                assert (set(codes), tried) == ref_expand_codes(n, family, below), (n, level)
+            below = codes
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -303,54 +288,48 @@ def test_levels_agree_across_worker_counts(spec, jobs):
     assert list(_levels(9, family, jobs=1)) == list(_levels(9, family, jobs=jobs))
 
 
-VERTEX_SPECS = [
-    "clique:2",
-    "clique:3",
-    "clique:4",
-    "clique:5",
-    "matching:1",
-    "starforest:1x2",
-    "starforest:1x3",
-    "starforest:1x4",
-    "starforest:1x5",
-    "clique:3,starforest:1x3",
-    "clique:4,starforest:1x4",
-]
+# sha256 of repr([list(_levels(n, *families, jobs=1)) for n in range(9)]),
+# every code and every augmentation count of the stream, taken from the
+# edge walk, a separate enumeration by edge addition
+STREAM_DIGESTS = {
+    "clique:2": "e09c3af90bd226d618a76af4eca819b403cc19a5e21510776ae235dc077f80d8",
+    "clique:3": "26a6185f49610a1d32f6fcb2daea5c8708612b35af76f799cc200e790fc57c16",
+    "clique:4": "9ad0b8233fe51934dfafcf4717e68afe1cf23a2a69ba24e3708feeef5d0b240e",
+    "clique:5": "8c0a2cf340720bb5da1e6e3e6bc99720b59d9a4298a6d36ade5658debcf98070",
+    "matching:1": "e09c3af90bd226d618a76af4eca819b403cc19a5e21510776ae235dc077f80d8",
+    "starforest:1x2": "1212711049da39bcef9dc015453feada5b6ba95eaaa5329b47ae7c7ff588bfd7",
+    "starforest:1x3": "000402404ca3965d82eb1af0e700c70b86746ffcea5ed6c47bda7722fe449781",
+    "starforest:1x4": "9f599fe142a41f855a94eb321641b09e9d281ea584b1e4e3c20e7f1de4a8cc8a",
+    "starforest:1x5": "5bc9cc9b249c05c2521e2124f1bc8aa7c8ab065b02066aa30ca5c2e414b690e7",
+    "clique:3,starforest:1x3": "fbc81f7a470c17db4dbd65b6371db4183c2a26977fe099ad18167086cd5fe229",
+    "clique:4,starforest:1x4": "ce5108cae65cb773b0e5c8156e317bd5e303e11f916bd0c746c31d0a03f0ebb1",
+    "clique:4+starforest:1x3": "78be715ff8f4fac54c806aba8ec2aab972a39380a88a96388eaf34761b247998",
+    "matching:2": "bcca0853fb6ea0cc7c2273e1541f502a32d4290512f4a88b01acaa510e14b200",
+    "matching:3": "72f4c24ad53e1f50e60db7ccb65d3d6628e1922b3d63f2d0eb531e7265e391fc",
+    "matching:4": "0b8a4b1389e31bca22b04bb525ebd904a284ecf15eab15e0ba35c54e09e0573c",
+    "starforest:2x2": "44b942c2c06a6f5233d38621adef899bc02808b7ec93021e708d51dc066f7c00",
+    "starforest:2x3": "763d3cd05e75755963e80b7b641c24f958b4a32925ea219c55f445230ebc1d5c",
+    "starforest:3x2": "f4894e649ec4582e2470391feaef4bfe82dc5e19d544e825f1b1d1026602887f",
+    "clique:3,matching:3": "5e1f0aac82f95d3e887127053d73a43716da84faa62c58c47f458c99d1a4bf1b",
+    "clique:3,starforest:2x2": "7944c58888f3a60275c0a3d5d3eb9dd7081fb92cb7eb8dba7fd4503308728112",
+    "clique:4,starforest:2x3": "42df1a298f966b9727ec0064b136861afb18dc00d9059eecbdadf03554233295",
+    "clique:3,matching:2+starforest:2x2+clique:4": "0c2f12eff33e37c9443042fe5c58b2b8ee77ffd20168731fca4349fad914bfce",
+}
 
 
-@pytest.mark.parametrize("specs", [(spec,) for spec in VERTEX_SPECS] + [("clique:4", "starforest:1x3")], ids="+".join)
+@pytest.mark.parametrize("specs", [tuple(key.split("+")) for key in STREAM_DIGESTS], ids="+".join)
 def test_vertex_extension_gives_the_walks_stream(specs):
-    # every code and every augmentation count, repr for repr, at one to
-    # three workers; at three the first levels have fewer parents than
-    # workers, and the last call walks two families at once
+    # at one to three workers; at three the first levels have fewer parents
+    # than workers, and two calls search several families at once
     families = [ForbiddenFamily.parse(spec) for spec in specs]
-    for n in range(9):
-        want = repr(list(oracle._edge_levels(n, *families, jobs=1)))
-        for jobs in (1, 2, 3):
-            assert repr(list(oracle._vertex_levels(n, *families, jobs=jobs))) == want, (n, jobs)
-
-
-def test_levels_choose_the_engine_from_the_patterns(monkeypatch):
-    # vertex extension exactly when every pattern of every family has an
-    # exact mask: a clique or a one-copy star
-    engines = []
-    monkeypatch.setattr(oracle, "_vertex_levels", lambda n, *families, jobs: iter(engines.append("vertex") or ()))
-    monkeypatch.setattr(oracle, "_edge_levels", lambda n, *families, jobs: iter(engines.append("edge") or ()))
-    for specs, engine in (
-        (("clique:3",), "vertex"),
-        (("matching:1", "clique:4,starforest:1x4"), "vertex"),
-        (("clique:3,matching:2",), "edge"),
-        (("clique:3", "starforest:2x3"), "edge"),
-    ):
-        engines.clear()
-        list(_levels(6, *map(ForbiddenFamily.parse, specs), jobs=1))
-        assert engines == [engine], specs
+    for jobs in (1, 2, 3):
+        levels = [list(_levels(n, *families, jobs=jobs)) for n in range(9)]
+        assert hashlib.sha256(repr(levels).encode()).hexdigest() == STREAM_DIGESTS["+".join(specs)], jobs
 
 
 def test_canonical_searches_at_n9(monkeypatch):
     # the count is deterministic and needs no worker, so a weaker screen of
-    # the children ahead of the canonical search fails here: 1,965 searches
-    # by vertex extension, which K3 takes, and 2,089 by the edge walk
+    # the children ahead of the canonical search fails here
     searches = 0
 
     def counted(g):
@@ -362,53 +341,23 @@ def test_canonical_searches_at_n9(monkeypatch):
     record = brute_force_ex(9, K3)
     assert (record.ex_value, record.graphs_visited) == (20, 47860)
     assert searches == 1965
-    searches = 0
-    monkeypatch.setattr(oracle, "_levels", oracle._edge_levels)
-    assert brute_force_ex(9, K3) == record
-    assert searches == 2089
-
-
-@pytest.mark.parametrize("spec,ex_visited,ranked", [
-    ("clique:3", (20, 47860), 5262),
-    ("clique:3,starforest:2x3", (15, 23044), 3070),
-    ("clique:3,starforest:1x3", (9, 1548), 73),
-])
-def test_rank_tests_at_n9(monkeypatch, spec, ex_visited, ranked):
-    # the clique and one-copy star masks drop blocked pairs before the orbit
-    # walk and the rank test; an exact mask makes the count follow from the
-    # class sets alone.  Without the masks the first two counts are 17,407
-    # and 7,785; without the star mask the third is 202.  The first and
-    # third families take vertex extension, so the walk is asked directly
-    tests = 0
-    outranked = oracle._outranked
-
-    def counted(*args):
-        nonlocal tests
-        tests += 1
-        return outranked(*args)
-
-    monkeypatch.setattr(oracle, "_outranked", counted)
-    monkeypatch.setattr(oracle, "_levels", oracle._edge_levels)
-    record = brute_force_ex(9, ForbiddenFamily.parse(spec))
-    assert (record.ex_value, record.graphs_visited) == ex_visited
-    assert tests == ranked
 
 
 @pytest.mark.parametrize("spec,digest,searched", [
     ("clique:3,starforest:1x3", "9ef81a1731137c44b6b84d26dd50bfd4448bedcd7c7a57095ffc78cde60540dc", 52),
-    ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 957),
-    ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 709),
-    ("starforest:2x2", "59487b4a8c4dc0fc03b4e81ca0403aefbc2e845f00dc68574b78db99e9fbf659", 153),
-    ("clique:3,matching:3", "c183315fd7284d80ac19192d0ae92939ca382130593d252a4cb1e41c3146cd83", 77),
+    ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 876),
+    ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 705),
+    ("starforest:2x2", "59487b4a8c4dc0fc03b4e81ca0403aefbc2e845f00dc68574b78db99e9fbf659", 157),
+    ("clique:3,matching:3", "c183315fd7284d80ac19192d0ae92939ca382130593d252a4cb1e41c3146cd83", 76),
     ("clique:4,matching:3", "adc33ac0783139f0d171b8a7ae90a83396932353b0cde99dd360a1727d960a9c", 148),
-    ("matching:3", "910bd2e717c3b1055514df41489c98f67d0f8a7f3a6f69b149451e5ecb887173", 157),
+    ("matching:3", "910bd2e717c3b1055514df41489c98f67d0f8a7f3a6f69b149451e5ecb887173", 161),
 ])
 def test_star_forest_levels_are_pinned(monkeypatch, spec, digest, searched):
     # every level's (edge count, codes, augmentations) at n = 9, as the
     # enumeration gave them when these digests were taken, and the canonical
     # searches behind them: a star-forest check that lets one child too many
-    # or too few through to the search fails here.  The first family takes
-    # vertex extension, whose 52 searches stand where the walk made 54
+    # or too few through to the search fails here.  The digests were taken
+    # from the edge walk, a separate enumeration by edge addition
     searches = 0
     search = oracle.canonical_code_and_generators
 
@@ -421,30 +370,6 @@ def test_star_forest_levels_are_pinned(monkeypatch, spec, digest, searched):
     levels = list(_levels(9, ForbiddenFamily.parse(spec), jobs=1))
     assert hashlib.sha256(repr(levels).encode()).hexdigest() == digest
     assert searches == searched
-
-
-@pytest.mark.parametrize("spec,n_max", [("clique:3", 7), ("clique:3,starforest:2x3", 8)])
-def test_rank_test_matches_literal_reference(spec, n_max):
-    # every non-edge of every parent, in row order, against a degree table
-    # taken literally from g, so the rank test's reading of the table is
-    # checked apart from the expansion that builds it.  Two disjoint 3-stars
-    # need 8 vertices, so below that the second family's parents are the
-    # triangle-free ones
-    family = ForbiddenFamily.parse(spec)
-    verdicts = 0
-    for n in range(2, n_max + 1):
-        for _, codes, _ in _levels(n, family, jobs=1):
-            for code in codes:
-                g = graph_from_code(n, code)
-                degrees = [g.degree(x) for x in range(n)]
-                sums = [sum(g.degree(w) for w in g.neighbors(x)) for x in range(n)]
-                at_least = [mask_of(x for x in range(n) if g.degree(x) >= t) for t in range(n + 1)]
-                for u, v in itertools.combinations(range(n), 2):
-                    if not g.has_edge(u, v):
-                        got = oracle._outranked(g.rows, degrees, sums, at_least, u, v)
-                        assert got == ref_outranked(g, u, v), (n, code, u, v)
-                        verdicts += 1
-    assert verdicts > 1000
 
 
 def test_visited_count_at_n9_on_one_and_two_workers():
