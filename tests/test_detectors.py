@@ -358,6 +358,43 @@ def test_edge_local_answer_matches_adding_the_edge(spec):
     assert positives
 
 
+def _assert_edge_mask_is_exact(pattern, edge_mask):
+    # edge_mask(g, u) read on g itself, with no vertex split off, must be
+    # exact from either end of every non-edge
+    positives = 0
+    for g in _free_graphs(pattern):
+        for u in range(g.n):
+            mask = edge_mask(g, u)
+            for v in range(g.n):
+                if v != u and not g.has_edge(u, v):
+                    want = _occurs_with_the_edge(pattern, g, u, v)
+                    assert bool(mask >> v & 1) == want, (g.n, g.edges(), u, v)
+                    positives += want
+    assert positives
+
+
+@pytest.mark.parametrize("size", range(2, 6))
+def test_clique_edge_mask_matches_adding_the_edge(size):
+    # a copy in g + uv is u, v and a K_{size-2} of common neighbours, so
+    # the neighbourhood mask at u's own row gives every such v: a new
+    # vertex joined to that row is a twin of u and leaves g free
+    pattern = Clique(size)
+    _assert_edge_mask_is_exact(pattern, lambda g, u: pattern.neighbourhood_mask(g, g.rows[u]))
+
+
+@pytest.mark.parametrize("leaves", range(1, 5))
+def test_star_forest_edge_mask_matches_adding_the_edge(leaves):
+    # one star in g + uv is centred at u or v with the edge as a leaf, so
+    # g + uv holds it exactly when the leaf mask of g meets {u, v}
+    pattern = StarForest(1, leaves)
+
+    def edge_mask(g, u):
+        full = (1 << g.n) - 1
+        return full if pattern.leaf_mask(g, 1 << u) else pattern.leaf_mask(g, full)
+
+    _assert_edge_mask_is_exact(pattern, edge_mask)
+
+
 @pytest.mark.parametrize(
     "pattern",
     [Clique(size) for size in range(2, 6)]
