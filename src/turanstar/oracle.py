@@ -28,10 +28,8 @@ rebuilds, so no parent is searched twice.
   of it.  (c) S, read as a mask, is no larger than its image under each
   generator of H.  The child's members are the families that admit S.
 - H + v is canonicalized only when no other vertex of v's degree has a
-  larger deletion key: the neighbour-degree sum, then the sum of the
-  neighbours' neighbour-degree sums, then the sorted neighbour degrees,
-  all taken in H + v.  Children are deduplicated by code, and every parent
-  must give a class the same members.
+  larger neighbour-degree sum in H + v.  Children are deduplicated by
+  code, and every parent must give a class the same members.
 
 Test (b) is exact.  H is free of each member family, so a copy of a
 pattern in H + v uses v.  S grows one vertex at a time, in increasing
@@ -50,7 +48,7 @@ order, and is grown only while some member family may still admit it:
 - v as a centre needs l leaves in S and c - 1 further S_l in H apart from
   them.  ``occurs_with_new_centre`` asks that of the whole set, so its
   verdict is exact whatever S's subsets got, and it is asked only of the
-  sets that pass (a), (c) and the key test, last before the search.  A
+  sets that pass (a), (c) and the sum test, last before the search.  A
   set it blocks still grows, and its supersets are blocked when asked.  It
   never arises for a one-leaf star, whose centre is a leaf too, nor for
   one copy: H free of S_l caps its least degree at l - 1, and at l - 1 H
@@ -68,18 +66,20 @@ Each class G on m vertices is still reached.  If G has an isolated vertex
 it is a padded class: removing one gives a class at level m - 1.  No
 extension has one, as v joined to a non-empty S is of least degree only
 when S holds every isolated vertex of H.  Otherwise take a vertex w of
-least degree whose key no vertex of its degree exceeds.  G - w is free
-of every family G is free of, so its class P is at level m - 1 with those
-members, and maybe more.  w's neighbourhood, carried into P's canonical
-graph, has an orbit under the generators, and the least set S of that
-orbit passes (c).  P + v joined to S is isomorphic to G by a map taking v
-to w, and degree and key are invariants, so (a), (b) and the key test
-pass, and the child's members are G's.  The codes at level n, split by
-edge count, are the levels of the stream, and a level's augmentations
-tried are counted from the class sets.  The generators kept for a class
-are those of the first parent, in code order, that reached it, so no count
-depends on how the parents split over workers, and records compare equal
-across any worker count.
+least degree whose neighbour-degree sum no vertex of its degree exceeds.
+G - w is free of every family G is free of, so its class P is at level
+m - 1 with those members, and maybe more.  w's neighbourhood, carried into
+P's canonical graph, has an orbit under the generators, and the least set
+S of that orbit passes (c).  P + v joined to S is isomorphic to G by a map
+taking v to w, and degree and neighbour-degree sum are invariants, so (a),
+(b) and the sum test pass, and the child's members are G's.  Any invariant
+would do in place of the sum; a finer one sends fewer children to the
+canonical search, but the finer key tried cost more time than it saved.
+The codes at level n, split by edge count, are the levels of the stream,
+and a level's augmentations tried are counted from the class sets.  The
+generators kept for a class are those of the first parent, in code order,
+that reached it, so no count depends on how the parents split over
+workers, and records compare equal across any worker count.
 
 One search serves several families on the same vertex count, each
 restricted to its own member bits: a family's classes are those whose
@@ -389,8 +389,9 @@ def _expand_codes(
     time through the cliques' neighbourhood masks and outside the star
     forests' leaf masks.  Only a t that leaves v of least degree, is no
     larger than its image under every generator and leaves no vertex of
-    v's degree a larger deletion key than v is asked the star forests' new
-    centre tests, and it is canonicalized when some family still admits it.
+    v's degree a larger neighbour-degree sum than v is asked the star
+    forests' new centre tests, and it is canonicalized when some family
+    still admits it.
     """
     p, families, parents, keep = args
     new = 1 << p
@@ -520,43 +521,16 @@ def _moved_lower(images: list[list[int]], s: int) -> bool:
 def _outranked_vertex(
     rows: tuple[int, ...], degrees: list[int], sums: list[int], s: int, ties: int
 ) -> bool:
-    """Has some vertex of ``ties`` a larger deletion key than v in g + v, v joined to s?
+    """Has some vertex of ``ties`` a larger neighbour-degree sum than v in g + v, v joined to s?
 
     ``ties`` are the other vertices of v's degree in g + v, and the rest is
-    g's: its rows, degrees and neighbour-degree sums.  The key is the
-    neighbour-degree sum, then the sum of the neighbours' neighbour-degree
-    sums, then the sorted neighbour degrees, all taken in g + v.  Each part
-    is read only for the vertices that tie v on the parts before it.
+    g's: its rows, degrees and neighbour-degree sums.  In g + v a vertex's
+    sum gains one per neighbour in s, and |s| if it is in s; v's is |s| plus
+    the degrees in g of its neighbours.
     """
-    v = len(rows)
     d = s.bit_count()
-
-    def degree(x: int) -> int:
-        return d if x == v else degrees[x] + (s >> x & 1)
-
-    def degree_sum(x: int) -> int:
-        # in g + v a sum gains one per neighbour in s, and d in s
-        if x == v:
-            return d + sum(degrees[y] for y in bits(s))
-        return sums[x] + (rows[x] & s).bit_count() + (d if s >> x & 1 else 0)
-
-    def neighbours(x: int) -> Iterator[int]:
-        return bits(s if x == v else rows[x] | (s >> x & 1) << v)
-
-    tied = list(bits(ties))
-    for part in (
-        degree_sum,
-        lambda x: sum(map(degree_sum, neighbours(x))),
-        lambda x: sorted(map(degree, neighbours(x))),
-    ):
-        mine = part(v)
-        keys = [part(w) for w in tied]
-        if any(key > mine for key in keys):
-            return True
-        tied = [w for w, key in zip(tied, keys) if key == mine]
-        if not tied:
-            return False
-    return False
+    mine = d + sum(degrees[y] for y in bits(s))
+    return any(sums[w] + (rows[w] & s).bit_count() + (d if s >> w & 1 else 0) > mine for w in bits(ties))
 
 
 def enumerate_free_graphs(n: int, family: ForbiddenFamily) -> Iterator[Graph]:

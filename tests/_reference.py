@@ -331,7 +331,7 @@ def labelled_count_failures(family, levels, generators=automorphism_generators) 
     admit no free addition.  A missing class, a class listed twice, a class
     that is not free and generators of too small a group each break it.
     It reads the classes, their generators and the detector, and none of
-    the search's orbit cut, deletion keys, masks or dedup.
+    the search's orbit cut, neighbour-degree sums, masks or dedup.
     """
     labellings = [[math.factorial(g.n) // group_order(g.n, generators(g)) for g in level] for level in levels]
     failures = []

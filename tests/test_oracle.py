@@ -264,10 +264,10 @@ def test_max_degree_two_levels_match_the_generating_function(spec, shortest_cycl
 )
 def test_orbit_pruned_expansion_matches_trying_every_non_edge(spec):
     # vertex extension tries one set per orbit of each parent, and only the
-    # sets whose new vertex has the largest deletion key; every level it
-    # gives must still be the free one-edge augmentations of the level
-    # below, found by trying every non-edge of every class, and its
-    # augmentations tried that many non-edges
+    # sets whose new vertex has the largest neighbour-degree sum of its
+    # degree; every level it gives must still be the free one-edge
+    # augmentations of the level below, found by trying every non-edge of
+    # every class, and its augmentations tried that many non-edges
     family = ForbiddenFamily.parse(spec)
     # clique:9 admits every graph and clique:4 has 6,431 classes at n = 8,
     # so those two stop at n = 7
@@ -327,9 +327,32 @@ def test_vertex_extension_gives_the_walks_stream(specs):
         assert hashlib.sha256(repr(levels).encode()).hexdigest() == STREAM_DIGESTS["+".join(specs)], jobs
 
 
+def test_outranked_vertex_compares_neighbour_degree_sums():
+    # every graph on up to 6 vertices and every non-empty s, against g + v
+    # built edge by edge and its sums read from the child itself
+    verdicts = Counter()
+    for n in range(7):
+        for g in enumerate_free_graphs(n, ForbiddenFamily.parse("clique:7")):
+            degrees = [g.degree(x) for x in range(n)]
+            sums = [sum(g.degree(y) for y in g.neighbors(x)) for x in range(n)]
+            for s in range(1, 1 << n):
+                child = disjoint_union(g, empty_graph(1))
+                for y in bits(s):
+                    child = child.add_edge(y, n)
+                total = [sum(child.degree(y) for y in child.neighbors(x)) for x in range(n + 1)]
+                ties = [w for w in range(n) if child.degree(w) == child.degree(n)]
+                want = any(total[w] > total[n] for w in ties)
+                got = oracle._outranked_vertex(g.rows, degrees, sums, s, sum(1 << w for w in ties))
+                assert got == want, (g.rows, s)
+                verdicts[want, bool(ties)] += 1
+    assert verdicts[True, True] > 1000 and verdicts[False, True] > 1000, verdicts
+
+
 def test_canonical_searches_at_n9(monkeypatch):
-    # the count is deterministic and needs no worker, so a weaker screen of
-    # the children ahead of the canonical search fails here
+    # the count is deterministic and needs no worker, so a change to the
+    # screen of the children ahead of the canonical search fails here.  The
+    # screen compares neighbour-degree sums alone, weaker on purpose than a
+    # finer deletion key: the count pins that one-part key
     searches = 0
 
     def counted(g):
@@ -340,13 +363,13 @@ def test_canonical_searches_at_n9(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_code_and_generators", counted)
     record = brute_force_ex(9, K3)
     assert (record.ex_value, record.graphs_visited) == (20, 47860)
-    assert searches == 1965
+    assert searches == 2142
 
 
 @pytest.mark.parametrize("spec,digest,searched", [
-    ("clique:3,starforest:1x3", "9ef81a1731137c44b6b84d26dd50bfd4448bedcd7c7a57095ffc78cde60540dc", 52),
-    ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 876),
-    ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 705),
+    ("clique:3,starforest:1x3", "9ef81a1731137c44b6b84d26dd50bfd4448bedcd7c7a57095ffc78cde60540dc", 56),
+    ("clique:3,starforest:2x3", "e68bd86770b859acc212bcc6fc8e99e5a9c664d27afcabb37a94d45a11bedba1", 945),
+    ("clique:3,starforest:3x2", "237930107799581571311c2cb2971d78b4e81e259676da7e1ba3a58ea2186ff6", 745),
     ("starforest:2x2", "59487b4a8c4dc0fc03b4e81ca0403aefbc2e845f00dc68574b78db99e9fbf659", 157),
     ("clique:3,matching:3", "c183315fd7284d80ac19192d0ae92939ca382130593d252a4cb1e41c3146cd83", 76),
     ("clique:4,matching:3", "adc33ac0783139f0d171b8a7ae90a83396932353b0cde99dd360a1727d960a9c", 148),
