@@ -50,8 +50,8 @@ the swaps that step 3 prunes without recording.
 ``canonical_code_and_generators`` hands them over with the code, conjugated
 by the labeling onto the canonical graph ``graph_from_code(n, code)``.  The
 exhaustive search keeps them with each class it finds, so when that class
-is extended a level later it can augment one non-edge per orbit without
-searching the class a second time.
+is extended a level later the new vertex is joined to one set per orbit
+without searching the class a second time.
 
 Exact and exponential in the worst case; the module refuses graphs above
 CANONICAL_MAX_N vertices, which is all the exhaustive search scale needs.

@@ -19,11 +19,14 @@ answers through ``leaf_mask(g, within)``, the x whose star the new
 vertex completes as a leaf, whatever else s holds, and
 ``occurs_with_new_centre(g, s)``.  One clique reach (``_clique_reach``)
 answers every clique question.  One walk over star centre sets
-(``_centre_walk``) answers whether g holds a star forest, alone or with
-a new centre, and ``_leaf_centres`` walks the same sets once for the
-leaf question of every x.  A matching is found by Edmonds' blossom
-algorithm instead, which is polynomial where the walks are not: one
-alternating tree per unmatched root, with no matching built before it.
+(``_centre_sets``) answers every star-forest question.  Whether g holds
+a forest, alone or with a new centre, is its first yield, and
+``_leaf_centres`` reads the leaf question of every x from the Hall sums
+of each set it yields.  Where g lacks the other copies no set passes, so
+the leaf mask is empty and no new centre completes a copy.  A matching
+is found by Edmonds' blossom algorithm instead, which is polynomial
+where the walk is not: one alternating tree per unmatched root, with no
+matching built before it.
 All detectors are exact.  The test suite cross-checks their
 verdicts against plain exhaustive search, and the matching detector also
 against networkx.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+from typing import Iterator, Union
 
 from .graphs import Graph, bits, mask_of
 
@@ -73,8 +76,10 @@ class StarForest:
     in s or as a centre; so it is there exactly when s meets the leaf
     mask or ``occurs_with_new_centre(g, s)`` holds.  The leaf mask does not
     depend on s.  Both ask whether g holds copies - 1 further S_leaves
-    apart from v's star, by a walk over the centre sets of g with Hall's
-    condition, except that a matching asks Edmonds' blossom algorithm."""
+    apart from v's star, by the one walk over the centre sets of g with
+    Hall's condition (``_centre_sets``), except that a matching asks
+    Edmonds' blossom algorithm.  Where g lacks those copies, the leaf mask
+    is empty and the new centre test False."""
 
     copies: int
     leaves: int
@@ -113,7 +118,7 @@ class StarForest:
             return False
         rows = g.rows
         candidates = [c for c, row in enumerate(rows) if row.bit_count() >= self.leaves]
-        return _centre_walk(rows, candidates, self.copies - 1, self.leaves, [s], [self.leaves])
+        return any(_centre_sets(rows, candidates, self.copies - 1, self.leaves, [s], [self.leaves]))
 
 
 Pattern = Union[Clique, StarForest]
@@ -299,10 +304,9 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
     more leaves, a greedy packing attempt (high-degree centers first,
     lowest-index leaves) settles most positive cases immediately, and a
     small blocking set that kills all high degrees settles most negative
-    ones.  The exact fallback is the centre walk that
-    ``StarForest.occurs_with_new_centre`` also runs, here with no new
-    vertex: it walks centre sets and decides leaf availability by Hall's
-    condition (``_pools_admit_disjoint_leaves``).
+    ones.  The exact fallback is the first yield of the one centre-set
+    walk, ``_centre_sets``, with no new vertex: a set of centres whose
+    rows admit distinct leaves by Hall's condition.
     """
     if copies < 1 or leaves < 1:
         raise ValueError(f"star forest needs copies >= 1 and leaves >= 1, got {copies}x{leaves}")
@@ -320,7 +324,7 @@ def contains_star_forest(g: Graph, copies: int, leaves: int) -> bool:
         return True
     if _star_hitting_certificate(rows, n, copies, leaves):
         return False
-    return _centre_walk(rows, candidates, copies, leaves, [], [])
+    return any(_centre_sets(rows, candidates, copies, leaves, [], []))
 
 
 def _greedy_star_packing(rows: tuple[int, ...], candidates: list[int], copies: int, leaves: int) -> bool:
@@ -374,10 +378,10 @@ def _leaf_centres(rows: tuple[int, ...], copies: int, leaves: int, within: int) 
     ``leaves - 1`` leaves and ``copies - 1`` further stars with ``leaves``
     leaves, all vertex-disjoint.
 
-    One walk over the sets C of the other centres serves every x: Hall's
-    sums over the subsets of C's pools are taken once per C, and each x
-    not yet found, outside C, is checked against them with its own pool
-    added and itself dropped from every pool.
+    The centre-set walk, ``_centre_sets``, yields each set C of the other
+    centres that passes Hall's condition with its sums over the subsets of
+    C's pools.  Each x not yet found, outside C, is checked against them
+    with its own pool added and itself dropped from every pool.
     """
     need = leaves - 1
     todo = mask_of(x for x in bits(within) if rows[x].bit_count() >= need)
@@ -385,18 +389,11 @@ def _leaf_centres(rows: tuple[int, ...], copies: int, leaves: int, within: int) 
         return todo
     found = 0
     others = [c for c, row in enumerate(rows) if row.bit_count() >= leaves]
-    for centres in combinations(others, copies - 1):
-        taken = mask_of(centres)
-        sums = [(0, 0)]  # (union, demand) of each subset of C's pools
-        for c in centres:
-            pool = rows[c] & ~taken
-            sums += [(union | pool, demand + leaves) for union, demand in sums]
-        if any(union.bit_count() < demand for union, demand in sums):
-            continue
+    for taken, unions, demands in _centre_sets(rows, others, copies - 1, leaves, [], []):
         for x in bits(todo & ~taken):
             bit = 1 << x
             own = rows[x] & ~taken
-            for union, demand in sums:
+            for union, demand in zip(unions, demands):
                 union &= ~bit
                 if union.bit_count() < demand or (union | own).bit_count() < demand + need:
                     break
@@ -435,19 +432,28 @@ def _missed_by_a_maximum_matching(rows: tuple[int, ...], size: int) -> int:
     return out
 
 
-def _centre_walk(
-    rows: tuple[int, ...] | list[int], candidates: list[int], copies: int, leaves: int,
+def _centre_sets(
+    rows: tuple[int, ...], candidates: list[int], count: int, leaves: int,
     pools: list[int], demands: list[int],
-) -> bool:
-    """Can ``copies`` centres drawn from ``candidates`` each take ``leaves``
-    leaves from their rows while the leading ``pools`` take their
-    ``demands``, all leaves distinct and none a centre?  The one walk over
-    centre sets; Hall's condition decides each set."""
-    demands = demands + [leaves] * copies
-    for centres in combinations(candidates, copies):
-        taken = 0
-        for c in centres:
-            taken |= 1 << c
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The one walk over centre sets: each set of ``count`` centres drawn
+    from ``candidates``, in combination order, that can each take
+    ``leaves`` leaves from their rows while the leading ``pools`` take their
+    ``demands``, all leaves distinct and none a centre.  Its first yield,
+    read by ``any``, says whether there is one.
+
+    By Hall's condition that holds exactly when every sub-collection of
+    the pools jointly holds at least the sum of its demands.  Bit i of
+    ``sub`` picks pool i: the leading pools, then the centres' rows, each
+    less the centres.  A set comes as (its mask, union, need), where
+    ``union[sub]`` is the union of the pools ``sub`` picks and
+    ``need[sub]`` the sum of their demands.  They are built in increasing
+    ``sub``, and a set is dropped at its first failure.
+    """
+    demands = demands + [leaves] * count
+    size = 1 << len(demands)
+    for centres in combinations(candidates, count):
+        taken = mask_of(centres)
         off = ~taken
         chosen = [pool & off for pool in pools]
         for c in centres:
@@ -456,29 +462,19 @@ def _centre_walk(
                 break
             chosen.append(pool)
         else:
-            if _pools_admit_disjoint_leaves(chosen, demands):
-                return True
-    return False
-
-
-def _pools_admit_disjoint_leaves(pools: list[int], demands: list[int]) -> bool:
-    """Can each center take ``demands[i]`` leaves from ``pools[i]``, all
-    leaves distinct?  By Hall's condition, exactly when every
-    sub-collection of the pools jointly holds at least the sum of its
-    demands."""
-    k = len(pools)
-    union = [0] * (1 << k)
-    need = [0] * (1 << k)
-    for sub in range(1, 1 << k):
-        low = sub & -sub
-        i = low.bit_length() - 1
-        u = union[sub ^ low] | pools[i]
-        d = need[sub ^ low] + demands[i]
-        union[sub] = u
-        need[sub] = d
-        if u.bit_count() < d:
-            return False
-    return True
+            union = [0] * size
+            need = [0] * size
+            for sub in range(1, size):
+                low = sub & -sub
+                i = low.bit_length() - 1
+                u = union[sub ^ low] | chosen[i]
+                d = need[sub ^ low] + demands[i]
+                if u.bit_count() < d:
+                    break
+                union[sub] = u
+                need[sub] = d
+            else:
+                yield taken, union, need
 
 
 def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:

@@ -17,7 +17,7 @@ the CLI's ``formula`` command read both tables.
 Each suite declares in ``_SUITES`` the oracle slices it reads.  A run of
 suites asks ``oracle.shared_records`` once for every family, in order of
 first appearance, over the union of the ns its slices read; that call
-decides which families share a walk.  Each fresh record is credited to
+decides which families share a search.  Each fresh record is credited to
 the first suite, in run order, that reads it.
 Every parameter is checked before any row is built, so a ``ValueError``
 while a suite builds its rows is a bug and is raised as an
@@ -392,7 +392,7 @@ def _run(suites: list, jobs: int, cache: ResultCache | None) -> list[SuiteReport
 def run_suites(
     names: Sequence[str], *, jobs: int = 1, cache: ResultCache | None = None
 ) -> list[SuiteReport]:
-    """Run suites over their fixed grids, one report per name, one walk per vertex count."""
+    """Run suites over their fixed grids, one report per name, one search per vertex count."""
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")

@@ -38,13 +38,12 @@ order, and is grown only while some member family may still admit it:
 - A clique K_k needs a K_{k-1} inside S.  Its ``neighbourhood_mask``
   names the vertices x for which S + x holds one, where S does not.
 - A star forest of c copies of S_l has v as a leaf of some x in S or as a
-  centre, and its other c - 1 stars in H; where H lacks them, as it often
-  does, no S completes it.  Whether v as a leaf of x completes it does not
-  depend on the rest of S: H holds a star at x with l - 1 leaves and c - 1
-  further S_l, all disjoint.  The forest's ``leaf_mask`` gives those x once
-  per parent, and no S holding one is grown.  For a matching it is empty
-  unless nu(H) = c - 1, and then it is the vertices that some maximum
-  matching of H misses.
+  centre, and its other c - 1 stars in H.  Whether v as a leaf of x
+  completes it does not depend on the rest of S: H holds a star at x with
+  l - 1 leaves and c - 1 further S_l, all disjoint.  The forest's
+  ``leaf_mask`` gives those x once per parent, and no S holding one is
+  grown.  For a matching it is empty unless nu(H) = c - 1, and then it is
+  the vertices that some maximum matching of H misses.
 - v as a centre needs l leaves in S and c - 1 further S_l in H apart from
   them.  ``occurs_with_new_centre`` asks that of the whole set, so its
   verdict is exact whatever S's subsets got, and it is asked only of the
@@ -53,6 +52,11 @@ order, and is grown only while some member family may still admit it:
   never arises for a one-leaf star, whose centre is a leaf too, nor for
   one copy: H free of S_l caps its least degree at l - 1, and at l - 1 H
   is regular and every vertex is in the leaf mask, so (a) keeps |S| < l.
+- For l > 1 both questions are one walk over H's sets of c - 1 other
+  centres with Hall's condition (``detectors._centre_sets``); a matching
+  asks Edmonds' algorithm.  Where H lacks the other c - 1 stars, as it
+  often does, the leaf mask is empty and the centre test fails, so the
+  search asks no question of its own about them.
 
 Every set a family admits is reached with that family's bit.  H + v
 joined to a subset of S is a subgraph of H + v joined to S, so each prefix
@@ -395,18 +399,14 @@ def _expand_codes(
     """
     p, families, parents, keep = args
     new = 1 << p
-    # each family's cliques, and its star forests each with the forest of
-    # its other copies where a new centre must be asked of a kept set: a
-    # one-leaf star's centre is a leaf too, and with one copy the degree
-    # rule keeps v's degree below the leaf count
+    # each family's cliques, its star forests, and those whose new centre
+    # must be asked of a kept set: a one-leaf star's centre is a leaf too,
+    # and with one copy the degree rule keeps v's degree below the leaf count
     kinds = [
         (
             [pat for pat in family.patterns if isinstance(pat, Clique)],
-            [
-                (pat, StarForest(pat.copies - 1, pat.leaves) if pat.copies > 1 < pat.leaves else None)
-                for pat in family.patterns
-                if isinstance(pat, StarForest)
-            ],
+            [pat for pat in family.patterns if isinstance(pat, StarForest)],
+            [pat for pat in family.patterns if isinstance(pat, StarForest) and pat.copies > 1 < pat.leaves],
         )
         for family in families
     ]
@@ -430,22 +430,19 @@ def _expand_codes(
                 total += degrees[bit.bit_length() - 1]
             sums.append(total)
         # per family: its bit, its cliques, the vertices outside its forests'
-        # leaf masks and the forests whose new centre is asked; a copy in
-        # g + v has its other stars in g, so without them v completes none
+        # leaf masks and the forests whose new centre is asked; a forest
+        # whose other copies g lacks needs no test of its own, as its leaf
+        # mask is then empty and its centre test False
         reachable = low if least == 0 else new - 1  # v joins the one isolated vertex
-        leaf: dict[StarForest, int | None] = {}  # leaf masks, None where g lacks the other copies
+        leaf: dict[StarForest, int] = {}  # each forest's leaf mask, asked once per parent
         screens = []
-        for i, (cliques, stars) in enumerate(kinds):
+        for i, (cliques, stars, centred) in enumerate(kinds):
             if members >> i & 1:
                 allowed = new - 1
-                centred = []
-                for pat, rest in stars:
+                for pat in stars:
                     if pat not in leaf:
-                        leaf[pat] = pat.leaf_mask(g, reachable) if rest is None or rest.occurs_in(g) else None
-                    if leaf[pat] is not None:
-                        allowed &= ~leaf[pat]
-                        if rest is not None:
-                            centred.append(pat)
+                        leaf[pat] = pat.leaf_mask(g, reachable)
+                    allowed &= ~leaf[pat]
                 screens.append((1 << i, cliques, allowed, centred))
         images = [[1 << y for y in sigma] for sigma in generators]
         stack = [(0, new - 1, members)]  # (s, the vertices s may grow by, the families s may be free of)

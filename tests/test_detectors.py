@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
@@ -23,6 +24,7 @@ from turanstar import (
     max_matching_size,
     turan_graph,
 )
+from turanstar.detectors import _centre_sets
 
 from _reference import (
     complement,
@@ -462,6 +464,34 @@ def test_new_vertex_verdict_matches_the_literal_detector(spec):
     # copies - 1 are the ones that block
     assert kinds["leaf"] and kinds["free"]
     assert kinds["centre"] if pattern.leaves > 1 else kinds["nu = copies - 1"] and not kinds["centre"]
+
+
+@pytest.mark.parametrize("count,leaves", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+def test_centre_sets_are_the_literally_served_sets_with_their_hall_sums(count, leaves):
+    # every atlas graph on up to 7 vertices and no leading pools: the walk
+    # yields, in combination order, exactly the centre sets that some choice
+    # of distinct leaves, none a centre, serves, and for each sub-collection
+    # of a set's pools the union and demand sum that the leaf mask reads
+    served = Counter()
+    for a in nx.graph_atlas_g()[1:]:
+        g = build_graph(a.number_of_nodes(), a.edges())
+        walked = list(_centre_sets(g.rows, list(range(g.n)), count, leaves, [], []))
+        want = []
+        for centres in combinations(range(g.n), count):
+            pools = [set(a[c]) - set(centres) for c in centres]
+            choices = product(*(combinations(sorted(pool), leaves) for pool in pools))
+            ok = any(len(set().union(*picks)) == count * leaves for picks in choices)
+            if ok:
+                want.append((centres, pools))
+            served[ok] += 1
+        assert [taken for taken, _, _ in walked] == [mask_of(centres) for centres, _ in want], a.edges()
+        for (_, union, need), (_, pools) in zip(walked, want):
+            for sub in range(1 << count):
+                picked = [pool for i, pool in enumerate(pools) if sub >> i & 1]
+                assert union[sub] == mask_of(set().union(*picked)), (a.edges(), sub)
+                assert need[sub] == leaves * len(picked), (a.edges(), sub)
+    # a cell that only ever compares one verdict checks half the test
+    assert served[True] and served[False]
 
 
 def test_family_free_with_an_added_edge_asks_about_the_child():

@@ -348,6 +348,21 @@ def test_outranked_vertex_compares_neighbour_degree_sums():
     assert verdicts[True, True] > 1000 and verdicts[False, True] > 1000, verdicts
 
 
+def test_merge_keeps_the_least_parent_position_and_one_member_mask():
+    # the entry of the lower parent position wins, whatever the order of
+    # the calls; a class reached with two member masks is refused and the
+    # entry held stays
+    low, high = ([(1, 0)], 0b11, 2), ([(0, 1)], 0b11, 5)
+    for first, second in ((low, high), (high, low)):
+        found = {4: ([], 0b01, 0)}
+        oracle._merge(found, 7, first)
+        oracle._merge(found, 7, second)
+        assert found == {4: ([], 0b01, 0), 7: low}
+    with pytest.raises(AssertionError, match="class 7 reached as free of families 11 and 1"):
+        oracle._merge(found, 7, ([(1, 0)], 0b01, 0))
+    assert found[7] == low
+
+
 def test_canonical_searches_at_n9(monkeypatch):
     # the count is deterministic and needs no worker, so a change to the
     # screen of the children ahead of the canonical search fails here.  The
